@@ -19,6 +19,16 @@
 //! - Every op's gradient is verified against central finite differences in
 //!   this crate's tests (see [`gradcheck`]).
 
+// R6 (DESIGN.md §7): no unwrap/expect/todo/dbg in production code; a panic
+// mid-minibatch poisons the worker pool.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+
 pub mod gradcheck;
 mod ops;
 mod tape;

@@ -1,5 +1,14 @@
 //! The tape arena, gradient accumulation, and the backward pass.
 
+// R5 (DESIGN.md §7): this file is part of the ordered-reduction core of the
+// determinism contract, so every float comparison and every value-changing
+// numeric cast here must be explicit.
+#![deny(
+    clippy::float_cmp,
+    clippy::cast_precision_loss,
+    clippy::cast_possible_truncation
+)]
+
 use miss_tensor::Tensor;
 
 /// Handle to a value recorded on a [`Tape`]. Cheap to copy; only valid for
@@ -36,6 +45,10 @@ impl Grads {
 
     /// Gradient of `v`, panicking when absent (use for leaves you know were
     /// connected to the loss).
+    #[expect(
+        clippy::expect_used,
+        reason = "the deliberate panicking accessor: the panic is the documented contract for leaves known to reach the loss"
+    )]
     pub fn expect(&self, v: Var) -> &Tensor {
         self.get(v).expect("no gradient recorded for this Var")
     }
@@ -243,6 +256,7 @@ impl Default for Tape {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests assert bit-exact gradient values")]
 mod tests {
     use super::*;
 

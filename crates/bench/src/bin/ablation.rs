@@ -7,7 +7,10 @@
 //! Not a paper table — it answers "were the paper's defaults the right
 //! call?" on the simulated worlds.
 
-#![allow(clippy::field_reassign_with_default)]
+#![expect(
+    clippy::field_reassign_with_default,
+    reason = "each run reads as the paper's default config plus the knobs it varies"
+)]
 
 use miss_bench::{dataset_for, CellResult, ExpOpts, print_table};
 use miss_core::{DistanceLaw, EncoderKind, MissConfig};

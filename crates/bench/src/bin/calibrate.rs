@@ -8,6 +8,10 @@ use miss_data::WorldConfig;
 use miss_trainer::{BaseModel, Experiment, SslKind};
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "human-run calibration probe: it times whole runs by hand and feeds no training or evaluation path"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale: f64 = args

@@ -3,8 +3,6 @@
 //! LSTM extractors. The paper's finding: SA/LSTM pairs collapse to ~1
 //! (useless for contrastive learning) while CNN pairs sit around 0.7–0.8.
 
-#![allow(clippy::field_reassign_with_default)]
-
 use miss_bench::{dataset_for, ExpOpts};
 use miss_core::{ExtractorKind, Miss, MissConfig};
 use miss_data::{BatchIter, WorldConfig};

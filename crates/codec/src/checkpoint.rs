@@ -235,8 +235,9 @@ pub fn save_to_path(
 
 /// Bounded, deterministic retry schedule for checkpoint I/O.
 ///
-/// Backoff is a *fixed* table of sleeps (no clocks are read — miss-audit's
-/// no-wallclock rule holds), so retried runs behave identically everywhere.
+/// Backoff is a *fixed* table of sleeps (no clocks are read, so clippy's
+/// `disallowed_methods` gate on wall-clock reads holds), and retried runs
+/// behave identically everywhere.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Total attempts (the first try included). Clamped to at least 1.

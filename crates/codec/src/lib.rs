@@ -21,6 +21,16 @@
 //!
 //! See DESIGN.md §8 for the wire diagram and the error taxonomy.
 
+// R6 (DESIGN.md §7): no unwrap/expect/todo/dbg in production code; a panic
+// mid-minibatch poisons the worker pool.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+
 mod checkpoint;
 mod faultio;
 mod wire;

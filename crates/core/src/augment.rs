@@ -44,6 +44,7 @@ impl PairSelector {
 
     /// Eq. 21: draw one interest-level pair — same kernel, positions at a
     /// random distance `h ∈ [1, H]` (clamped per sample).
+    #[expect(clippy::indexing_slicing, reason = "map_idx = below(maps.len())")]
     pub fn draw_interest(&self, maps: &InterestMaps, batch: &Batch, rng: &mut Rng) -> PairDraw {
         let map_idx = rng.below(maps.maps.len());
         let map = &maps.maps[map_idx];
@@ -156,7 +157,7 @@ mod tests {
                 let pos = d.idx1[s] % w;
                 // Position must be in the real region whenever the sample has
                 // room for the kernel there.
-                if pad <= w - 1 {
+                if pad < w {
                     assert!(pos >= pad, "view window starts inside padding");
                 }
             }

@@ -105,6 +105,7 @@ impl Extractor {
     }
 
     /// Eq. 19–20: horizontal convolution `G_m^{j,l,k} = ReLU(C^{j,l:l+m-1,k} ∘ g_m)`.
+    #[expect(clippy::expect_used, reason = "every kernel is built with m >= 1 taps")]
     fn extract_cnn(
         &self,
         g: &mut Graph,
@@ -153,6 +154,11 @@ impl Extractor {
     }
 
     /// Table VIII alternative: per-position self-attention outputs.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "the SA projections exist whenever the extractor kind dispatches here, and mask holds b * l entries"
+    )]
     fn extract_sa(
         &self,
         g: &mut Graph,
@@ -200,6 +206,11 @@ impl Extractor {
     }
 
     /// Table VIII alternative: LSTM hidden state at every position.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "the LSTM cell exists whenever the extractor kind dispatches here, and mask holds b * l entries"
+    )]
     fn extract_lstm(
         &self,
         g: &mut Graph,
@@ -261,6 +272,11 @@ impl Extractor {
 /// Eq. 22–23: vertical convolution over the field axis of one interest map,
 /// producing `J−n+1` feature-enhanced maps. `scalars` are the `n` taps of
 /// `ĝ_{m,n}`.
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "1 <= n <= j is asserted, so the kernel is non-empty and j0 + i < j"
+)]
 pub(crate) fn vertical_conv(
     g: &mut Graph,
     store: &ParamStore,

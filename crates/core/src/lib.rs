@@ -24,6 +24,19 @@
 //! alternative extractors of Table VIII by [`ExtractorKind`]; and Figure 5's
 //! view-similarity probe by [`Miss::probe_similarity`].
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 mod augment;
 mod config;
 mod distance;

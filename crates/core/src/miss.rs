@@ -91,6 +91,10 @@ impl Miss {
 
     /// Gather one interest view across all fields and flatten to `B×(J·K)`
     /// (the `Flat` of Eq. 20).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "map is a PairDraw index drawn below maps.len()"
+    )]
     fn gather_view(&self, g: &mut Graph, maps: &InterestMaps, map: usize, idx: &[usize]) -> Var {
         let parts: Vec<Var> = maps.maps[map]
             .per_field
@@ -120,6 +124,10 @@ impl Miss {
 
     /// The two SSL losses of Eq. 15 and Eq. 16 (unweighted):
     /// `(L_ssl, L_ssl')`. Either may be absent depending on the variant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mi and ni are drawn below their slice lengths, and draw_feature returns field indices below outputs.len()"
+    )]
     pub fn ssl_losses(
         &self,
         g: &mut Graph,
@@ -360,8 +368,10 @@ mod tests {
 
     #[test]
     fn transformer_encoder_produces_loss_and_gradients() {
-        let mut cfg = MissConfig::default();
-        cfg.encoder = crate::EncoderKind::Transformer;
+        let cfg = MissConfig {
+            encoder: crate::EncoderKind::Transformer,
+            ..MissConfig::default()
+        };
         let (batch, store, emb, miss, mut rng) = setup(cfg);
         let mut g = Graph::new(&store);
         let loss = miss
@@ -380,8 +390,10 @@ mod tests {
 
     #[test]
     fn gaussian_distance_law_produces_loss() {
-        let mut cfg = MissConfig::default();
-        cfg.distance_law = crate::DistanceLaw::Gaussian { sigma: 1.5 };
+        let cfg = MissConfig {
+            distance_law: crate::DistanceLaw::Gaussian { sigma: 1.5 },
+            ..MissConfig::default()
+        };
         let (batch, store, emb, miss, mut rng) = setup(cfg);
         let mut g = Graph::new(&store);
         let (li, _) = miss.ssl_losses(&mut g, &store, &emb, &batch, &mut rng);

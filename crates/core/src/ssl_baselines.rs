@@ -2,6 +2,10 @@
 //! baseline, IRSSL (item-feature masking), S3Rec (sequence–segment MIM), and
 //! CL4SRec (crop/mask/reorder). All share the [`SslMethod`] interface so the
 //! trainer treats them interchangeably with MISS.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "positions bi * l + p with bi < batch.size and p < seq_len index the size * seq_len sequence and mask buffers"
+)]
 
 use miss_autograd::Var;
 use miss_data::Batch;
@@ -105,8 +109,8 @@ impl SslMethod for RuleSsl {
             // BTreeMap so the max_by_key scan below runs in key order and
             // the dominant category stays a pure function of the batch
             // (hash order is per-process random; keys are unique so the
-            // winner is the same either way, but the audit's
-            // no-hashmap-iter rule bans iterated hash containers outright).
+            // winner is the same either way, but R1's `iter_over_hash_type`
+            // lint bans iterated hash containers outright).
             let mut counts: std::collections::BTreeMap<u32, usize> = Default::default();
             for p in 0..l {
                 if batch.mask[bi * l + p] > 0.0 {

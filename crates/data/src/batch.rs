@@ -27,6 +27,10 @@ pub struct Batch {
 
 impl Batch {
     /// Assemble a batch from samples.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "field counts are asserted against the schema, which has at least one sequential field, and every position is below b * l"
+    )]
     pub fn from_samples(samples: &[&Sample], schema: &Schema) -> Batch {
         let b = samples.len();
         let l = schema.seq_len;
@@ -66,6 +70,10 @@ impl Batch {
     }
 
     /// History length of sample `i` (count of real positions).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < size is debug-asserted and mask holds size * seq_len entries"
+    )]
     pub fn hist_len(&self, i: usize) -> usize {
         debug_assert!(i < self.size, "sample index {i} out of a {}-sample batch", self.size);
         self.mask[i * self.seq_len..(i + 1) * self.seq_len]
@@ -116,6 +124,10 @@ impl<'a> BatchIter<'a> {
 impl<'a> Iterator for BatchIter<'a> {
     type Item = Batch;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pos <= end <= order.len(), and order is a permutation of the sample indices"
+    )]
     fn next(&mut self) -> Option<Batch> {
         if self.pos >= self.order.len() {
             return None;

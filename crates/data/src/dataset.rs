@@ -1,6 +1,10 @@
 //! Dataset assembly following the paper's protocol (§VI-A2): chronological
 //! ordering, leave-last-three split, and one uniformly sampled
 //! non-interacted negative per positive.
+#![expect(
+    clippy::disallowed_types,
+    reason = "R1: HashSet serves membership tests (negative sampling) and len() (stats) only, never iteration"
+)]
 
 use crate::config::WorldConfig;
 use crate::world::World;
@@ -129,6 +133,10 @@ impl Dataset {
 
     /// Assemble the dataset from a generated world. `seed` drives negative
     /// sampling only.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the world generator gives every user a history of at least three items"
+    )]
     pub fn from_world(world: &World, seed: u64) -> Self {
         let cfg = &world.config;
         let mut rng = Rng::new(seed ^ 0x00DA_7A5E);
@@ -248,6 +256,10 @@ impl Dataset {
     }
 
     /// Table III analogue statistics.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every schema has user, item and category fields and a first sequential field"
+    )]
     pub fn stats(&self) -> DatasetStats {
         let mut items: HashSet<u32> = HashSet::new();
         for split in [&self.train, &self.valid, &self.test] {
@@ -270,6 +282,10 @@ impl Dataset {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "hist_end <= history.len() at every call site in from_world"
+)]
 fn build_sample(
     world: &World,
     user: &crate::world::User,

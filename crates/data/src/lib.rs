@@ -24,6 +24,19 @@
 //! time-span → many interests per user, 5 fields) and
 //! [`WorldConfig::alipay`] (short span → few interests, 7 fields).
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 mod batch;
 mod config;
 mod dataset;

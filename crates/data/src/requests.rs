@@ -40,6 +40,10 @@ impl ScoreRequest {
 /// rewritten per candidate; user id, action type, and the history sequences
 /// are the base sample's. Deterministic in `seed` alone for a fixed world
 /// and dataset.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "below(n) < n, and every sample carries user, item and category fields (plus seller when the world has sellers)"
+)]
 pub fn request_stream(
     world: &World,
     dataset: &Dataset,

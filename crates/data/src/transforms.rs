@@ -8,6 +8,10 @@ use miss_util::Rng;
 impl Dataset {
     /// Keep a `rate` fraction of training samples, uniformly at random
     /// (paper's sampling rate SR; `rate = 1.0` is the identity).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "order holds indices drawn from 0..train.len()"
+    )]
     pub fn downsample_train(&mut self, rate: f64, rng: &mut Rng) {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0,1]");
         if rate >= 1.0 {
@@ -23,6 +27,10 @@ impl Dataset {
 
     /// Swap (flip) the labels of a `rate` fraction of training samples
     /// (paper's noise rate NR).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sample_indices(n, _) draws from 0..n, n = train.len()"
+    )]
     pub fn swap_train_labels(&mut self, rate: f64, rng: &mut Rng) {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0,1]");
         if rate <= 0.0 {

@@ -80,6 +80,11 @@ pub(crate) fn sample_weighted(weights: &[f64], rng: &mut Rng) -> usize {
 
 impl World {
     /// Generate a world.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        reason = "interests are drawn from 0..num_interests, pool ranks from 0..pool.len(), and the donor is the largest pool of a non-empty catalogue"
+    )]
     pub fn generate(config: WorldConfig, seed: u64) -> Self {
         let mut rng = Rng::new(seed ^ 0x5EED_DA7A);
         let mut items = Vec::with_capacity(config.num_items);
@@ -233,6 +238,10 @@ impl World {
     }
 
     /// Item attribute lookup (1-based id).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids are 1..=num_items by construction, debug-asserted"
+    )]
     pub fn item(&self, id: u32) -> &Item {
         debug_assert!(
             id >= 1 && (id as usize) <= self.items.len(),
@@ -379,7 +388,7 @@ mod drift_tests {
             if k < 4 {
                 continue;
             }
-            let late: std::collections::HashSet<usize> = u.interests[k.div_ceil(2)..]
+            let late: std::collections::BTreeSet<usize> = u.interests[k.div_ceil(2)..]
                 .iter()
                 .map(|&(i, _)| i)
                 .collect();

@@ -3,7 +3,7 @@
 
 use miss_data::{Dataset, World, WorldConfig};
 use miss_testkit::{prop_assert, prop_assert_eq, prop_assume, properties, Strategy, StrategyExt};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn arb_config() -> impl Strategy<Value = WorldConfig> {
     (
@@ -64,7 +64,7 @@ properties! {
         prop_assert_eq!(dataset.valid.len(), users * 2);
         prop_assert_eq!(dataset.test.len(), users * 2);
         for (uidx, user) in world.users.iter().enumerate() {
-            let interacted: HashSet<u32> = user.history.iter().copied().collect();
+            let interacted: BTreeSet<u32> = user.history.iter().copied().collect();
             // positives are real next items; negatives never interacted
             let l = user.history.len();
             let train_pos = &dataset.train[uidx * 2];

@@ -4,8 +4,8 @@
 //! a fail-point fires on the N-th hit of a named site (or at a named index
 //! inside a dispatch window), so every injected failure is bit-reproducible
 //! across runs, thread counts, and machines. Nothing here reads wall-clock
-//! time or OS randomness — the registry passes miss-audit's
-//! `no-wallclock-or-entropy` rule like any other crate.
+//! time or OS randomness — the registry passes the workspace's clippy
+//! `disallowed_methods` gate (R2, DESIGN.md §7) like any other crate.
 //!
 //! # Activating a plan
 //!
@@ -64,6 +64,19 @@
 //!
 //! All probes are no-ops returning `false`/`None` when no plan names the
 //! site.
+
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 use std::cell::RefCell;
 use std::fmt;
@@ -202,6 +215,10 @@ thread_local! {
 }
 
 /// Process-wide plan parsed from `MISS_FAULTS`, if the variable is set.
+#[expect(
+    clippy::panic,
+    reason = "deliberate fail-fast at process start: MISS_FAULTS is an operator-supplied test-harness spec parsed once before any request is accepted, and refusing to boot on a typo is safer than running without the requested fault plan"
+)]
 fn global() -> Option<&'static Mutex<Vec<SiteState>>> {
     static GLOBAL: OnceLock<Option<Mutex<Vec<SiteState>>>> = OnceLock::new();
     GLOBAL

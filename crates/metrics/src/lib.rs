@@ -1,12 +1,29 @@
 //! Evaluation metrics for CTR prediction: AUC and Logloss (the two the paper
 //! reports), plus the relative-improvement helper used by Tables X/XI.
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 /// Area under the ROC curve via the tie-aware rank statistic:
 /// `AUC = (Σ ranks of positives − P(P+1)/2) / (P·N)`, with tied scores
 /// receiving their average rank. O(n log n).
 ///
 /// Returns 0.5 when either class is absent (undefined AUC — the neutral
 /// value keeps sweep code simple).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "idx is a permutation of 0..n, n = scores.len() = labels.len() is asserted, and i <= j < n"
+)]
 pub fn auc(scores: &[f32], labels: &[f32]) -> f64 {
     assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
     let n = scores.len();
@@ -231,6 +248,10 @@ mod property_tests {
 /// group contains only one class are skipped (their AUC is undefined).
 ///
 /// Returns 0.5 when no group is scoreable.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the three slices are asserted to have equal lengths"
+)]
 pub fn gauc(scores: &[f32], labels: &[f32], groups: &[u32]) -> f64 {
     assert_eq!(scores.len(), labels.len());
     assert_eq!(scores.len(), groups.len());

@@ -1,6 +1,10 @@
 //! DIEN (Zhou et al., 2019): GRU interest extraction over the behaviour
 //! sequence, an auxiliary next-behaviour loss, and AUGRU interest evolution
 //! gated by candidate attention.
+#![expect(
+    clippy::disallowed_types,
+    reason = "R1: the per-Graph::id aux-loss state map is insert/remove by key only, never iterated"
+)]
 
 use crate::pooling::{masked_softmax_rows, mean_pool};
 use crate::{CtrModel, EmbeddingLayer, ForwardOpts, ModelConfig};

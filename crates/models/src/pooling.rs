@@ -59,7 +59,10 @@ pub fn attention_pool(
 
 /// [`attention_pool`] over an explicit `(b, l, mask)` — used by SIM after
 /// its top-k retrieval produces a shorter, re-masked sequence.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "SIM passes its re-masked (b, l, mask) view explicitly instead of a Batch"
+)]
 pub fn attention_pool_masked(
     g: &mut Graph,
     store: &ParamStore,
@@ -82,6 +85,23 @@ pub fn attention_pool_masked(
     let weights = masked_softmax_rows(g, scores2d, mask); // B×L
     // Weighted sum per sample: (B·1×L) @ (B·L×K) blocks.
     g.tape.bmm_nn(weights, seq_emb, b)
+}
+
+/// The standard "field vector" view shared by the feature-interaction
+/// models: every categorical field's embedding plus every sequential field
+/// mean-pooled, in schema order (`I + J` vectors of `B×K`).
+pub fn field_vectors(
+    g: &mut Graph,
+    store: &ParamStore,
+    emb: &crate::EmbeddingLayer,
+    batch: &Batch,
+) -> Vec<Var> {
+    let mut fields = emb.embed_all_cat(g, store, batch);
+    for j in 0..emb.schema().num_seq() {
+        let s = emb.embed_seq_field(g, store, batch, j);
+        fields.push(mean_pool(g, s, batch));
+    }
+    fields
 }
 
 #[cfg(test)]
@@ -149,21 +169,4 @@ mod tests {
         assert_eq!(g.tape.shape(pooled), (batch.size, 10));
         assert!(!g.tape.value(pooled).has_non_finite());
     }
-}
-
-/// The standard "field vector" view shared by the feature-interaction
-/// models: every categorical field's embedding plus every sequential field
-/// mean-pooled, in schema order (`I + J` vectors of `B×K`).
-pub fn field_vectors(
-    g: &mut Graph,
-    store: &ParamStore,
-    emb: &crate::EmbeddingLayer,
-    batch: &Batch,
-) -> Vec<Var> {
-    let mut fields = emb.embed_all_cat(g, store, batch);
-    for j in 0..emb.schema().num_seq() {
-        let s = emb.embed_seq_field(g, store, batch, j);
-        fields.push(mean_pool(g, s, batch));
-    }
-    fields
 }

@@ -53,7 +53,10 @@ impl XDeepFm {
     /// One CIN step: from `x_prev` (`(B·H)×K`) and `x0` (`(B·F)×K`) build the
     /// Hadamard interaction tensor and compress it with the layer's feature
     /// maps, yielding `(B·H')×K`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one CIN step needs its weights, both inputs and the three layer extents"
+    )]
     fn cin_layer(
         g: &mut Graph,
         store: &ParamStore,

@@ -13,6 +13,16 @@
 //!   [`GruCell`] and [`AuGruCell`] (for DIEN), inverted [`dropout`];
 //! - [`init`]: Xavier-uniform and scaled-normal initialisers.
 
+// R6 (DESIGN.md §7): no unwrap/expect/todo/dbg in production code; a panic
+// mid-minibatch poisons the worker pool.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+
 mod attention;
 mod graph;
 pub mod init;

@@ -1,5 +1,14 @@
 //! Adam optimiser with dense and lazy-sparse updates.
 
+// R5 (DESIGN.md §7): this file is part of the ordered-reduction core of the
+// determinism contract, so every float comparison and every value-changing
+// numeric cast here must be explicit.
+#![deny(
+    clippy::float_cmp,
+    clippy::cast_precision_loss,
+    clippy::cast_possible_truncation
+)]
+
 use crate::graph::Graph;
 use crate::store::{DenseId, ParamStore};
 use miss_autograd::{Grads, Var};
@@ -71,6 +80,10 @@ impl Adam {
     /// [`Grads`] lives in the first micro-batch's var numbering, whose graph
     /// has since been reset for the next shard, so the bindings travel with
     /// the gradients instead of with a live graph.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "integer cast only: the step counter reaches i32::MAX after 2^31 Adam steps, far beyond any run"
+    )]
     pub fn step_with_bindings(
         &mut self,
         store: &mut ParamStore,
@@ -111,6 +124,10 @@ impl Adam {
     /// and applied in place. No per-row heap allocation, no hash map, and
     /// the application order — ascending `(table, row)` — is a pure
     /// function of the touched key set.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "integer key packing only: table ids and row indices are u32 by construction, so (table << 32 | row) round-trips"
+    )]
     fn step_sparse(&mut self, store: &mut ParamStore, grads: &Grads, bc1: f32, bc2: f32) {
         self.merge_entries.clear();
         let mut row_of = Vec::with_capacity(grads.sparse.len() + 1);
@@ -174,6 +191,7 @@ impl Adam {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests assert bit-exact untouched values")]
 mod tests {
     use super::*;
     use crate::init;

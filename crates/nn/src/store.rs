@@ -301,6 +301,34 @@ impl ParamStore {
     }
 }
 
+/// A snapshot of every parameter value (not the optimiser moments), used by
+/// early stopping to restore the best-validation weights.
+pub struct StoreSnapshot {
+    dense: Vec<Tensor>,
+    tables: Vec<Tensor>,
+}
+
+impl ParamStore {
+    /// Clone all current parameter values.
+    pub fn snapshot(&self) -> StoreSnapshot {
+        StoreSnapshot {
+            dense: self.dense.iter().map(|p| p.value.clone()).collect(),
+            tables: self.tables.iter().map(|t| t.value.clone()).collect(),
+        }
+    }
+
+    /// Restore values from a snapshot taken on this store. Parameters
+    /// registered *after* the snapshot keep their current values.
+    pub fn restore(&mut self, snap: &StoreSnapshot) {
+        for (p, v) in self.dense.iter_mut().zip(&snap.dense) {
+            p.value = v.clone();
+        }
+        for (t, v) in self.tables.iter_mut().zip(&snap.tables) {
+            t.value = v.clone();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +336,7 @@ mod tests {
     #[test]
     fn dense_get_or_create_by_name() {
         let mut s = ParamStore::new();
-        let a = s.dense("w", 2, 3, |r, c| Tensor::zeros(r, c));
+        let a = s.dense("w", 2, 3, Tensor::zeros);
         let b = s.dense("w", 2, 3, |r, c| Tensor::full(r, c, 9.0));
         assert_eq!(a, b);
         assert_eq!(s.dense_value(a).get(0, 0), 0.0, "second init ignored");
@@ -318,8 +346,8 @@ mod tests {
     #[should_panic(expected = "different shape")]
     fn dense_shape_conflict_panics() {
         let mut s = ParamStore::new();
-        s.dense("w", 2, 3, |r, c| Tensor::zeros(r, c));
-        s.dense("w", 3, 2, |r, c| Tensor::zeros(r, c));
+        s.dense("w", 2, 3, Tensor::zeros);
+        s.dense("w", 3, 2, Tensor::zeros);
     }
 
     #[test]
@@ -345,7 +373,7 @@ mod tests {
         let a = build();
         let mut b = build();
         assert_eq!(a.params_fingerprint(), b.params_fingerprint());
-        let id = b.dense("w", 2, 3, |r, c| Tensor::zeros(r, c));
+        let id = b.dense("w", 2, 3, Tensor::zeros);
         b.dense_value_mut(id).as_mut_slice()[0] += 1e-7;
         assert_ne!(
             a.params_fingerprint(),
@@ -372,8 +400,8 @@ mod tests {
     fn typed_setters_reject_unknown_names_and_bad_shapes() {
         use miss_util::MissError;
         let mut s = ParamStore::new();
-        s.dense("w", 2, 3, |r, c| Tensor::zeros(r, c));
-        s.table("e", 4, 2, |r, c| Tensor::zeros(r, c));
+        s.dense("w", 2, 3, Tensor::zeros);
+        s.table("e", 4, 2, Tensor::zeros);
 
         let err = s.set_dense_param("nope", Tensor::zeros(2, 3)).unwrap_err();
         assert!(matches!(err, MissError::UnknownParam { kind: "dense param", .. }));
@@ -407,36 +435,8 @@ mod tests {
     #[test]
     fn num_params_counts_everything() {
         let mut s = ParamStore::new();
-        s.dense("w", 2, 3, |r, c| Tensor::zeros(r, c));
-        s.table("e", 5, 4, |r, c| Tensor::zeros(r, c));
+        s.dense("w", 2, 3, Tensor::zeros);
+        s.table("e", 5, 4, Tensor::zeros);
         assert_eq!(s.num_params(), 6 + 20);
-    }
-}
-
-/// A snapshot of every parameter value (not the optimiser moments), used by
-/// early stopping to restore the best-validation weights.
-pub struct StoreSnapshot {
-    dense: Vec<Tensor>,
-    tables: Vec<Tensor>,
-}
-
-impl ParamStore {
-    /// Clone all current parameter values.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            dense: self.dense.iter().map(|p| p.value.clone()).collect(),
-            tables: self.tables.iter().map(|t| t.value.clone()).collect(),
-        }
-    }
-
-    /// Restore values from a snapshot taken on this store. Parameters
-    /// registered *after* the snapshot keep their current values.
-    pub fn restore(&mut self, snap: &StoreSnapshot) {
-        for (p, v) in self.dense.iter_mut().zip(&snap.dense) {
-            p.value = v.clone();
-        }
-        for (t, v) in self.tables.iter_mut().zip(&snap.tables) {
-            t.value = v.clone();
-        }
     }
 }

@@ -25,6 +25,24 @@
 //! 3. the `MISS_THREADS` environment variable,
 //! 4. `std::thread::available_parallelism()`.
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+// R4: besides the GEMM kernels, this is the one place `unsafe` may appear.
+#![expect(
+    unsafe_code,
+    reason = "the pool's disjoint-slot writes through SendPtr; each site states its disjointness argument in a SAFETY comment"
+)]
+
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -115,6 +133,10 @@ impl<T> SendPtr<T> {
 /// Execute `task(0..n_tasks)` exactly once each, work-stealing task indices
 /// over at most [`max_threads`] scoped workers. Which worker runs a task is
 /// nondeterministic; what the task computes must depend on its index alone.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the deterministic pool itself: fixed chunking and ordered reduction make results independent of the schedule"
+)]
 fn run_tasks(n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
     let threads = max_threads().min(n_tasks);
     if threads <= 1 {
@@ -149,6 +171,10 @@ fn run_tasks(n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
 /// Compute `f(i)` for `i in 0..n` in parallel; results returned in index
 /// order. `f` must be a pure function of its index (plus captured shared
 /// state), which makes the output independent of the schedule.
+#[expect(
+    clippy::expect_used,
+    reason = "unreachable by construction: run_tasks claims every index in 0..n exactly once and joins all workers before the slots are read"
+)]
 pub fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
@@ -174,9 +200,9 @@ pub fn par_map_reduce<R: Send, A>(
     n: usize,
     map: impl Fn(usize) -> R + Sync,
     init: A,
-    mut reduce: impl FnMut(A, R) -> A,
+    reduce: impl FnMut(A, R) -> A,
 ) -> A {
-    par_map(n, map).into_iter().fold(init, |a, r| reduce(a, r))
+    par_map(n, map).into_iter().fold(init, reduce)
 }
 
 /// Split `data` into consecutive chunks of `chunk_len` (last one shorter)
@@ -215,6 +241,10 @@ pub fn par_chunks_mut<T: Send>(
 /// (scratch graphs, arenas) can live in `items` and be reused across calls
 /// with zero cloning. What `f` computes must depend on `i` and the slot
 /// alone, keeping results schedule-independent.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "par_chunks_mut with chunk_len 1 hands every task a window of exactly one element"
+)]
 pub fn par_for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
     par_chunks_mut(items, 1, |i, _, chunk| f(i, &mut chunk[0]));
 }
@@ -286,6 +316,10 @@ fn run_tasks_contained(n_tasks: usize, task: &(dyn Fn(usize) + Sync)) -> Result<
 /// touch the registry), and the matching task panics. The plain
 /// [`par_for_each_mut`] / [`par_map`] paths never consult the registry, so
 /// kernel-level nested dispatches don't advance the window.
+#[expect(
+    clippy::panic,
+    reason = "the injected fault itself: fires only when a fault plan names parallel.worker.panic, and run_tasks_contained catches it"
+)]
 pub fn try_par_for_each_mut<T: Send>(
     items: &mut [T],
     f: impl Fn(usize, &mut T) + Sync,

@@ -19,6 +19,15 @@
 //! Exit codes follow the workspace convention: `0` ok, `2` usage,
 //! `3` bad checkpoint, `4` I/O failure.
 
+// R6 (DESIGN.md §7): no unwrap/expect/todo/dbg in production code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+
 use miss_data::{request_stream, Dataset, ScoreRequest, Split, World, WorldConfig};
 use miss_serve::{load_frozen, FrozenArch, FrozenModel, ScoreEngine};
 use miss_testkit::bench::{black_box, BenchGroup};
@@ -125,6 +134,10 @@ fn max_batches(args: &Args) -> Vec<usize> {
 /// service time of the batch it rode in (batch formation is identical to
 /// the queue-scoring path, so the grouping — and therefore every score —
 /// matches `score_queue` exactly).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "observational bench timer: batch formation is a pure function of the queue, so no score can depend on it"
+)]
 fn latency_samples(engine: &ScoreEngine<'_>, stream: &[ScoreRequest]) -> Vec<u64> {
     let mut lat = Vec::with_capacity(stream.len());
     for (r0, r1) in engine.form_batches(stream) {

@@ -73,6 +73,10 @@ impl<'a> ScoreEngine<'a> {
     /// or an id outside its vocabulary) is a typed error, never a panic —
     /// deterministically the error of the *earliest* offending batch, for
     /// any thread count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "form_batches yields contiguous in-range [r0, r1) windows, one per bi"
+    )]
     pub fn score_queue(&self, requests: &[ScoreRequest]) -> MissResult<Vec<f32>> {
         let batches = self.form_batches(requests);
         let per_batch = miss_parallel::par_map(batches.len(), |bi| {
@@ -122,6 +126,10 @@ impl<'a> ScoreEngine<'a> {
 /// the trainer's eval chunking exactly (same chunk boundaries, same
 /// concatenation order), so metrics match `miss_trainer::evaluate`
 /// bit-for-bit while skipping the per-call GEMM packing and tape overhead.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lo < hi <= n = samples.len() for every batch bi < nb"
+)]
 fn frozen_scores(
     model: &FrozenModel,
     samples: &[Sample],

@@ -13,9 +13,9 @@
 //! ([`check_batch`]) and returns [`MissError::BadRequest`] on any mismatch;
 //! embedding ids are range-checked inside the gather. The per-architecture
 //! forwards then index freely under `debug_assert`s restating the
-//! already-checked invariants — the R7 `panic-free-serving` audit rule
-//! walks everything reachable from here and holds this file to that
-//! contract.
+//! already-checked invariants; the crate's R7 lints (DESIGN.md §7) hold
+//! this file to that contract, with one reasoned `#[expect]` per forward
+//! that indexes.
 
 use crate::freeze::{FrozenDien, FrozenDin, FrozenIpnn, FrozenModel, FrozenTables};
 use miss_data::{Batch, Schema};
@@ -99,6 +99,10 @@ fn mask_col(batch: &Batch) -> Tensor {
 }
 
 /// Embed one sequential field: gather then zero padded rows via the mask.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "check_batch matched the batch's sequential field count to the schema"
+)]
 fn embed_seq(
     emb: &FrozenTables,
     batch: &Batch,
@@ -111,6 +115,10 @@ fn embed_seq(
 }
 
 /// Every categorical field's embedding, in schema order.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "check_batch matched the batch's categorical field count to the schema"
+)]
 fn embed_all_cat(
     emb: &FrozenTables,
     batch: &Batch,
@@ -169,6 +177,10 @@ fn attention_pool(
 }
 
 impl FrozenDin {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j < num_seq, and freeze() sized att and cand_for_seq to num_seq with candidates below num_cat"
+    )]
     fn forward(&self, batch: &Batch) -> MissResult<Tensor> {
         // check_batch matched the batch to self.schema, and freeze()
         // validated cand_for_seq against cat_fields.
@@ -196,6 +208,10 @@ impl FrozenDin {
 }
 
 impl FrozenDien {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "DIEN's freeze path requires two sequential and two categorical fields, and check_batch matched the batch to that schema"
+    )]
     fn forward(&self, batch: &Batch) -> MissResult<Tensor> {
         let b = batch.size;
         let l = batch.seq_len;
@@ -257,6 +273,10 @@ impl FrozenDien {
 }
 
 /// Step-`t` validity mask as a `B×1` column.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "t < seq_len and check_batch sized the mask to size * seq_len"
+)]
 fn step_mask(batch: &Batch, t: usize) -> Tensor {
     let b = batch.size;
     let l = batch.seq_len;
@@ -265,6 +285,10 @@ fn step_mask(batch: &Batch, t: usize) -> Tensor {
 }
 
 impl FrozenIpnn {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < j < fields.len(), and check_batch matched the batch to the schema"
+    )]
     fn forward(&self, batch: &Batch) -> MissResult<Tensor> {
         // Field vectors: every categorical embedding plus every sequence
         // mean-pooled, in schema order. check_batch matched the batch to

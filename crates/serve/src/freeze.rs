@@ -102,6 +102,7 @@ impl FrozenMlp {
 
     /// Chain the layers; the hot path the serving profiler attributes to
     /// `serve.gemm`.
+    #[expect(clippy::indexing_slicing, reason = "freeze() rejects zero-layer MLPs")]
     pub(crate) fn forward(&self, x: &Tensor) -> Tensor {
         let _gemm = miss_util::profile::scope("serve.gemm");
         debug_assert!(!self.layers.is_empty(), "freeze() rejects zero-layer MLPs");
@@ -308,6 +309,10 @@ fn candidate_fields(schema: &Schema) -> MissResult<Vec<usize>> {
 /// GEMM panels, no tape, no optimizer state. Construct with
 /// [`FrozenModel::freeze`] (from a live store) or [`load_frozen`]
 /// (from a checkpoint file).
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one FrozenModel lives per server; boxing the large variant would add a pointer chase to every scored batch"
+)]
 pub enum FrozenModel {
     /// Frozen DIN.
     Din(FrozenDin),

@@ -20,6 +20,19 @@
 //! function of (checkpoint bytes, sample, detected ISA) — never of batch
 //! composition, `MISS_THREADS`, or request arrival grouping.
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 mod engine;
 mod forward;
 mod freeze;

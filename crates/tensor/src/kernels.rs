@@ -43,6 +43,27 @@
 //! machine and shape the result bits are fixed for any `MISS_THREADS` and
 //! any chunk boundary placement. Bench JSONs record which ISA ran (see
 //! [`detected_isa`]) so baselines compare like-to-like.
+//!
+//! The module-wide lint exemptions below keep this hot path's codegen as
+//! written (DESIGN.md §7): every kernel debug-asserts its slice lengths
+//! against `m`/`k`/`n` on entry (the safe callers in `ops.rs` assert the
+//! shapes), and the tile loops index several buffers by one lane counter.
+#![expect(
+    unsafe_code,
+    reason = "the cpuid-gated target_feature kernels and their prefetch/store intrinsics; each site carries a SAFETY comment"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices stay below the m/k/n extents that each kernel debug-asserts against its slice lengths"
+)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "tile loops index several arrays by one lane counter; iterator rewrites would change GEMM codegen"
+)]
+#![expect(
+    clippy::too_many_arguments,
+    reason = "GEMM kernels take operands, extents, row windows and an epilogue as plain scalars"
+)]
 
 /// Row-chunk granularity for parallel dispatch: a multiple of every row-tile
 /// height used below (4 baseline, 6 on the AVX2 path), so chunk interiors
@@ -220,7 +241,6 @@ fn gemm_nt_body<const MR: usize, const NTW: usize>(
 /// The row-range signature lets parallel chunks share the full `A`/`B`
 /// (columns of `A` cannot be sliced contiguously).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn gemm_tn_body<const MR: usize, const NRW: usize>(
     a: &[f32],
     b: &[f32],
@@ -337,7 +357,6 @@ unsafe fn gemm_nt_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
 // the `[i0, i1)` row range, per the row-range contract of `gemm_tn_body`.
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn gemm_tn_avx2(
     a: &[f32],
     b: &[f32],
@@ -386,7 +405,6 @@ pub(crate) fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     gemm_nt_body::<4, 4>(a, b, c, m, k, n)
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_tn(
     a: &[f32],
     b: &[f32],
@@ -658,7 +676,6 @@ unsafe fn store_ep<const NV: usize, const EP: u8>(
 // (see the per-block SAFETY comments inside).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn fma_panel<const NV: usize, const COL: bool, const EP: u8>(
     a: &[f32],
     panel: &[f32],
@@ -767,7 +784,6 @@ fn fma_strip_rowmajor<const EP: u8>(
 
 /// [`fma_strip_rowmajor`] for transposed-A storage over rows `[i0, i1)`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn fma_strip_colmajor<const EP: u8>(
     a: &[f32],
     strip: &[f32],
@@ -840,7 +856,6 @@ unsafe fn gemm_fma_rowmajor_avx2<const EP: u8>(
 // transposed (`k×m`) and `c` is the `(i1-i0)×n` window of rows `[i0, i1)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn gemm_fma_colmajor_avx2<const EP: u8>(
     a: &[f32],
     pb: &[f32],
@@ -939,7 +954,6 @@ pub(crate) fn gemm_fma_rowmajor(
 /// Packed-B FMA GEMM over transposed-A storage (`a` is `k×m`): writes output
 /// rows `[i0, i1)` into the window `c`. Same contract as
 /// [`gemm_fma_rowmajor`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_fma_colmajor(
     a: &[f32],
     pb: &[f32],

@@ -16,6 +16,19 @@
 //! bit-identical for any `MISS_THREADS` value — see `kernels.rs` for the
 //! full determinism argument.
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 mod kernels;
 mod ops;
 mod tensor;

@@ -7,6 +7,10 @@
 //! are a pure function of the shape, and each output element's accumulation
 //! order is fixed inside the kernels, so results are bit-identical for any
 //! `MISS_THREADS` value.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every op asserts its operand shapes on entry; the row windows and columns it then indexes lie inside them"
+)]
 
 use crate::kernels;
 use crate::kernels::GemmEpilogue;

@@ -127,6 +127,10 @@ impl Tensor {
 
     /// Read one element.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < rows and c < cols, debug-asserted: an out-of-range index is a caller bug"
+    )]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
@@ -134,6 +138,10 @@ impl Tensor {
 
     /// Write one element.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < rows and c < cols, debug-asserted: an out-of-range index is a caller bug"
+    )]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
@@ -141,6 +149,10 @@ impl Tensor {
 
     /// Read-only view of one row.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < rows, debug-asserted: an out-of-range row is a caller bug"
+    )]
     pub fn row(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -148,12 +160,20 @@ impl Tensor {
 
     /// Mutable view of one row.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < rows, debug-asserted: an out-of-range row is a caller bug"
+    )]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Value of a 1×1 matrix.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the shape is asserted to be 1x1 first"
+    )]
     pub fn item(&self) -> f32 {
         assert_eq!(self.shape(), (1, 1), "item() on non-scalar {:?}", self.shape());
         self.data[0]

@@ -116,13 +116,16 @@ fn unfused(a: &Tensor, b: &Tensor, bias: &[f32], act: fn(f32) -> f32) -> Tensor 
     Tensor::from_fn(y.rows(), y.cols(), |i, j| act(y.get(i, j) + bias[j]))
 }
 
+/// The unfused reference activation paired with each fused epilogue.
+type Act = fn(f32) -> f32;
+
 #[test]
 fn fused_epilogues_match_unfused_within_four_ulp() {
     for &(m, k, n) in &[(1usize, 7usize, 16usize), (6, 16, 17), (13, 33, 15), (17, 17, 33)] {
         let a = mat(m, k, 5);
         let b = mat(k, n, 6);
         let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 4.0) * 0.05).collect();
-        let cases: [(GemmEpilogue, fn(f32) -> f32); 3] = [
+        let cases: [(GemmEpilogue, Act); 3] = [
             (GemmEpilogue::AddBias(&bias), |x| x),
             (GemmEpilogue::AddBiasRelu(&bias), |x| x.max(0.0)),
             (GemmEpilogue::AddBiasSigmoid(&bias), miss_util::sigmoid),

@@ -60,6 +60,10 @@ pub struct Bencher {
 
 impl Bencher {
     /// Run `f` for warmup, then time `samples` iterations individually.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned benchmark timer: timings only feed BENCH_*.json"
+    )]
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         for _ in 0..self.warmup {
             black_box(f());
@@ -146,7 +150,7 @@ impl BenchGroup {
     /// reports the per-request latency distribution rather than iterating a
     /// closure. The samples route through the same summary as
     /// [`BenchGroup::bench_function`]; the [`MIN_SAMPLES`] floor applies.
-    pub fn record_case(&mut self, case: &str, times_ns: &mut Vec<u64>) -> &mut Self {
+    pub fn record_case(&mut self, case: &str, times_ns: &mut [u64]) -> &mut Self {
         assert!(
             times_ns.len() >= MIN_SAMPLES,
             "record_case `{case}` needs at least {MIN_SAMPLES} samples, got {}",
@@ -261,6 +265,32 @@ fn env_usize(key: &str) -> Option<usize> {
     std::env::var(key).ok().and_then(|s| s.trim().parse().ok())
 }
 
+/// The workspace root (topmost ancestor whose `Cargo.toml` declares
+/// `[workspace]`), so artifacts land in one place no matter which package
+/// the bench runs from. `TESTKIT_BENCH_DIR` overrides.
+fn output_dir() -> PathBuf {
+    if let Ok(d) = std::env::var("TESTKIT_BENCH_DIR") {
+        return PathBuf::from(d);
+    }
+    let start = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let mut dir = start.clone();
+    let mut root = None;
+    loop {
+        let manifest = dir.join("Cargo.toml");
+        if manifest.exists()
+            && std::fs::read_to_string(&manifest)
+                .map(|s| s.contains("[workspace]"))
+                .unwrap_or(false)
+        {
+            root = Some(dir.clone());
+        }
+        if !dir.pop() {
+            break;
+        }
+    }
+    root.unwrap_or(start)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,7 +322,7 @@ mod tests {
         // n = 1: nearest-rank clamps every percentile to the only sample —
         // the degenerate shape record_case sees when a queue forms exactly
         // one batch.
-        let s = summarise("n1", &mut vec![42]);
+        let s = summarise("n1", &mut [42]);
         assert_eq!(s.iters, 1);
         assert_eq!(s.median_ns, 42);
         assert_eq!(s.p99_ns, 42);
@@ -300,7 +330,7 @@ mod tests {
 
         // n = 2: the median (p50) averages the pair, while nearest-rank
         // p95/p99 round up to the larger sample.
-        let s = summarise("n2", &mut vec![30, 10]);
+        let s = summarise("n2", &mut [30, 10]);
         assert_eq!(s.iters, 2);
         assert_eq!(s.median_ns, 20);
         assert_eq!(s.p95_ns, 30);
@@ -365,30 +395,4 @@ mod tests {
     fn escape_quotes() {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
     }
-}
-
-/// The workspace root (topmost ancestor whose `Cargo.toml` declares
-/// `[workspace]`), so artifacts land in one place no matter which package
-/// the bench runs from. `TESTKIT_BENCH_DIR` overrides.
-fn output_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("TESTKIT_BENCH_DIR") {
-        return PathBuf::from(d);
-    }
-    let start = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut dir = start.clone();
-    let mut root = None;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.exists()
-            && std::fs::read_to_string(&manifest)
-                .map(|s| s.contains("[workspace]"))
-                .unwrap_or(false)
-        {
-            root = Some(dir.clone());
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    root.unwrap_or(start)
 }

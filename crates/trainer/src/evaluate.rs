@@ -23,6 +23,10 @@ pub struct EvalResult {
 
 /// Sigmoid scores for every sample, in sample order (eval mode, no dropout).
 /// Parallel across fixed batch chunks; each chunk reuses one graph arena.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lo < hi <= n = samples.len() for every batch bi < nb"
+)]
 fn scores(
     model: &dyn CtrModel,
     store: &ParamStore,
@@ -102,6 +106,10 @@ mod tests {
 
 /// Per-user Group AUC over a split (weighted per the DIN paper); the user id
 /// is categorical field 0 in every schema this workspace produces.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every schema has the user id as categorical field 0"
+)]
 pub fn evaluate_gauc(
     model: &dyn CtrModel,
     store: &ParamStore,

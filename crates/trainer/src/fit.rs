@@ -194,7 +194,18 @@ pub struct EpochOutcome {
 /// a recovered epoch matches an undisturbed one exactly. If attempt 2 also
 /// fails, the minibatch is skipped with a logged [`MissError`]: a poisoned
 /// step is never committed to Adam state.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the epoch threads model, SSL method, store, optimiser, data, config and RNG explicitly; none of them belong together in a struct"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "micro windows lie inside pos..end <= order.len(), m / group < n_tasks <= slots.len(), slot 0 holds the first micro job, and the tree merge keeps i + gap < flat.len()"
+)]
+#[expect(
+    clippy::needless_borrows_for_generic_args,
+    reason = "both attempts dispatch the one run_slot closure by reference; kept as written on the training hot path"
+)]
 pub fn train_epoch(
     model: &dyn CtrModel,
     ssl: Option<&dyn SslMethod>,
@@ -709,6 +720,10 @@ pub struct GridPoint {
 /// lr, L2 and dropout are tuned on the validation set). Builds a fresh model
 /// per grid point with `build`, fits it, and returns the point with the best
 /// validation AUC together with its outcome.
+#[expect(
+    clippy::unreachable,
+    reason = "the grid is asserted non-empty, so best is always set"
+)]
 pub fn grid_search(
     points: &[GridPoint],
     dataset: &Dataset,
@@ -761,8 +776,10 @@ mod grid_tests {
         };
         let (chosen, out) = grid_search(&points, &dataset, &base, |p, store| {
             let mut rng = Rng::new(7);
-            let mut mc = ModelConfig::default();
-            mc.dropout = p.dropout;
+            let mc = ModelConfig {
+                dropout: p.dropout,
+                ..ModelConfig::default()
+            };
             Box::new(Fm::new(store, &dataset.schema, &mc, &mut rng))
         });
         assert!(out.valid.auc > 0.5);

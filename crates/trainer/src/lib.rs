@@ -2,6 +2,19 @@
 //! pre-training, Table IX), evaluation, early stopping on validation AUC,
 //! and the model/SSL registry the experiment binaries dispatch over.
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 mod checkpoint;
 mod evaluate;
 mod fit;

@@ -79,7 +79,7 @@ impl CheckpointRing {
             let Ok(epoch) = digits.parse::<u64>() else { continue };
             out.push((epoch, entry.path()));
         }
-        out.sort_by(|a, b| b.0.cmp(&a.0));
+        out.sort_by_key(|&(epoch, _)| std::cmp::Reverse(epoch));
         Ok(out)
     }
 

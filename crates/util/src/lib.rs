@@ -7,6 +7,19 @@
 //! Dirichlet, Zipf), small order-statistics helpers, and the statistics used
 //! when reporting experiments (mean/std, paired t-test).
 
+// R7 (DESIGN.md §7): serving links this crate, so production code has no
+// panic path; an index needs a reasoned `#[expect]` naming its bound.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 mod error;
 mod math;
 mod order;

@@ -3,6 +3,10 @@
 
 /// Indices that sort `xs` in descending order. Ties keep their original
 /// relative order (stable), which makes downstream behaviour deterministic.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the comparator only sees indices drawn from 0..xs.len()"
+)]
 pub fn argsort_desc(xs: &[f32]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
     debug_assert_eq!(idx.len(), xs.len(), "comparator indices are drawn from idx");

@@ -7,9 +7,13 @@
 //! boolean branch — so the timer can stay in production code permanently.
 //!
 //! Determinism note (DESIGN.md §6): this is the *only* wallclock read
-//! outside the bench harness (audit rule R2 carries the exemption). Timing
-//! is observational — nothing numeric can see it — and the aggregate map is
-//! a `BTreeMap`, so the JSON output order is deterministic too.
+//! outside the bench harness (the `expect` below is its R2 exemption).
+//! Timing is observational — nothing numeric can see it — and the aggregate
+//! map is a `BTreeMap`, so the JSON output order is deterministic too.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the env-gated profiler is observational: timings feed only PROFILE_*.json, never a numeric path"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -107,7 +111,8 @@ mod tests {
     #[test]
     fn disabled_scope_records_nothing() {
         // MISS_PROFILE is unset under `cargo test`, so scopes stay inert.
-        reset();
+        // No reset() here: the registry is process-global, and clearing it
+        // would race the test below, which records into it concurrently.
         {
             let _s = scope("idle-phase");
         }

@@ -199,6 +199,10 @@ impl Rng {
     }
 
     /// Pick one element of a slice uniformly.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "below(n) asserts n > 0 and returns a value below n"
+    )]
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len())]
     }

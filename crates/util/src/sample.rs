@@ -112,7 +112,7 @@ mod tests {
     fn zipf_is_monotone_decreasing() {
         let z = Zipf::new(20, 1.2);
         let mut rng = Rng::new(2);
-        let mut counts = vec![0usize; 20];
+        let mut counts = [0usize; 20];
         for _ in 0..100_000 {
             counts[z.sample(&mut rng)] += 1;
         }

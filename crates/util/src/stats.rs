@@ -38,6 +38,10 @@ pub fn paired_t_statistic(a: &[f64], b: &[f64]) -> f64 {
 /// Two-sided significance check at p < 0.05 using the t distribution's
 /// critical values for small degrees of freedom (the paper repeats each
 /// experiment 5 times, i.e. df = 4).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the index is clamped to CRIT.len() - 1"
+)]
 pub fn paired_t_significant(a: &[f64], b: &[f64]) -> bool {
     // Critical values of |t| for p = 0.05 two-sided, df = 1..=30.
     const CRIT: [f64; 30] = [

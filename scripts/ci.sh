@@ -20,29 +20,14 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# Static analysis runs first: the audit is cheap (~1s), has zero
-# dependencies, and catches whole classes of determinism/unsafety bugs
-# (hash-order iteration, wall-clock reads, undocumented unsafe, panics
-# reachable from the serving roots, hot-loop allocations) that the dynamic
-# suite only catches when today's schedule happens to expose them. The
-# --json report is archived next to the BENCH_*.json files so a CI run's
-# artifact set records exactly what the gate saw. See DESIGN.md §7 for the
-# rules and the exemption process.
-echo "==> gate 0: miss-audit static analysis"
-cargo run -p miss-audit --release -- --json > AUDIT_report.json || {
-    status=$?
-    cat AUDIT_report.json
-    exit "$status"
-}
-
-# The analyzer's own fixture battery, by name: parser and call-graph edge
-# cases (nested closures, impl Trait fns, macro-heavy bodies, fn-reference
-# edges, indirect-call over-approximation, dead-allowlist rot). It already
-# runs inside `cargo test` below; running it here makes an analyzer
-# regression fail at gate 0 with the battery named in the log, before the
-# audit's verdict on the workspace is trusted.
-echo "==> gate 0: analyzer fixture battery"
-cargo test -q -p miss-audit --test analyzer
+# Static analysis runs first: rustc and clippy lints (DESIGN.md §7) catch
+# whole classes of determinism/unsafety bugs (hash-order iteration,
+# wall-clock reads, raw threads, undocumented unsafe, panics in crates that
+# serving links) that the dynamic suite only catches when today's schedule
+# happens to expose them. Exemptions are reasoned `#[expect]`s at the site;
+# a stale one fails this gate too.
+echo "==> gate 0: cargo clippy (workspace lints, -D warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The bench gate's own self-test (pytest-free): exit codes and named
 # errors for malformed bounds, missing baseline groups, and ratio gates.
@@ -109,6 +94,12 @@ MISS_THREADS=1 cargo test -q -p miss-serve --test equivalence
 echo "==> serving gate: frozen-vs-graph equivalence (default MISS_THREADS)"
 cargo test -q -p miss-serve --test equivalence
 
+# R8 (DESIGN.md §7): after warm-up, the frozen forward allocates the same
+# number of times for any batch row count, and a GEMM allocates only its
+# output. A counting global allocator sees callees too.
+echo "==> serving gate: no per-row allocation on the hot path"
+cargo test -q -p miss-serve --test alloc
+
 echo "==> benches: cargo bench"
 cargo bench -q
 
@@ -116,7 +107,7 @@ echo "==> benches: open-loop serving bench"
 cargo run --release -q -p miss-serve --bin miss-serve -- bench
 
 missing=0
-for f in AUDIT_report.json BENCH_kernels.json BENCH_training_step.json BENCH_training.json BENCH_data_pipeline.json BENCH_serving.json; do
+for f in BENCH_kernels.json BENCH_training_step.json BENCH_training.json BENCH_data_pipeline.json BENCH_serving.json; do
     if [[ ! -s "$f" ]]; then
         echo "ERROR: bench harness did not produce $f" >&2
         missing=1

@@ -26,8 +26,6 @@
 //! unsupported version, architecture mismatch), `4` I/O failure,
 //! `5` non-finite abort (every step rejected by the NaN/Inf guard).
 
-#![allow(clippy::field_reassign_with_default)]
-
 use miss::core::MissConfig;
 use miss::data::{Dataset, WorldConfig};
 use miss::trainer::{evaluate, BaseModel, Experiment, SslKind, ALL_BASELINES};

@@ -172,8 +172,10 @@ fn evaluation_is_deterministic() {
     let dataset = tiny_dataset(204);
     let mut store = ParamStore::new();
     let mut rng = Rng::new(7);
-    let mut mc = ModelConfig::default();
-    mc.dropout = 0.3;
+    let mc = ModelConfig {
+        dropout: 0.3,
+        ..ModelConfig::default()
+    };
     let model = Din::new(&mut store, &dataset.schema, &mc, &mut rng);
     let cfg = TrainConfig {
         max_epochs: 2,
