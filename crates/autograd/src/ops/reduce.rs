@@ -68,11 +68,17 @@ impl Tape {
 
     /// Numerically stable row-wise log-sum-exp as an `R×1` column.
     pub fn logsumexp_rows(&mut self, x: Var) -> Var {
-        let value = self.value(x).row_logsumexp();
-        self.push_op(&[x], value, move |g, vals, ctx| {
-            // d/dx_ij = softmax(x)_ij * g_i
-            let sm = vals[x.0].row_softmax();
-            ctx.accum(x, sm.mul_col_broadcast(g));
+        // The forward's exps already give softmax(x), which the backward
+        // scales in place: d/dx_ij = softmax(x)_ij * g_i.
+        let (value, mut sm) = self.value(x).row_logsumexp_softmax();
+        self.push_op(&[x], value, move |g, _vals, ctx| {
+            let c = sm.cols();
+            for (row, &gi) in sm.as_mut_slice().chunks_exact_mut(c).zip(g.as_slice()) {
+                for v in row {
+                    *v *= gi;
+                }
+            }
+            ctx.accum(x, sm);
         })
     }
 

@@ -68,9 +68,7 @@ impl Tape {
         let (r, c) = self.shape(x);
         let value = self.value(x).gather_rows(&idx);
         self.push_op(&[x], value, move |g, _vals, ctx| {
-            let mut dx = Tensor::zeros(r, c);
-            dx.scatter_add_rows(&idx, g);
-            ctx.accum(x, dx);
+            ctx.accum_rows(x, (r, c), &idx, g);
         })
     }
 
@@ -186,6 +184,25 @@ mod tests {
             &[input(4, 3)],
             |t, vs| {
                 let y = t.gather_rows(vs[0], vec![0, 2, 2, 3]);
+                quad_head(t, y)
+            },
+            5e-2,
+        );
+    }
+
+    #[test]
+    fn grad_gather_rows_into_filled_slot() {
+        // Backward runs in reverse tape order. The `add` recorded after
+        // the first gather fills `vs[0]`'s gradient slot before that
+        // gather's repeated-index scatter lands in it; the last gather
+        // scatters into `vs[1]`'s still-empty slot.
+        check(
+            &[input(4, 3), input(4, 3)],
+            |t, vs| {
+                let g = t.gather_rows(vs[0], vec![3, 1, 3, 3, 0]);
+                let s = t.add(vs[0], vs[1]);
+                let h = t.gather_rows(vs[1], vec![2, 2]);
+                let y = t.concat_rows(&[g, s, h]);
                 quad_head(t, y)
             },
             5e-2,

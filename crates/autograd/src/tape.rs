@@ -99,6 +99,19 @@ impl BackwardCtx {
             slot @ None => *slot = Some(g),
         }
     }
+
+    /// Scatter-add row `r` of `src` into row `idx[r]` of the `shape`
+    /// gradient of `v`, in place: the adjoint of a row gather, without the
+    /// zeroed `shape` tensor that [`BackwardCtx::accum`] would take. An
+    /// empty slot starts from zeros, so it gets the same bits. Into a filled
+    /// slot the rows are added directly, which equals adding a zeroed-and-
+    /// scattered tensor up to the sign of a zero for distinct indices, and
+    /// reassociates (deterministically) the sums over a repeated index.
+    pub fn accum_rows(&mut self, v: Var, shape: (usize, usize), idx: &[usize], src: &Tensor) {
+        self.grads[v.0]
+            .get_or_insert_with(|| Tensor::zeros(shape.0, shape.1))
+            .scatter_add_rows(idx, src);
+    }
 }
 
 /// `Send` so a whole tape (and any graph wrapping it) can live on a

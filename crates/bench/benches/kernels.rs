@@ -41,6 +41,19 @@ fn main() {
         bch.iter(|| black_box(a.matmul_nn(&b)))
     });
 
+    // MISS's SSL encoder backward at batch 128: `Xᵀ @ dY` with a 20-wide
+    // layer against the 16-wide panel-aligned shape. Their ratio gates the
+    // cost of the n % 8 remainder columns (CI asks ≤ 2.5). Both sit at the
+    // parallel fan-out threshold, so they run on one thread: thread spawns
+    // would otherwise dominate both and hide the kernel.
+    let x128 = Tensor::from_fn(128, 128, |i, j| ((i * 5 + j * 3) % 11) as f32 * 0.07 - 0.3);
+    for n in [20, 16] {
+        let dy = Tensor::from_fn(128, n, |i, j| ((i + j * 7) % 13) as f32 * 0.05 - 0.3);
+        group.bench_function(&format!("matmul_tn_128x128x{n}"), |bch| {
+            bch.iter(|| miss_parallel::with_threads(1, || black_box(x128.matmul_tn(&dy))))
+        });
+    }
+
     let seq = Tensor::from_fn(128 * 30, 10, |i, j| ((i * 7 + j) % 13) as f32 * 0.1);
     let cand = Tensor::from_fn(128, 10, |i, j| ((i + j) % 5) as f32 * 0.2);
     group.bench_function("bmm_nt_attention_scores", |bch| {

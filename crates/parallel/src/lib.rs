@@ -24,6 +24,11 @@
 //! 2. a [`with_threads`] override on the calling thread (used by tests),
 //! 3. the `MISS_THREADS` environment variable,
 //! 4. `std::thread::available_parallelism()`.
+//!
+//! Steps 3 and 4 are resolved once per process, at the first dispatch, so
+//! setting `MISS_THREADS` later has no effect. (The core-count query
+//! re-reads cgroup and affinity state: per dispatch it cost more than a
+//! small GEMM.)
 
 // R7 (DESIGN.md §7): serving links this crate, so production code has no
 // panic path; an index needs a reasoned `#[expect]` naming its bound.
@@ -47,7 +52,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Fail-point site consulted (on the dispatching thread only) by
 /// [`try_par_for_each_mut`]: `parallel.worker.panic@N` panics inside the
@@ -78,12 +83,15 @@ pub fn max_threads() -> usize {
     if let Some(n) = OVERRIDE.with(|c| c.get()) {
         return n.max(1);
     }
-    if let Ok(s) = std::env::var("MISS_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            return n.max(1);
+    static PROCESS: OnceLock<usize> = OnceLock::new();
+    *PROCESS.get_or_init(|| {
+        if let Ok(s) = std::env::var("MISS_THREADS") {
+            if let Ok(n) = s.trim().parse::<usize>() {
+                return n.max(1);
+            }
         }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    })
 }
 
 /// Run `f` with the thread count pinned to `n` on this thread (callees on

@@ -31,12 +31,12 @@
 //!   remainder loops, and a naive triple loop all produce bit-identical
 //!   results.
 //! * The FMA bodies accumulate `acc = a.mul_add(b, acc)` — one fused
-//!   rounding per step. The vector tiles, the 8-wide panel, the column
-//!   strips, and the row remainders all use the same per-element chain, so
-//!   the FMA path is bitwise self-consistent for any row split and equals a
-//!   naive `mul_add` triple loop bitwise. It differs from the non-FMA paths
-//!   by the fused rounding (≤ 1 ULP per step), which is why the contract is
-//!   per-ISA.
+//!   rounding per step. The 16-wide panels, the 8-wide panels (the last
+//!   one zero-padded past column `n`), and the row remainders all use the
+//!   same per-element chain, so the FMA path is bitwise self-consistent for
+//!   any row split and equals a naive `mul_add` triple loop bitwise. It
+//!   differs from the non-FMA paths by the fused rounding (≤ 1 ULP per
+//!   step), which is why the contract is per-ISA.
 //!
 //! The dispatched path is a pure function of the detected CPU features
 //! (cached cpuid, identical on every thread of the process), so for a fixed
@@ -429,13 +429,19 @@ pub(crate) fn gemm_tn(
 // ---------------------------------------------------------------------------
 // FMA path: packed B panels + fused multiply-add tiles + fused epilogues.
 //
-// Packed layout (one buffer of exactly k·n floats, built once per GEMM call
+// Packed layout (one buffer of k·⌈n/8⌉·8 floats, built once per GEMM call
 // and shared read-only by every row chunk):
 //
-//   ┌─ full 16-wide panels ──┐┌ one 8-panel ┐┌─ 1-wide column strips ─┐
-//   │ p-major: k rows × 16   ││ k rows × 8  ││ k floats per column    │
-//   │ floats, contiguous     ││ (if n%16≥8) ││ (n%8 of them)          │
-//   └────────────────────────┘└─────────────┘└────────────────────────┘
+//   ┌─ full 16-wide panels ──┐┌ one 8-panel ┐┌─ tail 8-panel ──────────┐
+//   │ p-major: k rows × 16   ││ k rows × 8  ││ k rows × 8: n%8 columns │
+//   │ floats, contiguous     ││ (if n%16≥8) ││ of B, then zeros        │
+//   └────────────────────────┘└─────────────┘└─────────────────────────┘
+//
+// Every panel starts at column j0 = a multiple of 8 and at offset j0·k.
+// The tail panel runs through the same 8-wide tile body as a full one; its
+// pad lanes accumulate `a·0` and are never stored, and each valid lane is
+// still one p-ascending `mul_add` chain from 0.0, so the padding cannot
+// change a bit.
 //
 // The same layout is produced from row-major B (`pack_b_from_nn`, a strided
 // copy) and from transposed n×k storage (`pack_b_from_nt`, a transposing
@@ -520,42 +526,53 @@ pub(crate) fn apply_epilogue(c: &mut [f32], n: usize, ep: &GemmEpilogue) {
     }
 }
 
-/// Number of full 16-wide panels, whether an 8-wide panel follows, and the
-/// count of 1-wide trailing strips, for an `n`-column packed B.
+/// Length of the packed form of a `k×n` B: `n` rounded up to whole 8-wide
+/// panels.
+pub(crate) fn packed_len(k: usize, n: usize) -> usize {
+    k * n.div_ceil(8) * 8
+}
+
+/// First column past the last full 16-wide panel; the columns from here to
+/// `n` are packed as 8-wide panels, the last one zero-padded.
 #[inline(always)]
-fn panel_split(n: usize) -> (usize, bool, usize) {
-    let panels16 = n / 16;
-    let rem = n % 16;
-    let has8 = rem >= 8;
-    (panels16, has8, rem - if has8 { 8 } else { 0 })
+fn wide_end(n: usize) -> usize {
+    n / 16 * 16
+}
+
+/// Append the tail panel of a `k×n` B read through `get(p, j)`: columns
+/// `n/8·8..n`, zero-padded to 8 lanes. Filling a zeroed block column by
+/// column keeps every copy fixed-size, where a `w`-wide copy per row would
+/// cost a `memcpy` call per row.
+#[inline(always)]
+fn pack_tail(out: &mut Vec<f32>, k: usize, n: usize, get: impl Fn(usize, usize) -> f32) {
+    let (n8, tail) = (n / 8 * 8, out.len());
+    if n8 < n {
+        out.resize(tail + k * 8, 0.0);
+        for j in n8..n {
+            for p in 0..k {
+                out[tail + p * 8 + j - n8] = get(p, j);
+            }
+        }
+    }
 }
 
 /// Pack row-major `k×n` B into the panel layout described above.
 pub(crate) fn pack_b_from_nn(b: &[f32], k: usize, n: usize, out: &mut Vec<f32>) {
     debug_assert_eq!(b.len(), k * n);
-    let (panels16, has8, strips) = panel_split(n);
     out.clear();
-    out.reserve(k * n);
-    for j in 0..panels16 {
-        let j0 = j * 16;
+    out.reserve(packed_len(k, n));
+    for j0 in (0..wide_end(n)).step_by(16) {
         for p in 0..k {
             out.extend_from_slice(&b[p * n + j0..p * n + j0 + 16]);
         }
     }
-    let mut j0 = panels16 * 16;
-    if has8 {
+    for j0 in (wide_end(n)..n / 8 * 8).step_by(8) {
         for p in 0..k {
             out.extend_from_slice(&b[p * n + j0..p * n + j0 + 8]);
         }
-        j0 += 8;
     }
-    for s in 0..strips {
-        let j = j0 + s;
-        for p in 0..k {
-            out.push(b[p * n + j]);
-        }
-    }
-    debug_assert_eq!(out.len(), k * n);
+    pack_tail(out, k, n, |p, j| b[p * n + j]);
+    debug_assert_eq!(out.len(), packed_len(k, n));
 }
 
 /// Pack transposed `n×k` storage (each row of `bt` is one logical column of
@@ -564,32 +581,24 @@ pub(crate) fn pack_b_from_nn(b: &[f32], k: usize, n: usize, out: &mut Vec<f32>) 
 /// `matmul_nt` agree bitwise with `matmul_nn` + transpose.
 pub(crate) fn pack_b_from_nt(bt: &[f32], n: usize, k: usize, out: &mut Vec<f32>) {
     debug_assert_eq!(bt.len(), n * k);
-    let (panels16, has8, strips) = panel_split(n);
     out.clear();
-    out.reserve(k * n);
-    for j in 0..panels16 {
-        let j0 = j * 16;
+    out.reserve(packed_len(k, n));
+    for j0 in (0..wide_end(n)).step_by(16) {
         for p in 0..k {
             for t in 0..16 {
                 out.push(bt[(j0 + t) * k + p]);
             }
         }
     }
-    let mut j0 = panels16 * 16;
-    if has8 {
+    for j0 in (wide_end(n)..n / 8 * 8).step_by(8) {
         for p in 0..k {
             for t in 0..8 {
                 out.push(bt[(j0 + t) * k + p]);
             }
         }
-        j0 += 8;
     }
-    for s in 0..strips {
-        // A trailing strip is one logical column = one contiguous bt row.
-        let j = j0 + s;
-        out.extend_from_slice(&bt[j * k..(j + 1) * k]);
-    }
-    debug_assert_eq!(out.len(), k * n);
+    pack_tail(out, k, n, |p, j| bt[j * k + p]);
+    debug_assert_eq!(out.len(), packed_len(k, n));
 }
 
 std::thread_local! {
@@ -633,8 +642,9 @@ fn prefetch_read(s: &[f32], idx: usize) {
 /// How far ahead (in k-steps) the tile bodies prefetch the current panel.
 const PF_DIST: usize = 16;
 
-/// Spill `NV` 8-wide accumulators and store them through the epilogue into
-/// `c[off..off + NV·8]` (columns `j0..`). The accumulator lanes already
+/// Spill `NV` 8-wide accumulators and store the first `cols` lanes through
+/// the epilogue into `c[off..off + cols]` (columns `j0..`); lanes past
+/// `cols` are a tail panel's zero padding. The accumulator lanes already
 /// hold the finished fused chains; only the epilogue transform runs here.
 // SAFETY: requires AVX2 (vector stores); the caller dispatches on
 // `has_fma()`, and all memory access is via the checked slice/array ops
@@ -645,11 +655,12 @@ unsafe fn store_ep<const NV: usize, const EP: u8>(
     c: &mut [f32],
     off: usize,
     j0: usize,
+    cols: usize,
     acc: &[core::arch::x86_64::__m256; NV],
     bias: &[f32],
 ) {
     let mut tmp = [0.0f32; 16];
-    debug_assert!(NV * 8 <= tmp.len());
+    debug_assert!(NV * 8 <= tmp.len() && cols <= NV * 8);
     // SAFETY: `tmp` holds 16 floats and `NV ≤ 2`, so every 8-wide store at
     // offset v·8 is in bounds; `_mm256_storeu_ps` has no alignment
     // requirement and AVX is guaranteed by the caller's dispatch contract.
@@ -658,13 +669,35 @@ unsafe fn store_ep<const NV: usize, const EP: u8>(
             core::arch::x86_64::_mm256_storeu_ps(tmp.as_mut_ptr().add(v * 8), acc[v]);
         }
     }
-    let dst = &mut c[off..off + NV * 8];
-    for t in 0..NV * 8 {
-        dst[t] = ep_apply::<EP>(bias, j0 + t, tmp[t]);
+    if cols == NV * 8 {
+        let dst = &mut c[off..off + NV * 8];
+        for t in 0..NV * 8 {
+            dst[t] = ep_apply::<EP>(bias, j0 + t, tmp[t]);
+        }
+        return;
+    }
+    // A tail panel (NV = 1): epilogue on the valid lanes, then one masked
+    // store. A scalar copy of `cols` lanes would become a `memcpy` call per
+    // row, which costs more than the row's whole FMA chain at small k.
+    debug_assert!(NV == 1);
+    for t in 0..cols {
+        tmp[t] = ep_apply::<EP>(bias, j0 + t, tmp[t]);
+    }
+    let dst = &mut c[off..off + cols];
+    let mask: [i32; 8] = core::array::from_fn(|t| if t < cols { -1 } else { 0 });
+    // SAFETY: `mask` enables lanes `0..cols` only and `dst` holds `cols`
+    // floats, so the store writes inside `dst`; masked-off lanes are never
+    // accessed. `tmp` holds 16 floats, so the 8-wide load is in bounds. AVX
+    // is guaranteed by the caller's dispatch contract.
+    unsafe {
+        use core::arch::x86_64::{__m256i, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskstore_ps};
+        let m = _mm256_loadu_si256(mask.as_ptr().cast::<__m256i>());
+        _mm256_maskstore_ps(dst.as_mut_ptr(), m, _mm256_loadu_ps(tmp.as_ptr()));
     }
 }
 
-/// One packed panel (`NV·8` columns wide) against output rows `[i0, i1)`:
+/// One packed panel (`NV·8` columns wide, of which the first `cols` are
+/// stored) against output rows `[i0, i1)`:
 /// `c[i][j0 + t] = ep(Σ_p a[i][p] · panel[p·W + t])` with one fused
 /// multiply-add (`_mm256_fmadd_ps`) chain per element, `p` ascending. Six
 /// rows of accumulators stay in YMM registers; the row remainder runs the
@@ -686,6 +719,7 @@ unsafe fn fma_panel<const NV: usize, const COL: bool, const EP: u8>(
     am: usize,
     n: usize,
     j0: usize,
+    cols: usize,
     bias: &[f32],
 ) {
     use core::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps};
@@ -719,7 +753,7 @@ unsafe fn fma_panel<const NV: usize, const COL: bool, const EP: u8>(
                 }
             }
             for r in 0..6 {
-                store_ep::<NV, EP>(c, (i - i0 + r) * n + j0, j0, &acc[r], bias);
+                store_ep::<NV, EP>(c, (i - i0 + r) * n + j0, j0, cols, &acc[r], bias);
             }
         }
         i += 6;
@@ -737,158 +771,51 @@ unsafe fn fma_panel<const NV: usize, const COL: bool, const EP: u8>(
                     acc[v] = _mm256_fmadd_ps(av, b, acc[v]);
                 }
             }
-            store_ep::<NV, EP>(c, (i - i0) * n + j0, j0, &acc, bias);
+            store_ep::<NV, EP>(c, (i - i0) * n + j0, j0, cols, &acc, bias);
         }
         i += 1;
-    }
-}
-
-/// One 1-wide column strip against row-major A. Four independent row chains
-/// run interleaved purely for instruction-level parallelism — each element
-/// still owns exactly one ascending `mul_add` chain (scalar `vfmadd`, which
-/// rounds identically to one lane of the vector tiles).
-#[inline(always)]
-fn fma_strip_rowmajor<const EP: u8>(
-    a: &[f32],
-    strip: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    j: usize,
-    bias: &[f32],
-) {
-    let mut i = 0;
-    while i + 4 <= m {
-        let mut acc = [0.0f32; 4];
-        for p in 0..k {
-            let bv = strip[p];
-            for r in 0..4 {
-                acc[r] = a[(i + r) * k + p].mul_add(bv, acc[r]);
-            }
-        }
-        for r in 0..4 {
-            c[(i + r) * n + j] = ep_apply::<EP>(bias, j, acc[r]);
-        }
-        i += 4;
-    }
-    while i < m {
-        let mut acc = 0.0f32;
-        for p in 0..k {
-            acc = a[i * k + p].mul_add(strip[p], acc);
-        }
-        c[i * n + j] = ep_apply::<EP>(bias, j, acc);
-        i += 1;
-    }
-}
-
-/// [`fma_strip_rowmajor`] for transposed-A storage over rows `[i0, i1)`.
-#[inline(always)]
-fn fma_strip_colmajor<const EP: u8>(
-    a: &[f32],
-    strip: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-    j: usize,
-    bias: &[f32],
-) {
-    for i in i0..i1 {
-        let mut acc = 0.0f32;
-        for p in 0..k {
-            acc = a[p * m + i].mul_add(strip[p], acc);
-        }
-        c[(i - i0) * n + j] = ep_apply::<EP>(bias, j, acc);
     }
 }
 
 // SAFETY: `#[target_feature(enable = "avx2,fma")]` and the AVX2/FMA
 // intrinsics in the inlined tile bodies are the only sources of unsafety in
-// the two FMA wrappers below — executing them on a CPU without AVX2+FMA is
-// undefined behaviour. Precondition: callers must have verified both
-// features at runtime; the safe entry points `gemm_fma_rowmajor` /
-// `gemm_fma_colmajor` assert `has_fma()` (cached cpuid) before the call.
-// No alignment precondition (all vector memory ops are unaligned); bounds
-// for the tile bodies' unchecked loads follow from the debug-asserted
-// shape contract re-checked here at the unsafe entry point.
+// this wrapper — executing it on a CPU without AVX2+FMA is undefined
+// behaviour. Precondition: callers must have verified both features at
+// runtime; the safe entry point `gemm_fma` asserts `has_fma()` (cached
+// cpuid) before the call. No alignment precondition (all vector memory ops
+// are unaligned); bounds for the tile bodies' unchecked loads follow from
+// the debug-asserted shape contract re-checked here at the unsafe entry
+// point: `a` is `m×k` row-major (`COL = false`, `am = k`, `i1 = m`) or
+// `k×m` transposed (`COL = true`, `am = m ≥ i1`), and `c` is the
+// `(i1-i0)×n` window of output rows `[i0, i1)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_fma_rowmajor_avx2<const EP: u8>(
-    a: &[f32],
-    pb: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bias: &[f32],
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(pb.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let (panels16, has8, strips) = panel_split(n);
-    // SAFETY: panel/strip slice arithmetic follows the packed layout
-    // (16-panels, then the 8-panel, then strips — `panel_split` invariant);
-    // the tile bodies' feature requirement is this wrapper's own contract.
-    unsafe {
-        for j in 0..panels16 {
-            let panel = &pb[j * k * 16..(j + 1) * k * 16];
-            fma_panel::<2, false, EP>(a, panel, c, 0, m, k, k, n, j * 16, bias);
-        }
-        let mut off = panels16 * k * 16;
-        let mut j0 = panels16 * 16;
-        if has8 {
-            fma_panel::<1, false, EP>(a, &pb[off..off + k * 8], c, 0, m, k, k, n, j0, bias);
-            off += k * 8;
-            j0 += 8;
-        }
-        for s in 0..strips {
-            let strip = &pb[off + s * k..off + (s + 1) * k];
-            fma_strip_rowmajor::<EP>(a, strip, c, m, k, n, j0 + s, bias);
-        }
-    }
-}
-
-// SAFETY: see `gemm_fma_rowmajor_avx2` — sole precondition is runtime-
-// verified AVX2+FMA (asserted by the safe entry point); `a` is stored
-// transposed (`k×m`) and `c` is the `(i1-i0)×n` window of rows `[i0, i1)`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_fma_colmajor_avx2<const EP: u8>(
+unsafe fn gemm_fma_avx2<const COL: bool, const EP: u8>(
     a: &[f32],
     pb: &[f32],
     c: &mut [f32],
     i0: usize,
     i1: usize,
     k: usize,
-    m: usize,
+    am: usize,
     n: usize,
     bias: &[f32],
 ) {
-    debug_assert!(i0 <= i1 && i1 <= m);
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(pb.len(), k * n);
+    debug_assert!(i0 <= i1 && (!COL || i1 <= am));
+    debug_assert_eq!(a.len(), if COL { k * am } else { i1 * am });
+    debug_assert_eq!(pb.len(), packed_len(k, n));
     debug_assert_eq!(c.len(), (i1 - i0) * n);
-    let (panels16, has8, strips) = panel_split(n);
-    // SAFETY: as in `gemm_fma_rowmajor_avx2`; the transposed accessor uses
-    // `am = m`, and `i1 ≤ m` is debug-asserted above.
+    // SAFETY: the panel starting at column j0 sits at offset j0·k of the
+    // packed layout (`pack_b_from_nn`); the tile bodies' feature
+    // requirement is this wrapper's own contract.
     unsafe {
-        for j in 0..panels16 {
-            let panel = &pb[j * k * 16..(j + 1) * k * 16];
-            fma_panel::<2, true, EP>(a, panel, c, i0, i1, k, m, n, j * 16, bias);
+        for j0 in (0..wide_end(n)).step_by(16) {
+            let panel = &pb[j0 * k..(j0 + 16) * k];
+            fma_panel::<2, COL, EP>(a, panel, c, i0, i1, k, am, n, j0, 16, bias);
         }
-        let mut off = panels16 * k * 16;
-        let mut j0 = panels16 * 16;
-        if has8 {
-            fma_panel::<1, true, EP>(a, &pb[off..off + k * 8], c, i0, i1, k, m, n, j0, bias);
-            off += k * 8;
-            j0 += 8;
-        }
-        for s in 0..strips {
-            let strip = &pb[off + s * k..off + (s + 1) * k];
-            fma_strip_colmajor::<EP>(a, strip, c, i0, i1, k, m, n, j0 + s, bias);
+        for j0 in (wide_end(n)..n).step_by(8) {
+            let panel = &pb[j0 * k..(j0 + 8) * k];
+            fma_panel::<1, COL, EP>(a, panel, c, i0, i1, k, am, n, j0, (n - j0).min(8), bias);
         }
     }
 }
@@ -934,21 +861,7 @@ pub(crate) fn gemm_fma_rowmajor(
     n: usize,
     ep: &GemmEpilogue,
 ) {
-    assert!(has_fma(), "FMA kernel dispatched without CPU support");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: avx2+fma support was verified by the assert above. The match
-    // selects the epilogue monomorphisation so the plain GEMM carries no
-    // epilogue code at all.
-    unsafe {
-        match *ep {
-            GemmEpilogue::None => gemm_fma_rowmajor_avx2::<0>(a, pb, c, m, k, n, &[]),
-            GemmEpilogue::AddBias(b) => gemm_fma_rowmajor_avx2::<1>(a, pb, c, m, k, n, b),
-            GemmEpilogue::AddBiasRelu(b) => gemm_fma_rowmajor_avx2::<2>(a, pb, c, m, k, n, b),
-            GemmEpilogue::AddBiasSigmoid(b) => gemm_fma_rowmajor_avx2::<3>(a, pb, c, m, k, n, b),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("has_fma() is false off x86_64")
+    gemm_fma::<false>(a, pb, c, 0, m, k, k, n, ep)
 }
 
 /// Packed-B FMA GEMM over transposed-A storage (`a` is `k×m`): writes output
@@ -965,21 +878,33 @@ pub(crate) fn gemm_fma_colmajor(
     n: usize,
     ep: &GemmEpilogue,
 ) {
+    gemm_fma::<true>(a, pb, c, i0, i1, k, m, n, ep)
+}
+
+/// The safe entry point of [`gemm_fma_avx2`]: checks the CPU, then selects
+/// the epilogue monomorphisation so the plain GEMM carries no epilogue code.
+fn gemm_fma<const COL: bool>(
+    a: &[f32],
+    pb: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    ep: &GemmEpilogue,
+) {
     assert!(has_fma(), "FMA kernel dispatched without CPU support");
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: avx2+fma support was verified by the assert above; epilogue
-    // monomorphisation as in `gemm_fma_rowmajor`.
+    // SAFETY: avx2+fma support was verified by the assert above.
     unsafe {
-        match *ep {
-            GemmEpilogue::None => gemm_fma_colmajor_avx2::<0>(a, pb, c, i0, i1, k, m, n, &[]),
-            GemmEpilogue::AddBias(b) => gemm_fma_colmajor_avx2::<1>(a, pb, c, i0, i1, k, m, n, b),
-            GemmEpilogue::AddBiasRelu(b) => {
-                gemm_fma_colmajor_avx2::<2>(a, pb, c, i0, i1, k, m, n, b)
-            }
-            GemmEpilogue::AddBiasSigmoid(b) => {
-                gemm_fma_colmajor_avx2::<3>(a, pb, c, i0, i1, k, m, n, b)
-            }
-        }
+        let f = match *ep {
+            GemmEpilogue::None => gemm_fma_avx2::<COL, 0>,
+            GemmEpilogue::AddBias(_) => gemm_fma_avx2::<COL, 1>,
+            GemmEpilogue::AddBiasRelu(_) => gemm_fma_avx2::<COL, 2>,
+            GemmEpilogue::AddBiasSigmoid(_) => gemm_fma_avx2::<COL, 3>,
+        };
+        f(a, pb, c, i0, i1, k, am, n, ep.bias().unwrap_or(&[]))
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("has_fma() is false off x86_64")
@@ -1081,8 +1006,11 @@ mod tests {
     fn packing_is_layout_invariant() {
         // The nt/nn bitwise-equality contract rests on both packers emitting
         // identical panel bytes for the same logical B. Shapes cover the
-        // 16-panel, 8-panel and strip remainders.
-        for &(k, n) in &[(1, 1), (3, 7), (5, 8), (9, 15), (4, 16), (7, 17), (11, 33)] {
+        // 16-panel, 8-panel and every zero-padded tail width.
+        for (k, n) in [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 7), (5, 8)]
+            .into_iter()
+            .chain([(3, 10), (4, 12), (9, 15), (4, 16), (7, 17), (5, 20), (2, 24), (11, 33)])
+        {
             let b_nn = fill(k * n, |i| (i as f32 * 0.13).sin());
             // Same logical matrix stored transposed (n×k).
             let b_nt = fill(n * k, |i| {
@@ -1092,10 +1020,22 @@ mod tests {
             let (mut from_nn, mut from_nt) = (Vec::new(), Vec::new());
             pack_b_from_nn(&b_nn, k, n, &mut from_nn);
             pack_b_from_nt(&b_nt, n, k, &mut from_nt);
-            assert_eq!(from_nn.len(), k * n, "packed size {k}x{n}");
+            assert_eq!(from_nn.len(), k * n.div_ceil(8) * 8, "packed size {k}x{n}");
             let nn_bits: Vec<u32> = from_nn.iter().map(|v| v.to_bits()).collect();
             let nt_bits: Vec<u32> = from_nt.iter().map(|v| v.to_bits()).collect();
             assert_eq!(nn_bits, nt_bits, "pack bytes differ for {k}x{n}");
+            // The tail panel (the last k·8 floats) holds the n%8 valid
+            // columns of each row, then +0.0 in every pad lane.
+            if n % 8 != 0 {
+                let tail = &from_nn[from_nn.len() - k * 8..];
+                for (p, row) in tail.chunks_exact(8).enumerate() {
+                    for (t, v) in row.iter().enumerate() {
+                        let j = n / 8 * 8 + t;
+                        let want = if j < n { b_nn[p * n + j] } else { 0.0 };
+                        assert_eq!(v.to_bits(), want.to_bits(), "{k}x{n} tail lane ({p}, {t})");
+                    }
+                }
+            }
         }
     }
 }

@@ -22,33 +22,69 @@ use miss_util::{MissError, MissResult};
 /// save. Purely a performance knob — results are identical either way.
 const PAR_MIN_MACS: usize = 1 << 18;
 
-/// Row-chunk length for an `m`-row output: the whole matrix when the call
-/// is too small to parallelise, otherwise a fixed fraction of `m` rounded
-/// up to whole tiles. Depends only on the shape, never on thread count.
-fn row_chunk_len(m: usize, macs: usize) -> usize {
-    if macs < PAR_MIN_MACS {
-        m.max(1)
-    } else {
-        let raw = miss_parallel::fixed_chunk_len(m, kernels::TILE_M);
-        raw.div_ceil(kernels::TILE_M) * kernels::TILE_M
+/// An `m×n` GEMM output (inner dimension `k`) whose row chunks are filled
+/// in parallel by `kernel(first_row, rows, c_rows)`. A chunk is the whole
+/// matrix when the call is too small to parallelise, otherwise a fixed
+/// fraction of `m` rounded up to whole tiles: it depends only on the
+/// shape, never on thread count.
+fn row_chunks(
+    m: usize,
+    n: usize,
+    k: usize,
+    kernel: impl Fn(usize, usize, &mut [f32]) + Sync,
+) -> Tensor {
+    let mut out = Tensor::zeros(m, n);
+    if out.is_empty() {
+        return out;
     }
+    let rows = if m * k * n < PAR_MIN_MACS {
+        m
+    } else {
+        let tile = kernels::TILE_M;
+        miss_parallel::fixed_chunk_len(m, tile).div_ceil(tile) * tile
+    };
+    miss_parallel::par_chunks_mut(out.as_mut_slice(), rows * n, |_, start, c| {
+        kernel(start / n, c.len() / n, c);
+    });
+    out
 }
 
-/// Block-chunk length for a `blocks`-deep bmm; same contract as
-/// [`row_chunk_len`] with a granularity of one block.
-fn block_chunk_len(blocks: usize, macs: usize) -> usize {
-    if macs < PAR_MIN_MACS {
-        blocks.max(1)
+/// A `shape` output of a `blocks`-deep bmm, filled by `block(blk, c_blk,
+/// pack_scratch)` for every block. Block chunks follow [`row_chunks`]'s
+/// rule with a granularity of one block (`macs` is the whole product's
+/// multiply-accumulate count). Each worker thread reuses its own pack
+/// scratch across its blocks.
+fn block_chunks(
+    shape: (usize, usize),
+    blocks: usize,
+    macs: usize,
+    block: impl Fn(usize, &mut [f32], &mut Vec<f32>) + Sync,
+) -> Tensor {
+    let mut out = Tensor::zeros(shape.0, shape.1);
+    if out.is_empty() {
+        return out;
+    }
+    let blk_len = out.len() / blocks;
+    let chunk = if macs < PAR_MIN_MACS {
+        blocks
     } else {
         miss_parallel::fixed_chunk_len(blocks, 1)
-    }
+    };
+    miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk * blk_len, |_, start, c| {
+        kernels::with_pack_scratch(|pb| {
+            for (bi, cblk) in c.chunks_exact_mut(blk_len).enumerate() {
+                block(start / blk_len + bi, cblk, pb);
+            }
+        });
+    });
+    out
 }
 
 /// A `k×n` right-hand operand packed once into the kernel's panel layout so
 /// repeated multiplies against it (frozen inference, eval loops) skip the
 /// per-call pack that [`Tensor::matmul_nn_ep`] performs.
 ///
-/// On FMA machines `panels` holds exactly the bytes `pack_b_from_nn` would
+/// On FMA machines `data` holds exactly the bytes `pack_b_from_nn` would
 /// produce for this operand, so a prepacked multiply is bit-identical to the
 /// pack-per-call path. On non-FMA machines the kernels read row-major B
 /// directly, so we keep a plain copy instead; `has_fma()` is constant for
@@ -99,35 +135,12 @@ impl Tensor {
     /// pack-per-call path exactly, so the result is bit-identical to
     /// `self.matmul_nn_ep(b, ep)` for the tensor `b` that was packed.
     pub fn matmul_nn_ep_prepacked(&self, other: &PackedB, ep: GemmEpilogue) -> Tensor {
-        let (m, k) = self.shape();
-        let (k2, n) = (other.k, other.n);
+        let (k, k2, n) = (self.cols(), other.k, other.n);
         assert_eq!(k, k2, "matmul_nn_ep_prepacked inner dims {k} vs {k2}");
         if let Some(b) = ep.bias() {
             assert_eq!(b.len(), n, "epilogue bias width");
         }
-        let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
-            let pb: &[f32] = &other.data;
-            miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                let r0 = start / n;
-                let rows = c.len() / n;
-                kernels::gemm_fma_rowmajor(&a[r0 * k..(r0 + rows) * k], pb, c, rows, k, n, &ep);
-            });
-            return out;
-        }
-        let b: &[f32] = &other.data;
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let r0 = start / n;
-            let rows = c.len() / n;
-            kernels::gemm_nn(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n);
-            kernels::apply_epilogue(c, n, &ep);
-        });
-        out
+        self.nn_ep_on(&other.data, n, &ep)
     }
 
     /// [`Tensor::matmul_nn`] with a fused epilogue: bias add and activation
@@ -136,113 +149,72 @@ impl Tensor {
     /// as one in-place pass per row chunk — same math, same bits as the
     /// unfused sequence there.
     pub fn matmul_nn_ep(&self, other: &Tensor, ep: GemmEpilogue) -> Tensor {
-        let (m, k) = self.shape();
-        let (k2, n) = other.shape();
+        let (k, (k2, n)) = (self.cols(), other.shape());
         assert_eq!(k, k2, "matmul_nn inner dims {k} vs {k2}");
         if let Some(b) = ep.bias() {
             assert_eq!(b.len(), n, "epilogue bias width");
         }
-        let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return out;
+        if !kernels::has_fma() {
+            return self.nn_ep_on(other.as_slice(), n, &ep);
         }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
-            // Pack B once per call; every row chunk reads the same panels.
-            kernels::with_pack_scratch(|pb| {
-                kernels::pack_b_from_nn(b, k, n, pb);
-                let pb: &[f32] = pb;
-                miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                    let r0 = start / n;
-                    let rows = c.len() / n;
-                    kernels::gemm_fma_rowmajor(&a[r0 * k..(r0 + rows) * k], pb, c, rows, k, n, &ep);
-                });
-            });
-            return out;
-        }
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let r0 = start / n;
-            let rows = c.len() / n;
-            kernels::gemm_nn(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n);
-            kernels::apply_epilogue(c, n, &ep);
-        });
-        out
+        // Pack B once per call; every row chunk reads the same panels.
+        kernels::with_pack_scratch(|pb| {
+            kernels::pack_b_from_nn(other.as_slice(), k, n, pb);
+            self.nn_ep_on(pb, n, &ep)
+        })
     }
 
     /// `self (m×k) @ other^T (n×k) -> m×n`.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let (m, k) = self.shape();
-        let (n, k2) = other.shape();
+        let (k, (n, k2)) = (self.cols(), other.shape());
         assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
-        let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
-            // The transposing pack produces bytes identical to packing the
-            // equivalent row-major B, so nt and nn agree bitwise.
-            kernels::with_pack_scratch(|pb| {
-                kernels::pack_b_from_nt(b, n, k, pb);
-                let pb: &[f32] = pb;
-                miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                    let r0 = start / n;
-                    let rows = c.len() / n;
-                    kernels::gemm_fma_rowmajor(
-                        &a[r0 * k..(r0 + rows) * k],
-                        pb,
-                        c,
-                        rows,
-                        k,
-                        n,
-                        &GemmEpilogue::None,
-                    );
-                });
+        let (m, a, b) = (self.rows(), self.as_slice(), other.as_slice());
+        if !kernels::has_fma() {
+            return row_chunks(m, n, k, |r0, rows, c| {
+                kernels::gemm_nt(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n)
             });
-            return out;
         }
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let r0 = start / n;
-            let rows = c.len() / n;
-            kernels::gemm_nt(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n);
-        });
-        out
+        // The transposing pack produces bytes identical to packing the
+        // equivalent row-major B, so nt and nn agree bitwise.
+        kernels::with_pack_scratch(|pb| {
+            kernels::pack_b_from_nt(b, n, k, pb);
+            self.nn_ep_on(pb, n, &GemmEpilogue::None)
+        })
+    }
+
+    /// `ep(self @ B)`, where `b` holds B as the dispatched kernel reads it:
+    /// packed panels on the FMA path, row-major `k×n` otherwise.
+    fn nn_ep_on(&self, b: &[f32], n: usize, ep: &GemmEpilogue) -> Tensor {
+        let ((m, k), a) = (self.shape(), self.as_slice());
+        let fma = kernels::has_fma();
+        row_chunks(m, n, k, |r0, rows, c| {
+            let a = &a[r0 * k..(r0 + rows) * k];
+            if fma {
+                kernels::gemm_fma_rowmajor(a, b, c, rows, k, n, ep);
+            } else {
+                kernels::gemm_nn(a, b, c, rows, k, n);
+                kernels::apply_epilogue(c, n, ep);
+            }
+        })
     }
 
     /// `self^T (k×m) @ other (k×n) -> m×n`.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let (k, m) = self.shape();
-        let (k2, n) = other.shape();
+        let ((k, m), (k2, n)) = (self.shape(), other.shape());
         assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
-        let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
-            kernels::with_pack_scratch(|pb| {
-                kernels::pack_b_from_nn(b, k, n, pb);
-                let pb: &[f32] = pb;
-                miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                    let i0 = start / n;
-                    let i1 = i0 + c.len() / n;
-                    kernels::gemm_fma_colmajor(a, pb, c, i0, i1, k, m, n, &GemmEpilogue::None);
-                });
+        let (a, b) = (self.as_slice(), other.as_slice());
+        if !kernels::has_fma() {
+            return row_chunks(m, n, k, |i0, rows, c| {
+                kernels::gemm_tn(a, b, c, i0, i0 + rows, k, m, n)
             });
-            return out;
         }
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let i0 = start / n;
-            let i1 = i0 + c.len() / n;
-            kernels::gemm_tn(a, b, c, i0, i1, k, m, n);
-        });
-        out
+        kernels::with_pack_scratch(|pb| {
+            kernels::pack_b_from_nn(b, k, n, pb);
+            let pb: &[f32] = pb;
+            row_chunks(m, n, k, |i0, rows, c| {
+                kernels::gemm_fma_colmajor(a, pb, c, i0, i0 + rows, k, m, n, &GemmEpilogue::None)
+            })
+        })
     }
 
     /// Block-diagonal `A_i (p×k) @ B_i^T (q×k)` for `blocks` stacked blocks.
@@ -256,32 +228,17 @@ impl Tensor {
         assert_eq!(bq % blocks, 0, "bmm_nt rhs rows not divisible by blocks");
         let p = bp / blocks;
         let q = bq / blocks;
-        let mut out = Tensor::zeros(bp, q);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_blocks = block_chunk_len(blocks, blocks * p * q * k);
-        let fma = kernels::has_fma();
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_blocks * p * q, |_, start, c| {
-            let blk0 = start / (p * q);
-            // Each worker thread reuses its own pack scratch across blocks.
-            kernels::with_pack_scratch(|pb| {
-                for (bi, cblk) in c.chunks_exact_mut(p * q).enumerate() {
-                    let blk = blk0 + bi;
-                    let ablk = &a[blk * p * k..(blk + 1) * p * k];
-                    let bblk = &b[blk * q * k..(blk + 1) * q * k];
-                    if fma {
-                        kernels::pack_b_from_nt(bblk, q, k, pb);
-                        kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, k, q, &GemmEpilogue::None);
-                    } else {
-                        kernels::gemm_nt(ablk, bblk, cblk, p, k, q);
-                    }
-                }
-            });
-        });
-        out
+        let (a, b) = (self.as_slice(), other.as_slice());
+        block_chunks((bp, q), blocks, blocks * p * q * k, |blk, cblk, pb| {
+            let ablk = &a[blk * p * k..(blk + 1) * p * k];
+            let bblk = &b[blk * q * k..(blk + 1) * q * k];
+            if kernels::has_fma() {
+                kernels::pack_b_from_nt(bblk, q, k, pb);
+                kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, k, q, &GemmEpilogue::None);
+            } else {
+                kernels::gemm_nt(ablk, bblk, cblk, p, k, q);
+            }
+        })
     }
 
     /// Block-diagonal `A_i (p×q) @ B_i (q×k)`. `self` is `(blocks*p)×q`,
@@ -293,31 +250,17 @@ impl Tensor {
         assert_eq!(bq % blocks, 0, "bmm_nn rhs rows not divisible by blocks");
         let p = bp / blocks;
         assert_eq!(bq / blocks, q, "bmm_nn inner dims");
-        let mut out = Tensor::zeros(bp, k);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_blocks = block_chunk_len(blocks, blocks * p * q * k);
-        let fma = kernels::has_fma();
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_blocks * p * k, |_, start, c| {
-            let blk0 = start / (p * k);
-            kernels::with_pack_scratch(|pb| {
-                for (bi, cblk) in c.chunks_exact_mut(p * k).enumerate() {
-                    let blk = blk0 + bi;
-                    let ablk = &a[blk * p * q..(blk + 1) * p * q];
-                    let bblk = &b[blk * q * k..(blk + 1) * q * k];
-                    if fma {
-                        kernels::pack_b_from_nn(bblk, q, k, pb);
-                        kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, q, k, &GemmEpilogue::None);
-                    } else {
-                        kernels::gemm_nn(ablk, bblk, cblk, p, q, k);
-                    }
-                }
-            });
-        });
-        out
+        let (a, b) = (self.as_slice(), other.as_slice());
+        block_chunks((bp, k), blocks, blocks * p * q * k, |blk, cblk, pb| {
+            let ablk = &a[blk * p * q..(blk + 1) * p * q];
+            let bblk = &b[blk * q * k..(blk + 1) * q * k];
+            if kernels::has_fma() {
+                kernels::pack_b_from_nn(bblk, q, k, pb);
+                kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, q, k, &GemmEpilogue::None);
+            } else {
+                kernels::gemm_nn(ablk, bblk, cblk, p, q, k);
+            }
+        })
     }
 
     /// Block-diagonal `A_i^T (q×p) @ B_i (p×k)`. `self` is `(blocks*p)×q`,
@@ -329,41 +272,17 @@ impl Tensor {
         assert_eq!(bp, bp2, "bmm_tn row counts");
         assert_eq!(bp % blocks, 0);
         let p = bp / blocks;
-        let mut out = Tensor::zeros(blocks * q, k);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_blocks = block_chunk_len(blocks, blocks * p * q * k);
-        let fma = kernels::has_fma();
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_blocks * q * k, |_, start, c| {
-            let blk0 = start / (q * k);
-            kernels::with_pack_scratch(|pb| {
-                for (bi, cblk) in c.chunks_exact_mut(q * k).enumerate() {
-                    let blk = blk0 + bi;
-                    let ablk = &a[blk * p * q..(blk + 1) * p * q];
-                    let bblk = &b[blk * p * k..(blk + 1) * p * k];
-                    if fma {
-                        kernels::pack_b_from_nn(bblk, p, k, pb);
-                        kernels::gemm_fma_colmajor(
-                            ablk,
-                            pb,
-                            cblk,
-                            0,
-                            q,
-                            p,
-                            q,
-                            k,
-                            &GemmEpilogue::None,
-                        );
-                    } else {
-                        kernels::gemm_tn(ablk, bblk, cblk, 0, q, p, q, k);
-                    }
-                }
-            });
-        });
-        out
+        let (a, b) = (self.as_slice(), other.as_slice());
+        block_chunks((blocks * q, k), blocks, blocks * p * q * k, |blk, cblk, pb| {
+            let ablk = &a[blk * p * q..(blk + 1) * p * q];
+            let bblk = &b[blk * p * k..(blk + 1) * p * k];
+            if kernels::has_fma() {
+                kernels::pack_b_from_nn(bblk, p, k, pb);
+                kernels::gemm_fma_colmajor(ablk, pb, cblk, 0, q, p, q, k, &GemmEpilogue::None);
+            } else {
+                kernels::gemm_tn(ablk, bblk, cblk, 0, q, p, q, k);
+            }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -500,15 +419,7 @@ impl Tensor {
     pub fn row_softmax(&self) -> Tensor {
         let mut out = self.clone();
         for row in out.as_mut_slice().chunks_exact_mut(self.cols()) {
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
+            softmax_in_place(row);
         }
         out
     }
@@ -528,6 +439,20 @@ impl Tensor {
             })
             .collect();
         Tensor::from_vec(self.rows(), 1, data)
+    }
+
+    /// [`Tensor::row_logsumexp`] and [`Tensor::row_softmax`] from one set of
+    /// `exp`s. Both take the same row max, the same `exp(v - max)` and the
+    /// same left-to-right sum, so the pair is bitwise equal to the two
+    /// separate calls. The log-sum-exp backward needs exactly this softmax.
+    pub fn row_logsumexp_softmax(&self) -> (Tensor, Tensor) {
+        let mut sm = self.clone();
+        let mut lse = Tensor::zeros(self.rows(), 1);
+        for (row, l) in sm.as_mut_slice().chunks_exact_mut(self.cols()).zip(lse.as_mut_slice()) {
+            let (max, sum) = softmax_in_place(row);
+            *l = if max.is_infinite() { max } else { max + sum.ln() };
+        }
+        (lse, sm)
     }
 
     /// L2 norm of each row as a `rows×1` vector, floored at `eps`.
@@ -668,6 +593,21 @@ impl Tensor {
     }
 }
 
+/// Overwrite `row` with its softmax; returns the row max and the sum of
+/// `exp(v - max)` the softmax was divided by.
+fn softmax_in_place(row: &mut [f32]) -> (f32, f32) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
+    (max, sum)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,6 +735,29 @@ mod tests {
         assert!((lse - naive).abs() < 1e-5);
         let big = t(1, 2, &[1000., 1000.]);
         assert!((big.row_logsumexp().item() - (1000.0 + 2f32.ln())).abs() < 1e-3);
+    }
+
+    #[test]
+    fn fused_logsumexp_softmax_is_bitwise_the_separate_pair() {
+        let bits = |x: &Tensor| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Smooth random-ish rows, then rows with masked (-1e9) and -inf
+        // entries, a row that is all -inf and one holding +inf.
+        let mut x = Tensor::from_fn(9, 128, |i, j| ((i * 131 + j * 71) % 97) as f32 * 0.37 - 17.0);
+        for j in 0..128 {
+            if j % 3 == 0 {
+                x.set(4, j, -1e9);
+            }
+            if j % 5 == 1 {
+                x.set(5, j, f32::NEG_INFINITY);
+            }
+            x.set(6, j, if j < 64 { -1e9 } else { f32::NEG_INFINITY });
+            x.set(7, j, f32::NEG_INFINITY);
+        }
+        x.set(8, 3, f32::INFINITY);
+        let (lse, sm) = x.row_logsumexp_softmax();
+        assert_eq!(bits(&lse), bits(&x.row_logsumexp()));
+        assert_eq!(bits(&sm), bits(&x.row_softmax()));
+        assert_eq!(lse.get(7, 0), f32::NEG_INFINITY);
     }
 
     #[test]

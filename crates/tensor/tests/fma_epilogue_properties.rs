@@ -6,7 +6,8 @@
 //!    path must be bitwise-equal to itself across `MISS_THREADS` {1, 2, 4}
 //!    and bitwise-equal to a naive `mul_add` triple loop, on ragged shapes
 //!    that hit every remainder path: the 16-wide panels, the 8-wide panel,
-//!    the single-column strips, the 6-row tile and the row remainder.
+//!    the zero-padded tail panel at every width 1–7, the 6-row tile and the
+//!    row remainder.
 //!    Against the *individually rounded* naive loop the fused path may differ,
 //!    but never by more than 1 ULP per element.
 //! 2. **Epilogue fusion is a rounding-level rewrite, not a numeric one.**
@@ -18,9 +19,11 @@ use miss_parallel::with_threads;
 use miss_tensor::{GemmEpilogue, Tensor};
 
 /// Every m,k,n combination from this set exercises a distinct mix of the
-/// packed-panel remainder paths (16-panel at 16/17/33, 8-panel at 15,
-/// column strips at 1/7/15/17/33, row remainder at every non-multiple of 6).
-const RAGGED: &[usize] = &[1, 7, 15, 16, 17, 33];
+/// packed-panel remainder paths (16-panel at 16/17/20/24/33, 8-panel at
+/// 10/12/15/24, tail panel of width n % 8 = 1–7 at every width not a
+/// multiple of 8, row remainder at every non-multiple of 6). 10 and 20 are
+/// the MISS SSL encoder widths.
+const RAGGED: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 10, 12, 15, 16, 17, 20, 24, 33];
 
 fn mat(rows: usize, cols: usize, salt: usize) -> Tensor {
     Tensor::from_fn(rows, cols, |i, j| {
@@ -161,5 +164,27 @@ fn fused_epilogues_are_self_deterministic() {
             let got = with_threads(threads, || a.matmul_nn_ep(&b, ep));
             assert_eq!(bits(&base), bits(&got), "{ep:?} @{threads}t");
         }
+    }
+}
+
+#[test]
+fn bmm_with_ten_wide_output_is_bitwise_per_block_and_thread_stable() {
+    // N = 10 (an 8-panel plus a 2-wide tail panel) is the MISS encoder
+    // width; 128 blocks of 7×30 cross the parallel fan-out threshold.
+    let (blocks, p, q, n) = (128, 7, 30, 10);
+    let (a, at, b) = (mat(blocks * p, q, 1), mat(blocks * q, p, 2), mat(blocks * q, n, 3));
+    let run = || (a.bmm_nn(&b, blocks), at.bmm_tn(&b, blocks));
+    let base = with_threads(1, run);
+    for blk in 0..blocks {
+        let block = |t: &Tensor, h| Tensor::from_fn(h, t.cols(), |r, c| t.get(blk * h + r, c));
+        let want_nn = block(&a, p).matmul_nn(&block(&b, q));
+        let want_tn = block(&at, q).matmul_tn(&block(&b, q));
+        assert_eq!(bits(&block(&base.0, p)), bits(&want_nn), "bmm_nn block {blk}");
+        assert_eq!(bits(&block(&base.1, p)), bits(&want_tn), "bmm_tn block {blk}");
+    }
+    for threads in [2, 4] {
+        let got = with_threads(threads, run);
+        assert_eq!(bits(&base.0), bits(&got.0), "bmm_nn @{threads}t");
+        assert_eq!(bits(&base.1), bits(&got.1), "bmm_tn @{threads}t");
     }
 }

@@ -9,9 +9,9 @@ use miss_parallel::with_threads;
 use miss_tensor::{GemmEpilogue, PackedB, Tensor};
 
 /// Shapes spanning every packed-panel remainder path (16-wide panels,
-/// the 8-wide panel, single-column strips, row remainders) plus a size
-/// large enough to cross the parallel fan-out threshold.
-const RAGGED: &[usize] = &[1, 7, 15, 16, 17, 33];
+/// the 8-wide panel, the zero-padded tail panel at every width 1–7, row
+/// remainders).
+const RAGGED: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 10, 12, 15, 16, 17, 20, 24, 33];
 
 fn mat(rows: usize, cols: usize, salt: usize) -> Tensor {
     Tensor::from_fn(rows, cols, |i, j| {
