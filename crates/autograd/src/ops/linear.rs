@@ -26,20 +26,25 @@ pub enum LinearAct {
     Sigmoid,
 }
 
+impl LinearAct {
+    /// The GEMM epilogue applying this activation after adding `bias`.
+    pub fn epilogue(self, bias: &[f32]) -> GemmEpilogue<'_> {
+        match self {
+            LinearAct::Identity => GemmEpilogue::AddBias(bias),
+            LinearAct::Relu => GemmEpilogue::AddBiasRelu(bias),
+            LinearAct::Sigmoid => GemmEpilogue::AddBiasSigmoid(bias),
+        }
+    }
+}
+
 impl Tape {
     /// Fused `act(x (m×k) @ w (k×n) + bias (1×n))`.
     pub fn linear(&mut self, x: Var, w: Var, bias: Var, act: LinearAct) -> Var {
         let n = self.shape(w).1;
         assert_eq!(self.shape(bias), (1, n), "linear bias must be 1×{n}");
-        let value = {
-            let bv = self.value(bias).as_slice();
-            let ep = match act {
-                LinearAct::Identity => GemmEpilogue::AddBias(bv),
-                LinearAct::Relu => GemmEpilogue::AddBiasRelu(bv),
-                LinearAct::Sigmoid => GemmEpilogue::AddBiasSigmoid(bv),
-            };
-            self.value(x).matmul_nn_ep(self.value(w), ep)
-        };
+        let value = self
+            .value(x)
+            .matmul_nn_ep(self.value(w), act.epilogue(self.value(bias).as_slice()));
         let out_slot = self.len();
         self.push_op(&[x, w, bias], value, move |g, vals, ctx| {
             let y = &vals[out_slot];

@@ -154,9 +154,34 @@ impl Tape {
     /// Clear all recorded values so the tape (and its arena allocations) can
     /// be reused for the next step. Every outstanding [`Var`] is invalidated.
     pub fn reset(&mut self) {
-        self.values.clear();
-        self.backwards.clear();
-        self.requires_grad.clear();
+        self.truncate(0);
+    }
+
+    /// Drop every value recorded after the first `len`, keeping the arena
+    /// allocations; [`Tape::reset`] is `truncate(0)`. Outstanding [`Var`]s
+    /// at or past `len` are invalidated.
+    pub fn truncate(&mut self, len: usize) {
+        self.values.truncate(len);
+        self.backwards.truncate(len);
+        self.requires_grad.truncate(len);
+    }
+
+    /// Drop every value recorded from slot `start` on except `keep`, which
+    /// moves to slot `start`; returns its new handle (`keep` itself when it
+    /// predates `start`). Only for a stretch that records no backward state:
+    /// a dropped slot could otherwise be read by a later backward closure.
+    pub fn keep_only(&mut self, start: usize, keep: Var) -> Var {
+        debug_assert!(
+            !self.requires_grad[start..].contains(&true),
+            "keep_only over values that require gradients"
+        );
+        if keep.0 < start {
+            self.truncate(start);
+            return keep;
+        }
+        self.values.swap(start, keep.0);
+        self.truncate(start + 1);
+        Var(start)
     }
 
     /// Record a value that does not require gradients (inputs, labels, masks).

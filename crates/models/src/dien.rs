@@ -62,14 +62,23 @@ impl Dien {
         (0..b).map(|i| i * l + t).collect()
     }
 
-    fn step_mask(g: &mut Graph, batch: &Batch, t: usize) -> Var {
+    /// Step `t`'s state: `h_new` on real positions, `h_old` kept on padded
+    /// ones.
+    fn keep_padded(g: &mut Graph, batch: &Batch, t: usize, h_new: Var, h_old: Var) -> Var {
         let b = batch.size;
         let l = batch.seq_len;
-        g.input(Tensor::from_vec(
+        let m = g.input(Tensor::from_vec(
             b,
             1,
             (0..b).map(|i| batch.mask[i * l + t]).collect(),
-        ))
+        ));
+        let keep_new = g.tape.mul_col(h_new, m);
+        let inv = {
+            let neg = g.tape.scale(m, -1.0);
+            g.tape.add_scalar(neg, 1.0)
+        };
+        let keep_old = g.tape.mul_col(h_old, inv);
+        g.tape.add(keep_new, keep_old)
     }
 }
 
@@ -95,17 +104,11 @@ impl CtrModel for Dien {
         let mut h = g.input(Tensor::zeros(b, k));
         let mut hidden = Vec::with_capacity(l);
         for t in 0..l {
-            let x_t = g.tape.gather_rows(seq, Self::step_rows(b, l, t));
-            let h_new = self.gru.step(g, store, x_t, h);
-            // Keep the old state on padded positions.
-            let m = Self::step_mask(g, batch, t);
-            let keep_new = g.tape.mul_col(h_new, m);
-            let inv = {
-                let neg = g.tape.scale(m, -1.0);
-                g.tape.add_scalar(neg, 1.0)
-            };
-            let keep_old = g.tape.mul_col(h, inv);
-            h = g.tape.add(keep_new, keep_old);
+            h = g.scope(|g| {
+                let x_t = g.tape.gather_rows(seq, Self::step_rows(b, l, t));
+                let h_new = self.gru.step(g, store, x_t, h);
+                Self::keep_padded(g, batch, t, h_new, h)
+            });
             hidden.push(h);
         }
 
@@ -121,16 +124,11 @@ impl CtrModel for Dien {
         // Interest evolution with AUGRU.
         let mut hv = g.input(Tensor::zeros(b, k));
         for (t, &x_t) in hidden.iter().enumerate() {
-            let a_t = g.tape.slice_cols(weights, t, t + 1); // B×1
-            let h_new = self.augru.step(g, store, x_t, hv, a_t);
-            let m = Self::step_mask(g, batch, t);
-            let keep_new = g.tape.mul_col(h_new, m);
-            let inv = {
-                let neg = g.tape.scale(m, -1.0);
-                g.tape.add_scalar(neg, 1.0)
-            };
-            let keep_old = g.tape.mul_col(hv, inv);
-            hv = g.tape.add(keep_new, keep_old);
+            hv = g.scope(|g| {
+                let a_t = g.tape.slice_cols(weights, t, t + 1); // B×1
+                let h_new = self.augru.step(g, store, x_t, hv, a_t);
+                Self::keep_padded(g, batch, t, h_new, hv)
+            });
         }
 
         if opts.training {

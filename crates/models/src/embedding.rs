@@ -83,10 +83,11 @@ impl EmbeddingLayer {
         field: usize,
     ) -> Var {
         let vocab = self.schema.seq_fields[field].vocab;
-        let e = g.embed(store, self.tables[vocab], &batch.seq[field]);
-        let mask = self.mask_col_tensor(batch);
-        let m = g.input(mask);
-        g.tape.mul_col(e, m)
+        g.scope(|g| {
+            let e = g.embed(store, self.tables[vocab], &batch.seq[field]);
+            let m = g.input(self.mask_col_tensor(batch));
+            g.tape.mul_col(e, m)
+        })
     }
 
     /// The batch validity mask as a `(B·L)×1` tensor.

@@ -76,15 +76,17 @@ pub fn attention_pool_masked(
     let (bl, k) = g.tape.shape(seq_emb);
     assert_eq!(bl, b * l, "sequence rows");
     assert_eq!(g.tape.shape(cand_emb), (b, k), "candidate shape");
-    let cand_t = g.tape.repeat_rows_interleave(cand_emb, l); // (B·L)×K
-    let diff = g.tape.sub(seq_emb, cand_t);
-    let prod = g.tape.mul(seq_emb, cand_t);
-    let att_in = g.tape.concat_cols(&[seq_emb, cand_t, diff, prod]); // (B·L)×4K
-    let scores = att_mlp.forward(g, store, att_in); // (B·L)×1
-    let scores2d = g.tape.reshape(scores, b, l);
-    let weights = masked_softmax_rows(g, scores2d, mask); // B×L
-    // Weighted sum per sample: (B·1×L) @ (B·L×K) blocks.
-    g.tape.bmm_nn(weights, seq_emb, b)
+    g.scope(|g| {
+        let cand_t = g.tape.repeat_rows_interleave(cand_emb, l); // (B·L)×K
+        let diff = g.tape.sub(seq_emb, cand_t);
+        let prod = g.tape.mul(seq_emb, cand_t);
+        let att_in = g.tape.concat_cols(&[seq_emb, cand_t, diff, prod]); // (B·L)×4K
+        let scores = att_mlp.forward(g, store, att_in); // (B·L)×1
+        let scores2d = g.tape.reshape(scores, b, l);
+        let weights = masked_softmax_rows(g, scores2d, mask); // B×L
+        // Weighted sum per sample: (B·1×L) @ (B·L×K) blocks.
+        g.tape.bmm_nn(weights, seq_emb, b)
+    })
 }
 
 /// The standard "field vector" view shared by the feature-interaction

@@ -9,7 +9,7 @@ use crate::{CtrModel, EmbeddingLayer, ForwardOpts, ModelConfig};
 use miss_autograd::Var;
 use miss_data::{Batch, Schema};
 use miss_nn::{dropout, Graph, Mlp, ParamStore};
-use miss_util::top_k_desc;
+use miss_util::top_k_desc_into;
 use miss_util::Rng;
 
 /// SIM with soft search.
@@ -85,9 +85,9 @@ impl CtrModel for SimSoft {
             };
             let mut gather_idx = Vec::with_capacity(b * kk);
             let mut sub_mask = vec![0.0f32; b * kk];
+            let mut top = Vec::with_capacity(l);
             for i in 0..b {
-                let row = &rel[i * l..(i + 1) * l];
-                let top = top_k_desc(row, kk);
+                top_k_desc_into(&rel[i * l..(i + 1) * l], kk, &mut top);
                 for (slot, &p) in top.iter().enumerate() {
                     gather_idx.push(i * l + p);
                     if batch.mask[i * l + p] > 0.0 {

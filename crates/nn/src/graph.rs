@@ -1,37 +1,74 @@
-//! One training step's binding between a tape and the parameter store.
+//! One step's binding between a tape and the parameter store, for training
+//! or for inference.
 
 use crate::store::{DenseId, ParamStore, TableId};
-use miss_autograd::{Tape, Var};
-use miss_tensor::Tensor;
+use miss_autograd::{LinearAct, Tape, Var};
+use miss_tensor::{PackedB, Tensor};
 use miss_util::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide graph identity counter; see [`Graph::id`].
 static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A forward/backward step: wraps a fresh [`Tape`] and records which tape
-/// leaves correspond to which store parameters so the optimiser can route
+/// A forward/backward step: wraps a [`Tape`] and records which tape leaves
+/// correspond to which store parameters so the optimiser can route
 /// gradients back.
 ///
 /// Parameter leaves are cached: asking for the same [`DenseId`] twice returns
 /// the same [`Var`], so fan-out accumulates into one gradient.
+///
+/// A graph built with [`Graph::inference`] runs the same model code with no
+/// backward state: parameters and embedding rows are tape constants, so no
+/// op boxes a backward closure, and [`Graph::scope`] frees intermediates as
+/// soon as they are consumed.
 pub struct Graph {
     /// The underlying autodiff tape (public: ops are called directly on it).
     pub tape: Tape,
     dense_bindings: Vec<(DenseId, Var)>,
     dense_cache: Vec<Option<Var>>,
     id: u64,
+    /// `Some` in inference mode: each dense parameter's weight panels,
+    /// packed on first use by [`Graph::linear`] and kept across resets.
+    packed: Option<Vec<Option<PackedB>>>,
 }
 
 impl Graph {
-    /// Start a step over `store`'s current parameter values.
+    /// Start a training step over `store`'s current parameter values.
     pub fn new(store: &ParamStore) -> Self {
         Graph {
             tape: Tape::new(),
             dense_bindings: Vec::new(),
             dense_cache: vec![None; store.dense.len()],
             id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
+            packed: None,
         }
+    }
+
+    /// An inference graph over `store`, which must not change while the
+    /// graph lives. Every dense parameter is bound once, as a tape constant
+    /// in slot `id`, and [`Graph::reset`] keeps that prefix, so reusing the
+    /// graph never copies a weight again. Nothing recorded on it requires a
+    /// gradient.
+    pub fn inference(store: &ParamStore) -> Self {
+        let n = store.dense.len();
+        let mut tape = Tape::new();
+        let dense_cache = store
+            .dense
+            .iter()
+            .map(|p| Some(tape.constant(p.value.clone())))
+            .collect();
+        Graph {
+            tape,
+            dense_bindings: Vec::new(),
+            dense_cache,
+            id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
+            packed: Some((0..n).map(|_| None).collect()),
+        }
+    }
+
+    /// Whether this graph was built by [`Graph::inference`].
+    fn is_inference(&self) -> bool {
+        self.packed.is_some()
     }
 
     /// Process-unique, stable identity of this graph instance. Survives
@@ -45,15 +82,35 @@ impl Graph {
     /// Clear the step's recordings while keeping the tape's arena capacity,
     /// so one `Graph` can serve a whole batch loop without reallocating.
     /// Outstanding [`Var`]s are invalidated; parameter leaves re-bind to
-    /// `store`'s current values on next use.
+    /// `store`'s current values on next use. An inference graph keeps its
+    /// parameter constants.
     pub fn reset(&mut self, store: &ParamStore) {
+        if let Some(packed) = &self.packed {
+            self.tape.truncate(packed.len());
+            return;
+        }
         self.tape.reset();
         self.dense_bindings.clear();
         self.dense_cache.clear();
         self.dense_cache.resize(store.dense.len(), None);
     }
 
-    /// Bind a dense parameter as a differentiable leaf (cached per id).
+    /// Run `f` as one unit and return its result. In training this is the
+    /// identity. In inference every value `f` records is dropped except the
+    /// returned one, so a loop body or a layer holds its intermediates only
+    /// while it runs; [`Var`]s recorded inside `f` are invalid afterwards.
+    pub fn scope(&mut self, f: impl FnOnce(&mut Graph) -> Var) -> Var {
+        let start = self.tape.len();
+        let out = f(self);
+        if self.is_inference() {
+            self.tape.keep_only(start, out)
+        } else {
+            out
+        }
+    }
+
+    /// Bind a dense parameter as a differentiable leaf (cached per id); an
+    /// inference graph returns its constant.
     pub fn param(&mut self, store: &ParamStore, id: DenseId) -> Var {
         if let Some(Some(v)) = self.dense_cache.get(id.0) {
             return *v;
@@ -67,10 +124,37 @@ impl Graph {
         var
     }
 
-    /// Differentiable embedding lookup: gathers `indices` rows of the table
-    /// and records a sparse-gradient node.
+    /// Fused `act(x @ w + b)` over the dense parameters `w` and `b`. An
+    /// inference graph multiplies against `w`'s panels packed once per
+    /// graph; the kernel is the same, so the bits are too.
+    pub fn linear(
+        &mut self,
+        store: &ParamStore,
+        x: Var,
+        w: DenseId,
+        b: DenseId,
+        act: LinearAct,
+    ) -> Var {
+        let wv = self.param(store, w);
+        let bv = self.param(store, b);
+        let Some(packed) = &mut self.packed else {
+            return self.tape.linear(x, wv, bv, act);
+        };
+        let tape = &self.tape;
+        let panels = packed[w.0].get_or_insert_with(|| PackedB::pack(tape.value(wv)));
+        let y = tape
+            .value(x)
+            .matmul_nn_ep_prepacked(panels, act.epilogue(tape.value(bv).as_slice()));
+        self.tape.constant(y)
+    }
+
+    /// Embedding lookup: gathers `indices` rows of the table. A training
+    /// graph records a sparse-gradient node, an inference graph a constant.
     pub fn embed(&mut self, store: &ParamStore, id: TableId, indices: &[u32]) -> Var {
         let rows = store.table_ref(id).gather(indices);
+        if self.is_inference() {
+            return self.tape.constant(rows);
+        }
         self.tape.embed(id.0, rows, indices.to_vec())
     }
 
@@ -178,6 +262,32 @@ mod tests {
         let grads = g.tape.backward(loss);
         assert_eq!(grads.sparse.len(), 1);
         assert_eq!(grads.sparse[0].indices, vec![1, 1, 2]);
+    }
+
+    #[test]
+    fn scope_is_identity_in_training_and_frees_in_inference() {
+        let mut store = ParamStore::new();
+        let id = store.dense("w", 1, 2, |r, c| Tensor::from_vec(r, c, vec![2.0, 3.0]));
+        let body = |g: &mut Graph| {
+            let w = g.param(&store, id);
+            let x = g.input(Tensor::from_vec(1, 2, vec![1.0, -1.0]));
+            let y = g.tape.mul(w, x);
+            g.tape.add(y, x)
+        };
+
+        let mut g = Graph::new(&store);
+        let out = g.scope(body);
+        assert_eq!(g.tape.len(), 4, "training keeps every recorded value");
+        assert_eq!(g.tape.value(out).as_slice(), &[3.0, -4.0]);
+
+        let mut g = Graph::inference(&store);
+        let start = g.tape.len();
+        let out = g.scope(body);
+        assert_eq!(g.tape.len(), start + 1, "inference keeps only the result");
+        assert_eq!(g.tape.value(out).as_slice(), &[3.0, -4.0]);
+        assert!(!g.tape.requires_grad(out));
+        g.reset(&store);
+        assert_eq!(g.tape.len(), start, "reset keeps the parameter prefix");
     }
 
     #[test]

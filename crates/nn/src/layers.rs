@@ -86,11 +86,11 @@ impl Linear {
     /// activation), falling back to the unfused chain otherwise.
     pub fn forward_act(&self, g: &mut Graph, store: &ParamStore, x: Var, act: Activation) -> Var {
         debug_assert_eq!(g.tape.shape(x).1, self.in_dim, "Linear input width");
-        let w = g.param(store, self.w);
-        let b = g.param(store, self.b);
         match act.fused() {
-            Some(fused) => g.tape.linear(x, w, b, fused),
+            Some(fused) => g.linear(store, x, self.w, self.b, fused),
             None => {
+                let w = g.param(store, self.w);
+                let b = g.param(store, self.b);
                 let xw = g.tape.matmul(x, w);
                 let z = g.tape.add_bias(xw, b);
                 act.apply(g, store, z)

@@ -70,14 +70,16 @@ impl GruCell {
 
     /// Standard GRU step: `h' = (1−z)⊙h + z⊙h̃`.
     pub fn step(&self, g: &mut Graph, store: &ParamStore, x: Var, h: Var) -> Var {
-        let (z, h_tilde) = self.gates(g, store, x, h);
-        let one_minus_z = {
-            let nz = g.tape.scale(z, -1.0);
-            g.tape.add_scalar(nz, 1.0)
-        };
-        let keep = g.tape.mul(one_minus_z, h);
-        let upd = g.tape.mul(z, h_tilde);
-        g.tape.add(keep, upd)
+        g.scope(|g| {
+            let (z, h_tilde) = self.gates(g, store, x, h);
+            let one_minus_z = {
+                let nz = g.tape.scale(z, -1.0);
+                g.tape.add_scalar(nz, 1.0)
+            };
+            let keep = g.tape.mul(one_minus_z, h);
+            let upd = g.tape.mul(z, h_tilde);
+            g.tape.add(keep, upd)
+        })
     }
 }
 
@@ -104,15 +106,17 @@ impl AuGruCell {
     /// Attention-gated step: `z' = a ⊙ z`, `h' = (1−z')⊙h + z'⊙h̃`.
     /// `att` is a `B×1` column of attention scores.
     pub fn step(&self, g: &mut Graph, store: &ParamStore, x: Var, h: Var, att: Var) -> Var {
-        let (z, h_tilde) = self.inner.gates(g, store, x, h);
-        let z_att = g.tape.mul_col(z, att);
-        let one_minus = {
-            let nz = g.tape.scale(z_att, -1.0);
-            g.tape.add_scalar(nz, 1.0)
-        };
-        let keep = g.tape.mul(one_minus, h);
-        let upd = g.tape.mul(z_att, h_tilde);
-        g.tape.add(keep, upd)
+        g.scope(|g| {
+            let (z, h_tilde) = self.inner.gates(g, store, x, h);
+            let z_att = g.tape.mul_col(z, att);
+            let one_minus = {
+                let nz = g.tape.scale(z_att, -1.0);
+                g.tape.add_scalar(nz, 1.0)
+            };
+            let keep = g.tape.mul(one_minus, h);
+            let upd = g.tape.mul(z_att, h_tilde);
+            g.tape.add(keep, upd)
+        })
     }
 }
 

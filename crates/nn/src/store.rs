@@ -247,6 +247,35 @@ impl ParamStore {
         Ok(())
     }
 
+    /// A copy of every parameter's value without its Adam moments: a
+    /// snapshot to build a model over and run it for inference (a build
+    /// fetches the existing parameters by name), not a store to train.
+    pub fn values_only(&self) -> ParamStore {
+        ParamStore {
+            dense: self
+                .dense
+                .iter()
+                .map(|p| DenseParam {
+                    name: p.name.clone(),
+                    value: p.value.clone(),
+                    m: Tensor::zeros(0, 0),
+                    v: Tensor::zeros(0, 0),
+                })
+                .collect(),
+            tables: self
+                .tables
+                .iter()
+                .map(|t| EmbeddingTable {
+                    name: t.name.clone(),
+                    value: t.value.clone(),
+                    m: Tensor::zeros(0, 0),
+                    v: Tensor::zeros(0, 0),
+                    dim: t.dim,
+                })
+                .collect(),
+        }
+    }
+
     fn find_mut<'a, T>(
         items: &'a mut [T],
         name: &str,

@@ -1,7 +1,7 @@
 //! Open-loop serving bench for the frozen inference engine.
 //!
 //! ```text
-//! miss-serve bench --dataset <cds|books|alipay|tiny> --model <DIN|DIEN|IPNN>
+//! miss-serve bench --dataset <cds|books|alipay|tiny> --model <any base model>
 //!                  [--miss] [--ckpt FILE] [--seed N] [--scale F]
 //!                  [--requests N] [--candidates C] [--max-batch B,B,...]
 //! ```
@@ -29,9 +29,9 @@
 )]
 
 use miss_data::{request_stream, Dataset, ScoreRequest, Split, World, WorldConfig};
-use miss_serve::{load_frozen, FrozenArch, FrozenModel, ScoreEngine};
+use miss_serve::{load_frozen, FrozenModel, ScoreEngine};
 use miss_testkit::bench::{black_box, BenchGroup};
-use miss_trainer::{Experiment, SslKind, ALL_BASELINES};
+use miss_trainer::{BaseModel, Experiment, SslKind, ALL_BASELINES};
 use std::path::Path;
 use std::process::exit;
 use std::time::Instant;
@@ -66,16 +66,18 @@ impl Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  miss-serve bench --dataset <cds|books|alipay|tiny> --model <DIN|DIEN|IPNN>\n  \
+        "usage:\n  miss-serve bench --dataset <cds|books|alipay|tiny> --model <name>\n  \
          {:18}[--miss] [--ckpt FILE] [--seed N] [--scale F]\n  \
          {:18}[--requests N] [--candidates C] [--max-batch B,B,...]\n\n\
          Scores a seeded open-loop request stream through the frozen engine at\n\
          each --max-batch setting and writes BENCH_serving.json (throughput +\n\
          p50/p99 request latency). --ckpt freezes a trained checkpoint (pass the\n\
          --model/--miss/--seed the training run used); otherwise a fresh seeded\n\
-         initialisation is frozen.\n\n\
+         initialisation is frozen.\n\nmodels: {}\n\n\
          exit codes: 0 ok, 2 usage, 3 bad checkpoint, 4 i/o failure",
-        "", ""
+        "",
+        "",
+        ALL_BASELINES.map(|b| b.label()).join(", ")
     );
     exit(2)
 }
@@ -94,17 +96,10 @@ fn world_config(args: &Args) -> WorldConfig {
     }
 }
 
-fn experiment(args: &Args) -> (Experiment, FrozenArch) {
+fn experiment(args: &Args) -> Experiment {
     let name = args.get("--model").unwrap_or("DIN");
-    let Some(base) = ALL_BASELINES
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(name))
-    else {
+    let Some(base) = BaseModel::from_label(name) else {
         eprintln!("unknown model {name}");
-        usage()
-    };
-    let Some(arch) = FrozenArch::from_label(base.label()) else {
-        eprintln!("model {name} is not freezable (serving supports DIN, DIEN, IPNN)");
         usage()
     };
     let ssl = if args.has("--miss") {
@@ -112,7 +107,7 @@ fn experiment(args: &Args) -> (Experiment, FrozenArch) {
     } else {
         SslKind::None
     };
-    (Experiment::new(base, ssl), arch)
+    Experiment::new(base, ssl)
 }
 
 fn max_batches(args: &Args) -> Vec<usize> {
@@ -167,7 +162,7 @@ fn main() {
 
     let world = World::generate(world_config(&args), 0xDA7A);
     let dataset = Dataset::from_world(&world, 0xDA7A);
-    let (exp, arch) = experiment(&args);
+    let exp = experiment(&args);
     let seed: u64 = args.parsed("--seed", 0);
     let frozen = match args.get("--ckpt") {
         Some(p) => match load_frozen(Path::new(p), &exp, &dataset.schema, seed) {
@@ -184,7 +179,7 @@ fn main() {
         },
         None => {
             let (store, _model) = exp.build_model(&dataset.schema, seed);
-            match FrozenModel::freeze(&store, &dataset.schema, arch) {
+            match FrozenModel::freeze(&store, &dataset.schema, exp.base) {
                 Ok(m) => m,
                 Err(err) => {
                     eprintln!("miss-serve: {err}");

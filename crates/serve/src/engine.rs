@@ -1,5 +1,5 @@
-//! The scoring engine: deterministic request micro-batching over the
-//! frozen forward, plus the frozen evaluation path.
+//! The scoring engine: deterministic request micro-batching over a frozen
+//! model's inference forward, plus the frozen evaluation path.
 //!
 //! **Batch formation is a pure function of the queue** (DESIGN.md §10):
 //! requests are taken in arrival order and a batch is flushed when adding
@@ -8,7 +8,7 @@
 //! queue always forms the same batches. A request larger than `max_batch`
 //! becomes a batch of its own rather than splitting.
 //!
-//! **Batching never changes a score.** Every op in the frozen forward is
+//! **Batching never changes a score.** Every op in every model's forward is
 //! row-independent (GEMM accumulation chains, softmax rows, bmm blocks and
 //! gathers are all per-sample), so a candidate's score does not depend on
 //! which other candidates share its batch — micro-batched results are
@@ -70,9 +70,9 @@ impl<'a> ScoreEngine<'a> {
     /// bit-identical for any `MISS_THREADS` value *and* any `max_batch`.
     ///
     /// A malformed request ([`MissError::BadRequest`]: wrong field arity,
-    /// or an id outside its vocabulary) is a typed error, never a panic —
-    /// deterministically the error of the *earliest* offending batch, for
-    /// any thread count.
+    /// ragged histories, or an id outside its vocabulary) is a typed error,
+    /// never a panic — deterministically the error of the *earliest*
+    /// offending batch, for any thread count.
     #[expect(
         clippy::indexing_slicing,
         reason = "form_batches yields contiguous in-range [r0, r1) windows, one per bi"
@@ -95,25 +95,8 @@ impl<'a> ScoreEngine<'a> {
     /// Score one formed batch: validate, assemble, forward, sigmoid.
     fn score_batch(&self, requests: &[ScoreRequest]) -> MissResult<Vec<f32>> {
         let schema = self.model.schema();
-        for (ri, r) in requests.iter().enumerate() {
-            for s in &r.samples {
-                // Batch::from_samples asserts these arities (its callers
-                // hand it trusted dataset samples); requests are untrusted,
-                // so reject with a typed error before assembly.
-                if s.cat.len() != schema.num_cat() || s.hist.len() != schema.num_seq() {
-                    return Err(MissError::bad_request(format!(
-                        "request {ri}: sample has {} categorical / {} sequential \
-                         fields, schema has {} / {}",
-                        s.cat.len(),
-                        s.hist.len(),
-                        schema.num_cat(),
-                        schema.num_seq()
-                    )));
-                }
-            }
-        }
         let refs: Vec<&Sample> = requests.iter().flat_map(|r| r.samples.iter()).collect();
-        let batch = Batch::from_samples(&refs, schema);
+        let batch = assemble(&refs, schema)?;
         let logits = self.model.forward(&batch)?;
         let _ep = profile::scope("serve.epilogue");
         let mut out = Vec::with_capacity(refs.len());
@@ -122,10 +105,36 @@ impl<'a> ScoreEngine<'a> {
     }
 }
 
-/// Sigmoid scores for every sample through the frozen forward, mirroring
+/// Assemble samples into a batch. `Batch::from_samples` is written for
+/// dataset samples: it asserts the schema's field counts and slices every
+/// sequential field by the first one's length, which panics on a shorter
+/// one. Requests are untrusted, so a sample breaking either is a typed
+/// [`MissError::BadRequest`] here instead.
+fn assemble(samples: &[&Sample], schema: &Schema) -> MissResult<Batch> {
+    for (i, s) in samples.iter().enumerate() {
+        if s.cat.len() != schema.num_cat() || s.hist.len() != schema.num_seq() {
+            return Err(MissError::bad_request(format!(
+                "sample {i} has {} categorical / {} sequential fields, schema has {} / {}",
+                s.cat.len(),
+                s.hist.len(),
+                schema.num_cat(),
+                schema.num_seq()
+            )));
+        }
+        let lens = s.hist.iter().map(Vec::len);
+        if lens.clone().min() != lens.max() {
+            return Err(MissError::bad_request(format!(
+                "sample {i} has sequential fields of different history lengths"
+            )));
+        }
+    }
+    Ok(Batch::from_samples(samples, schema))
+}
+
+/// Sigmoid scores for every sample through the inference forward, mirroring
 /// the trainer's eval chunking exactly (same chunk boundaries, same
 /// concatenation order), so metrics match `miss_trainer::evaluate`
-/// bit-for-bit while skipping the per-call GEMM packing and tape overhead.
+/// bit-for-bit while skipping the per-call GEMM packing and backward state.
 #[expect(
     clippy::indexing_slicing,
     reason = "lo < hi <= n = samples.len() for every batch bi < nb"
@@ -152,8 +161,7 @@ fn frozen_scores(
             let lo = bi * batch_size;
             let hi = (lo + batch_size).min(n);
             let refs: Vec<&Sample> = samples[lo..hi].iter().collect();
-            let batch = Batch::from_samples(&refs, schema);
-            let logits = model.forward(&batch)?;
+            let logits = model.forward(&assemble(&refs, schema)?)?;
             miss_util::sigmoid_extend(logits.as_slice(), &mut out);
         }
         Ok(out)
@@ -166,7 +174,7 @@ fn frozen_scores(
     Ok(all)
 }
 
-/// AUC / Logloss over a split through the frozen forward. Bit-identical to
+/// AUC / Logloss over a split through the inference forward. Bit-identical to
 /// `miss_trainer::evaluate` on the store the model froze from, without
 /// re-packing GEMM panels on every batch. Errors if the split does not
 /// match the frozen schema (a dataset/checkpoint mismatch).

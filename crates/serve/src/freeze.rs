@@ -1,395 +1,214 @@
-//! The freeze step: compile a trained [`ParamStore`] into an
-//! inference-optimized [`FrozenModel`].
+//! The freeze step and the inference forward.
 //!
-//! Freezing trades the training stack's generality for serving speed while
-//! keeping the *bits* of every score:
+//! A [`FrozenModel`] is a parameter snapshot plus the model's own
+//! [`CtrModel::forward`], run on inference-mode [`Graph`]s: parameters and
+//! embedding rows are tape constants, so no op records backward state, and
+//! every `Linear` multiplies against weight panels packed once per graph.
+//! The scores are therefore the training-graph eval scores, bit for bit, for
+//! every base model with or without MISS (MISS only adds training losses).
 //!
-//! - **No tape.** The frozen forward calls the same `miss_tensor` methods
-//!   the autograd ops delegate to, in the same order, so scores are bitwise
-//!   identical to the training-graph forward — there is simply no gradient
-//!   bookkeeping around them.
-//! - **Pre-packed GEMM panels.** Every `Linear` weight is packed once at
-//!   freeze time into the kernel's panel layout ([`PackedB`]); requests
-//!   multiply against the packed panels directly and skip the per-call
-//!   `pack_b_from_nn` the training path pays on every forward.
-//! - **Fused epilogues.** Bias and activation ride in the GEMM accumulator
-//!   store tail ([`GemmEpilogue`]), exactly as `tape.linear` fuses them.
-//!
-//! Freezing reads parameters *by name* from the store's views, so a store
-//! that also carries MISS SSL parameters (a `--miss` checkpoint) freezes
-//! fine — the extra parameters are ignored. A missing or mis-shaped
-//! parameter is a typed [`MissError`], never a panic: checkpoints are
-//! untrusted input (DESIGN.md §8).
+//! Requests and checkpoints are untrusted input (DESIGN.md §8): a batch is
+//! checked against the schema, ids included, before the forward runs, and
+//! a missing or mis-shaped parameter is a typed [`MissError`].
 
-use miss_data::Schema;
-use miss_nn::ParamStore;
-use miss_tensor::{GemmEpilogue, PackedB, Tensor};
-use miss_util::{MissError, MissResult};
+use miss_data::{Batch, Schema};
+use miss_models::{CtrModel, ForwardOpts, ModelConfig};
+use miss_nn::{Graph, ParamStore};
+use miss_tensor::Tensor;
+use miss_util::{MissError, MissResult, Rng};
+use std::sync::{Mutex, PoisonError};
 
-/// Fused activation of a frozen layer; mirrors the training stack's
-/// `LinearAct` (tanh/PReLU layers never reach the frozen architectures).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum FrozenAct {
-    /// Bias only.
-    Identity,
-    /// Bias + ReLU.
-    Relu,
-}
+/// Which base architecture a store freezes into. Every base model serves;
+/// the alias is the serving-side name for [`miss_trainer::BaseModel`].
+pub use miss_trainer::BaseModel as FrozenArch;
 
-/// An affine layer compiled for inference: pre-packed weight panels, a
-/// contiguous bias row, and the fused activation.
-pub(crate) struct FrozenLinear {
-    w: PackedB,
-    bias: Vec<f32>,
-    act: FrozenAct,
-}
-
-impl FrozenLinear {
-    fn freeze(p: &Params<'_>, name: &str, act: FrozenAct) -> MissResult<FrozenLinear> {
-        let w = p.dense(&format!("{name}.w"))?;
-        let b = p.dense(&format!("{name}.b"))?;
-        if b.shape() != (1, w.cols()) {
-            return Err(MissError::ShapeMismatch {
-                context: format!("frozen linear {name} bias"),
-                expected: (1, w.cols()),
-                got: b.shape(),
-            });
-        }
-        Ok(FrozenLinear {
-            w: PackedB::pack(w),
-            bias: b.as_slice().to_vec(),
-            act,
-        })
-    }
-
-    /// One GEMM against the pre-packed panels with the fused epilogue —
-    /// the same kernel call `tape.linear` makes, minus the pack.
-    pub(crate) fn forward(&self, x: &Tensor) -> Tensor {
-        let ep = match self.act {
-            FrozenAct::Identity => GemmEpilogue::AddBias(&self.bias),
-            FrozenAct::Relu => GemmEpilogue::AddBiasRelu(&self.bias),
-        };
-        x.matmul_nn_ep_prepacked(&self.w, ep)
-    }
-}
-
-/// A frozen `relu_tower` MLP: ReLU hidden layers, linear output — the only
-/// MLP shape the frozen architectures use.
-pub(crate) struct FrozenMlp {
-    layers: Vec<FrozenLinear>,
-}
-
-impl FrozenMlp {
-    fn freeze(p: &Params<'_>, name: &str) -> MissResult<FrozenMlp> {
-        let mut n = 0;
-        while p.has_dense(&format!("{name}.l{n}.w")) {
-            n += 1;
-        }
-        if n == 0 {
-            return Err(MissError::UnknownParam {
-                kind: "dense param",
-                name: format!("{name}.l0.w"),
-            });
-        }
-        let layers = (0..n)
-            .map(|i| {
-                let act = if i + 1 == n { FrozenAct::Identity } else { FrozenAct::Relu };
-                FrozenLinear::freeze(p, &format!("{name}.l{i}"), act)
-            })
-            .collect::<MissResult<Vec<_>>>()?;
-        Ok(FrozenMlp { layers })
-    }
-
-    /// Chain the layers; the hot path the serving profiler attributes to
-    /// `serve.gemm`.
-    #[expect(clippy::indexing_slicing, reason = "freeze() rejects zero-layer MLPs")]
-    pub(crate) fn forward(&self, x: &Tensor) -> Tensor {
-        let _gemm = miss_util::profile::scope("serve.gemm");
-        debug_assert!(!self.layers.is_empty(), "freeze() rejects zero-layer MLPs");
-        let mut h = self.layers[0].forward(x);
-        for layer in &self.layers[1..] {
-            h = layer.forward(&h);
-        }
-        h
-    }
-}
-
-/// Frozen GRU cell: six identity-epilogue affine gates plus the elementwise
-/// gate math, replicating `miss_nn::GruCell` op-for-op on plain tensors.
-pub(crate) struct FrozenGru {
-    xz: FrozenLinear,
-    hz: FrozenLinear,
-    xr: FrozenLinear,
-    hr: FrozenLinear,
-    xh: FrozenLinear,
-    hh: FrozenLinear,
-}
-
-impl FrozenGru {
-    fn freeze(p: &Params<'_>, name: &str) -> MissResult<FrozenGru> {
-        let gate = |g: &str| FrozenLinear::freeze(p, &format!("{name}.{g}"), FrozenAct::Identity);
-        Ok(FrozenGru {
-            xz: gate("xz")?,
-            hz: gate("hz")?,
-            xr: gate("xr")?,
-            hr: gate("hr")?,
-            xh: gate("xh")?,
-            hh: gate("hh")?,
-        })
-    }
-
-    /// `(z, h̃)` — the update gate and candidate state, in the training
-    /// cell's exact op order (sigmoid/tanh applied after the gate sums).
-    fn gates(&self, x: &Tensor, h: &Tensor) -> (Tensor, Tensor) {
-        let z = self.xz.forward(x).add(&self.hz.forward(h)).map(miss_util::sigmoid);
-        let r = self.xr.forward(x).add(&self.hr.forward(h)).map(miss_util::sigmoid);
-        let rh = r.mul(h);
-        let h_tilde = self.xh.forward(x).add(&self.hh.forward(&rh)).map(f32::tanh);
-        (z, h_tilde)
-    }
-
-    /// Standard GRU step: `h' = (1−z)⊙h + z⊙h̃`.
-    pub(crate) fn step(&self, x: &Tensor, h: &Tensor) -> Tensor {
-        let (z, h_tilde) = self.gates(x, h);
-        let one_minus_z = z.scale(-1.0).map(|v| v + 1.0);
-        one_minus_z.mul(h).add(&z.mul(&h_tilde))
-    }
-
-    /// AUGRU step: update gate scaled by the per-sample attention column.
-    pub(crate) fn step_attn(&self, x: &Tensor, h: &Tensor, att: &Tensor) -> Tensor {
-        let (z, h_tilde) = self.gates(x, h);
-        let z_att = z.mul_col_broadcast(att);
-        let one_minus = z_att.scale(-1.0).map(|v| v + 1.0);
-        one_minus.mul(h).add(&z_att.mul(&h_tilde))
-    }
-}
-
-/// Frozen embedding tables: one contiguous `vocab_size×K` matrix per
-/// vocabulary, cloned out of the store (lookups are row copies, so there is
-/// no numeric transformation to fuse — just ownership).
-pub(crate) struct FrozenTables {
-    tables: Vec<Tensor>,
-    /// Embedding dimension `K`.
-    pub(crate) dim: usize,
-}
-
-impl FrozenTables {
-    fn freeze(p: &Params<'_>, schema: &Schema, prefix: &str) -> MissResult<FrozenTables> {
-        let mut tables = Vec::with_capacity(schema.vocabs.len());
-        let mut dim = 0;
-        for v in &schema.vocabs {
-            let t = p.table(&format!("{prefix}.{}", v.name))?;
-            if t.rows() != v.size {
-                return Err(MissError::ShapeMismatch {
-                    context: format!("frozen table {prefix}.{}", v.name),
-                    expected: (v.size, t.cols()),
-                    got: t.shape(),
-                });
-            }
-            dim = t.cols();
-            tables.push(t.clone());
-        }
-        Ok(FrozenTables { tables, dim })
-    }
-
-    /// Row-gather a vocabulary's table — bit-identical to the training
-    /// path's `EmbeddingTable::gather`, but fallible: the ids arrive in
-    /// untrusted score requests and the vocab index comes from an untrusted
-    /// checkpoint's schema, so both are checked into typed errors instead
-    /// of panics. Gathers straight off the `u32` ids — no per-call index
-    /// buffer.
-    pub(crate) fn gather(&self, vocab: usize, ids: &[u32]) -> MissResult<Tensor> {
-        let _g = miss_util::profile::scope("serve.gather");
-        let table = self.tables.get(vocab).ok_or_else(|| {
-            MissError::corrupt(
-                "params",
-                format!(
-                    "schema names vocabulary {vocab} but only {} tables froze",
-                    self.tables.len()
-                ),
-            )
-        })?;
-        table.try_gather_rows_u32(ids)
-    }
-}
-
-/// Borrowed name→tensor lookup over a store's parameter views.
-struct Params<'a> {
-    dense: Vec<(&'a str, &'a Tensor)>,
-    tables: Vec<(&'a str, &'a Tensor)>,
-}
-
-impl<'a> Params<'a> {
-    fn of(store: &'a ParamStore) -> Params<'a> {
-        Params {
-            dense: store.dense_views().map(|v| (v.name, v.value)).collect(),
-            tables: store.table_views().map(|v| (v.name, v.value)).collect(),
-        }
-    }
-
-    fn dense(&self, name: &str) -> MissResult<&'a Tensor> {
-        self.dense
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, t)| t)
-            .ok_or_else(|| MissError::UnknownParam {
-                kind: "dense param",
-                name: name.to_string(),
-            })
-    }
-
-    fn has_dense(&self, name: &str) -> bool {
-        self.dense.iter().any(|(n, _)| *n == name)
-    }
-
-    fn table(&self, name: &str) -> MissResult<&'a Tensor> {
-        self.tables
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, t)| t)
-            .ok_or_else(|| MissError::UnknownParam {
-                kind: "embedding table",
-                name: name.to_string(),
-            })
-    }
-}
-
-/// Which base architecture a checkpoint freezes into. The serving engine
-/// supports the paper's three MISS host models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrozenArch {
-    /// Deep Interest Network.
-    Din,
-    /// Deep Interest Evolution Network.
-    Dien,
-    /// Inner-product neural network.
-    Ipnn,
-}
-
-impl FrozenArch {
-    /// Parse a model label (case-insensitive); `None` for architectures the
-    /// freeze step does not support.
-    pub fn from_label(label: &str) -> Option<FrozenArch> {
-        if label.eq_ignore_ascii_case("din") {
-            Some(FrozenArch::Din)
-        } else if label.eq_ignore_ascii_case("dien") {
-            Some(FrozenArch::Dien)
-        } else if label.eq_ignore_ascii_case("ipnn") {
-            Some(FrozenArch::Ipnn)
-        } else {
-            None
-        }
-    }
-}
-
-/// For each sequential field, the categorical field sharing its vocabulary
-/// (the candidate the attention unit matches against). The training stack
-/// `expect`s here; serving returns a typed error because the schema arrives
-/// with an untrusted checkpoint.
-fn candidate_fields(schema: &Schema) -> MissResult<Vec<usize>> {
-    schema
-        .seq_fields
-        .iter()
-        .map(|sf| {
-            schema
-                .cat_fields
-                .iter()
-                .position(|(_, v)| *v == sf.vocab)
-                .ok_or_else(|| {
-                    MissError::corrupt(
-                        "params",
-                        format!("sequential field {} has no candidate counterpart", sf.name),
-                    )
-                })
-        })
-        .collect()
-}
-
-/// A model compiled for inference: contiguous frozen layers, pre-packed
-/// GEMM panels, no tape, no optimizer state. Construct with
-/// [`FrozenModel::freeze`] (from a live store) or [`load_frozen`]
-/// (from a checkpoint file).
-#[expect(
-    clippy::large_enum_variant,
-    reason = "one FrozenModel lives per server; boxing the large variant would add a pointer chase to every scored batch"
-)]
-pub enum FrozenModel {
-    /// Frozen DIN.
-    Din(FrozenDin),
-    /// Frozen DIEN.
-    Dien(FrozenDien),
-    /// Frozen IPNN.
-    Ipnn(FrozenIpnn),
-}
-
-/// Frozen Deep Interest Network.
-pub struct FrozenDin {
-    pub(crate) schema: Schema,
-    pub(crate) emb: FrozenTables,
-    pub(crate) att: Vec<FrozenMlp>,
-    pub(crate) cand_for_seq: Vec<usize>,
-    pub(crate) deep: FrozenMlp,
-}
-
-/// Frozen Deep Interest Evolution Network.
-pub struct FrozenDien {
-    pub(crate) schema: Schema,
-    pub(crate) emb: FrozenTables,
-    pub(crate) gru: FrozenGru,
-    pub(crate) augru: FrozenGru,
-    pub(crate) deep: FrozenMlp,
-}
-
-/// Frozen product-based neural network.
-pub struct FrozenIpnn {
-    pub(crate) schema: Schema,
-    pub(crate) emb: FrozenTables,
-    pub(crate) deep: FrozenMlp,
+/// A model ready for inference: an owned parameter snapshot, the model that
+/// reads it, its schema, and a pool of inference graphs (one per concurrent
+/// caller, each keeping its parameter constants and packed panels across
+/// batches). Construct with [`FrozenModel::freeze`] (from a live store) or
+/// [`load_frozen`] (from a checkpoint file).
+pub struct FrozenModel {
+    store: ParamStore,
+    model: Box<dyn CtrModel>,
+    schema: Schema,
+    graphs: Mutex<Vec<Graph>>,
 }
 
 impl FrozenModel {
-    /// Compile `store`'s parameters for `arch` over `schema`. Parameters are
-    /// looked up by the names the training constructors register, so extra
-    /// parameters (MISS SSL heads, other co-registered models) are ignored.
-    pub fn freeze(store: &ParamStore, schema: &Schema, arch: FrozenArch) -> MissResult<FrozenModel> {
-        let p = Params::of(store);
-        let emb = FrozenTables::freeze(&p, schema, "emb")?;
-        match arch {
-            FrozenArch::Din => {
-                let att = (0..schema.num_seq())
-                    .map(|j| FrozenMlp::freeze(&p, &format!("din.att{j}")))
-                    .collect::<MissResult<Vec<_>>>()?;
-                Ok(FrozenModel::Din(FrozenDin {
-                    schema: schema.clone(),
-                    emb,
-                    att,
-                    cand_for_seq: candidate_fields(schema)?,
-                    deep: FrozenMlp::freeze(&p, "din.deep")?,
-                }))
-            }
-            FrozenArch::Dien => Ok(FrozenModel::Dien(FrozenDien {
-                schema: schema.clone(),
-                emb,
-                gru: FrozenGru::freeze(&p, "dien.gru")?,
-                augru: FrozenGru::freeze(&p, "dien.augru")?,
-                deep: FrozenMlp::freeze(&p, "dien.deep")?,
-            })),
-            FrozenArch::Ipnn => Ok(FrozenModel::Ipnn(FrozenIpnn {
-                schema: schema.clone(),
-                emb,
-                deep: FrozenMlp::freeze(&p, "ipnn.deep")?,
-            })),
+    fn new(store: ParamStore, model: Box<dyn CtrModel>, schema: Schema) -> FrozenModel {
+        FrozenModel {
+            store,
+            model,
+            schema,
+            graphs: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Freeze `store`'s parameters as `arch` over `schema`. The model is
+    /// built over a copy of the store's values, with the embedding width and
+    /// deep-tower widths read off the store, so it fetches every parameter
+    /// by name; extra parameters (MISS SSL heads) are carried but never
+    /// read. A parameter the build had to register because the store lacks
+    /// it is [`MissError::UnknownParam`], an embedding table sized for
+    /// another dataset [`MissError::ShapeMismatch`].
+    pub fn freeze(
+        store: &ParamStore,
+        schema: &Schema,
+        arch: FrozenArch,
+    ) -> MissResult<FrozenModel> {
+        let cfg = model_config(store, schema)?;
+        let mut own = store.values_only();
+        let (dense, tables) = (own.num_dense(), own.num_tables());
+        let model = arch.build(&mut own, schema, &cfg, &mut Rng::new(0));
+        let added = own
+            .dense_views()
+            .nth(dense)
+            .map(|v| ("dense param", v.name));
+        let added = added.or_else(|| {
+            own.table_views()
+                .nth(tables)
+                .map(|v| ("embedding table", v.name))
+        });
+        if let Some((kind, name)) = added {
+            return Err(MissError::UnknownParam {
+                kind,
+                name: name.to_string(),
+            });
+        }
+        Ok(FrozenModel::new(own, model, schema.clone()))
     }
 
     /// The schema the model scores against.
     pub fn schema(&self) -> &Schema {
-        match self {
-            FrozenModel::Din(m) => &m.schema,
-            FrozenModel::Dien(m) => &m.schema,
-            FrozenModel::Ipnn(m) => &m.schema,
+        &self.schema
+    }
+
+    /// CTR logits (`B×1`) for a batch, bit-identical to the training-graph
+    /// eval-mode forward. A batch that does not match the schema, or holds
+    /// an id outside its vocabulary, is a [`MissError::BadRequest`] —
+    /// scoring never panics on request content.
+    pub fn forward(&self, batch: &Batch) -> MissResult<Tensor> {
+        check_batch(batch, &self.schema)?;
+        let _fwd = miss_util::profile::scope("serve.forward");
+        // The pool only ever holds whole graphs, and no forward runs under
+        // the lock, so a poisoned lock still guards a valid pool.
+        let pooled = self
+            .graphs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let mut g = pooled.unwrap_or_else(|| Graph::inference(&self.store));
+        g.reset(&self.store);
+        let mut rng = Rng::new(0); // dropout is the identity in eval mode
+        let mut opts = ForwardOpts {
+            training: false,
+            rng: &mut rng,
+        };
+        let logits = self.model.forward(&mut g, &self.store, batch, &mut opts);
+        let out = g.tape.value(logits).clone();
+        self.graphs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(g);
+        Ok(out)
+    }
+}
+
+/// The model hyper-parameters a store was built with: `embed_dim` is the
+/// width of the `emb.*` tables, `mlp_sizes` the widths of a `*.deep.l{i}`
+/// tower, plus the trailing 1 of its separate `*.head` when it has one.
+/// Also checks every `*.{vocab}` table's rows against `schema`: a build
+/// would re-register a mis-sized table with a panic, not an error.
+fn model_config(store: &ParamStore, schema: &Schema) -> MissResult<ModelConfig> {
+    for t in store.table_views() {
+        let vocab = schema
+            .vocabs
+            .iter()
+            .find(|v| t.name.rsplit('.').next() == Some(v.name.as_str()));
+        if let Some(v) = vocab.filter(|v| v.size != t.value.rows()) {
+            return Err(MissError::ShapeMismatch {
+                context: format!("embedding table {}", t.name),
+                expected: (v.size, t.value.cols()),
+                got: t.value.shape(),
+            });
         }
     }
+    let embed_dim = store
+        .table_views()
+        .find(|t| t.name.starts_with("emb."))
+        .map(|t| t.value.cols())
+        .ok_or_else(|| MissError::UnknownParam {
+            kind: "embedding table",
+            name: "emb.*".to_string(),
+        })?;
+    let width = |name: &str| {
+        store
+            .dense_views()
+            .find(|v| v.name == name)
+            .map(|v| v.value.cols())
+    };
+    let mut cfg = ModelConfig {
+        embed_dim,
+        ..ModelConfig::default()
+    };
+    let tower = store
+        .dense_views()
+        .find_map(|v| v.name.strip_suffix(".deep.l0.w"));
+    if let Some(tower) = tower {
+        cfg.mlp_sizes.clear();
+        while let Some(w) = width(&format!("{tower}.deep.l{}.w", cfg.mlp_sizes.len())) {
+            cfg.mlp_sizes.push(w);
+        }
+        if width(&format!("{tower}.head.w")).is_some() {
+            cfg.mlp_sizes.push(1);
+        }
+    }
+    Ok(cfg)
+}
+
+/// Validate a batch against the schema: field arity, sequence length, the
+/// flattened `B·L` extents, and every id against its vocabulary. After this
+/// passes, every index the model's forward takes is in bounds.
+fn check_batch(batch: &Batch, schema: &Schema) -> MissResult<()> {
+    let bl = batch.size * batch.seq_len;
+    if batch.cat.len() != schema.num_cat() || batch.seq.len() != schema.num_seq() {
+        return Err(MissError::bad_request(format!(
+            "batch has {} categorical / {} sequential fields, schema has {} / {}",
+            batch.cat.len(),
+            batch.seq.len(),
+            schema.num_cat(),
+            schema.num_seq()
+        )));
+    }
+    if batch.seq_len != schema.seq_len || batch.mask.len() != bl {
+        return Err(MissError::bad_request(format!(
+            "batch of {} x {} with {} mask entries, schema sequence length {}",
+            batch.size,
+            batch.seq_len,
+            batch.mask.len(),
+            schema.seq_len
+        )));
+    }
+    let cat = schema
+        .cat_fields
+        .iter()
+        .map(|(name, v)| (name, *v, batch.size));
+    let seq = schema.seq_fields.iter().map(|f| (&f.name, f.vocab, bl));
+    for ((name, vocab, want), ids) in cat.chain(seq).zip(batch.cat.iter().chain(&batch.seq)) {
+        if ids.len() != want {
+            return Err(MissError::bad_request(format!(
+                "field {name} has {} ids, expected {want}",
+                ids.len()
+            )));
+        }
+        let size = schema.vocabs.get(vocab).map_or(0, |v| v.size);
+        if let Some(&id) = ids.iter().find(|&&id| id as usize >= size) {
+            return Err(MissError::bad_request(format!(
+                "field {name}: id {id} out of range for a {size}-id vocabulary"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Load a checkpoint into a freshly rebuilt architecture and freeze it.
@@ -397,7 +216,7 @@ impl FrozenModel {
 /// `exp` must describe the experiment that *wrote* the checkpoint (base
 /// model, SSL kind, model config) and `seed` its training seed, so the
 /// rebuilt store registers the exact parameter set the artifact carries —
-/// including SSL parameters, which freezing then ignores. Returns the
+/// including SSL parameters, which the forward never reads. Returns the
 /// frozen model and the checkpoint's training progress.
 pub fn load_frozen(
     path: &std::path::Path,
@@ -405,12 +224,7 @@ pub fn load_frozen(
     schema: &Schema,
     seed: u64,
 ) -> MissResult<(FrozenModel, Option<miss_codec::TrainProgress>)> {
-    let arch = FrozenArch::from_label(exp.base.label()).ok_or_else(|| MissError::UnknownParam {
-        kind: "freezable base model",
-        name: exp.base.label().to_string(),
-    })?;
-    let (mut store, _model) = exp.build_model(schema, seed);
+    let (mut store, model) = exp.build_model(schema, seed);
     let progress = miss_codec::load_from_path(path, &mut store)?;
-    let frozen = FrozenModel::freeze(&store, schema, arch)?;
-    Ok((frozen, progress))
+    Ok((FrozenModel::new(store, model, schema.clone()), progress))
 }

@@ -1,20 +1,22 @@
-//! Frozen-graph inference for the MISS reproduction: the serving-side
-//! counterpart to the training stack.
+//! Inference for the MISS reproduction: the serving-side counterpart to
+//! the training stack.
 //!
 //! Three pieces (DESIGN.md §10):
 //!
-//! - **Freeze** ([`FrozenModel::freeze`], [`load_frozen`]): compile a
+//! - **Freeze** ([`FrozenModel::freeze`], [`load_frozen`]): snapshot a
 //!   trained `ParamStore` — live or loaded from a miss-codec checkpoint —
-//!   into contiguous frozen layers with GEMM panels pre-packed once, fused
-//!   bias/activation epilogues, and no autograd tape.
+//!   next to the model that reads it. Scoring runs that model's own
+//!   `CtrModel::forward` on an inference-mode `Graph`: no backward state,
+//!   weight panels packed once per graph, intermediates freed per scope.
+//!   Any of the 13 base models serves, with or without MISS.
 //! - **Score** ([`ScoreEngine`]): micro-batch concurrent `(user,
 //!   candidates[])` requests into batched forwards over the miss-parallel
 //!   pool, under a deterministic batch-formation rule (flush at `max_batch`
 //!   candidates or queue drain — never wall-clock timers), so scores are
 //!   bit-identical to scoring each request alone at any thread count.
 //! - **Evaluate** ([`evaluate_frozen`]): the trainer's eval metrics through
-//!   the frozen forward — same chunking, same bits, minus the per-batch
-//!   packing the training-graph eval pays.
+//!   the inference forward — same chunking, same bits, minus the per-batch
+//!   packing and backward state the training-graph eval pays.
 //!
 //! The determinism contract throughout: a candidate's score is a pure
 //! function of (checkpoint bytes, sample, detected ISA) — never of batch
@@ -34,7 +36,6 @@
 )]
 
 mod engine;
-mod forward;
 mod freeze;
 
 pub use engine::{evaluate_frozen, ScoreEngine};

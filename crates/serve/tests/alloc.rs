@@ -2,17 +2,17 @@
 //! serving hot path. A counting global allocator tallies every allocation
 //! made on the test's own thread; at `with_threads(1)` that is every
 //! allocation the call makes, callees included. After one warm-up call the
-//! frozen forward must allocate the same number of times for every batch
-//! size, and a GEMM exactly once (its output).
+//! inference forward of every base model must allocate the same number of
+//! times for every batch size, and a GEMM exactly once (its output).
 #![expect(
     unsafe_code,
     reason = "a GlobalAlloc impl is unsafe by definition; it forwards to System unchanged"
 )]
 
 use miss_data::{Batch, Dataset, Sample, World, WorldConfig};
-use miss_serve::{FrozenArch, FrozenModel};
+use miss_serve::FrozenModel;
 use miss_tensor::{GemmEpilogue, PackedB, Tensor};
-use miss_trainer::{BaseModel, Experiment, SslKind};
+use miss_trainer::{Experiment, SslKind, ALL_BASELINES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -81,13 +81,9 @@ fn frozen_forward_allocations_do_not_depend_on_batch_rows() {
     let world = World::generate(WorldConfig::tiny(), 7);
     let dataset = Dataset::from_world(&world, 7);
     let batches: Vec<Batch> = BATCH_SIZES.iter().map(|&b| batch_of(&dataset, b)).collect();
-    for (base, arch) in [
-        (BaseModel::Din, FrozenArch::Din),
-        (BaseModel::Dien, FrozenArch::Dien),
-        (BaseModel::Ipnn, FrozenArch::Ipnn),
-    ] {
+    for base in ALL_BASELINES {
         let (store, _) = Experiment::new(base, SslKind::None).build_model(&dataset.schema, 42);
-        let frozen = FrozenModel::freeze(&store, &dataset.schema, arch).expect("freeze");
+        let frozen = FrozenModel::freeze(&store, &dataset.schema, base).expect("freeze");
         let counts: Vec<u64> = miss_parallel::with_threads(1, || {
             frozen.forward(&batches[0]).expect("warm-up forward");
             batches
@@ -97,7 +93,7 @@ fn frozen_forward_allocations_do_not_depend_on_batch_rows() {
         });
         assert!(
             counts.iter().all(|&c| c == counts[0]),
-            "{arch:?}: allocations per forward vary with batch rows {BATCH_SIZES:?}: {counts:?}"
+            "{base:?}: allocations per forward vary with batch rows {BATCH_SIZES:?}: {counts:?}"
         );
     }
 }

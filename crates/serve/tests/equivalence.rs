@@ -1,8 +1,8 @@
 //! The serving determinism contract (DESIGN.md §10), pinned bitwise:
 //!
-//! 1. the frozen forward reproduces the training-graph forward bit-for-bit
-//!    for every freezable architecture (DIN, DIEN, IPNN), with and without
-//!    MISS attached, at any batch size and `MISS_THREADS`;
+//! 1. the inference-mode forward reproduces the training-graph forward
+//!    bit-for-bit for every base model, with and without MISS attached, at
+//!    any batch size and `MISS_THREADS`;
 //! 2. micro-batched scoring is bit-identical to scoring each request alone,
 //!    for any request-arrival grouping;
 //! 3. the frozen eval path reproduces `miss_trainer::evaluate` exactly;
@@ -11,17 +11,11 @@
 use miss_data::{request_stream, Batch, Dataset, Sample, Split, World, WorldConfig};
 use miss_models::{CtrModel, ForwardOpts};
 use miss_nn::{Graph, ParamStore};
-use miss_serve::{evaluate_frozen, load_frozen, FrozenArch, FrozenModel, ScoreEngine};
-use miss_trainer::{evaluate, BaseModel, Experiment, SslKind};
+use miss_serve::{evaluate_frozen, load_frozen, FrozenModel, ScoreEngine};
+use miss_trainer::{evaluate, Experiment, SslKind, ALL_BASELINES};
 use miss_util::Rng;
 
 const SEED: u64 = 42;
-
-const FREEZABLE: [(BaseModel, FrozenArch); 3] = [
-    (BaseModel::Din, FrozenArch::Din),
-    (BaseModel::Dien, FrozenArch::Dien),
-    (BaseModel::Ipnn, FrozenArch::Ipnn),
-];
 
 fn world_and_dataset() -> (World, Dataset) {
     let world = World::generate(WorldConfig::tiny(), 7);
@@ -54,11 +48,11 @@ fn batch_of(samples: &[Sample], schema: &miss_data::Schema) -> Batch {
 fn frozen_forward_bitwise_matches_graph() {
     let (_world, dataset) = world_and_dataset();
     let n = dataset.test.len().min(48);
-    for (base, arch) in FREEZABLE {
+    for base in ALL_BASELINES {
         for ssl in ssl_kinds() {
             let exp = Experiment::new(base, ssl);
             let (store, model) = exp.build_model(&dataset.schema, SEED);
-            let frozen = FrozenModel::freeze(&store, &dataset.schema, arch).unwrap();
+            let frozen = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
             for bs in [1usize, 17, 48] {
                 for lo in (0..n).step_by(bs) {
                     let hi = (lo + bs).min(n);
@@ -80,19 +74,20 @@ fn frozen_forward_bitwise_matches_graph() {
     }
 }
 
-/// Non-default widths: freeze derives every dimension from the store, so
-/// odd embed dims and ragged towers must freeze and match bit-for-bit too.
+/// Non-default widths: freeze reads every dimension off the store, so odd
+/// embed dims and ragged towers (including the hidden-only towers that
+/// feed a separate head) must freeze and match bit-for-bit too.
 #[test]
 fn frozen_forward_matches_graph_at_odd_widths() {
     let (_world, dataset) = world_and_dataset();
     let n = dataset.test.len().min(24);
-    for (base, arch) in FREEZABLE {
+    for base in ALL_BASELINES {
         for (embed_dim, mlp_sizes) in [(6usize, vec![17, 5, 1]), (13, vec![33, 1])] {
             let mut exp = Experiment::new(base, SslKind::None);
             exp.model_cfg.embed_dim = embed_dim;
             exp.model_cfg.mlp_sizes = mlp_sizes.clone();
             let (store, model) = exp.build_model(&dataset.schema, SEED);
-            let frozen = FrozenModel::freeze(&store, &dataset.schema, arch).unwrap();
+            let frozen = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
             let batch = batch_of(&dataset.test[..n], &dataset.schema);
             let want = graph_logits(model.as_ref(), &store, &batch);
             let got = frozen.forward(&batch).expect("frozen forward");
@@ -109,10 +104,10 @@ fn frozen_forward_matches_graph_at_odd_widths() {
 #[test]
 fn micro_batching_never_changes_a_score() {
     let (world, dataset) = world_and_dataset();
-    for (base, arch) in FREEZABLE {
+    for base in ALL_BASELINES {
         let exp = Experiment::new(base, SslKind::None);
         let (store, _model) = exp.build_model(&dataset.schema, SEED);
-        let frozen = FrozenModel::freeze(&store, &dataset.schema, arch).unwrap();
+        let frozen = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
         // Ragged candidate counts: three interleaved streams so batch
         // boundaries land mid-queue at every max_batch below.
         let mut stream = Vec::new();
@@ -167,11 +162,11 @@ fn micro_batching_never_changes_a_score() {
 #[test]
 fn frozen_eval_matches_graph_eval() {
     let (_world, dataset) = world_and_dataset();
-    for (base, arch) in FREEZABLE {
+    for base in ALL_BASELINES {
         for ssl in ssl_kinds() {
             let exp = Experiment::new(base, ssl);
             let (store, model) = exp.build_model(&dataset.schema, SEED);
-            let frozen = FrozenModel::freeze(&store, &dataset.schema, arch).unwrap();
+            let frozen = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
             for bs in [13usize, 64] {
                 let want = evaluate(model.as_ref(), &store, &dataset.test, &dataset.schema, bs);
                 let got = evaluate_frozen(&frozen, &dataset.test, &dataset.schema, bs)
@@ -186,11 +181,11 @@ fn frozen_eval_matches_graph_eval() {
 fn codec_round_trip_freezes_identically() {
     let (_world, dataset) = world_and_dataset();
     let path = std::env::temp_dir().join(format!("miss_serve_eq_{}.ckpt", std::process::id()));
-    for (base, arch) in FREEZABLE {
+    for base in ALL_BASELINES {
         for ssl in ssl_kinds() {
             let exp = Experiment::new(base, ssl);
             let (store, _model) = exp.build_model(&dataset.schema, SEED);
-            let direct = FrozenModel::freeze(&store, &dataset.schema, arch).unwrap();
+            let direct = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
             miss_codec::save_to_path(&path, &store, None).unwrap();
             let (loaded, progress) = load_frozen(&path, &exp, &dataset.schema, SEED).unwrap();
             assert!(progress.is_none());

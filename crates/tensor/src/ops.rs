@@ -15,7 +15,6 @@
 use crate::kernels;
 use crate::kernels::GemmEpilogue;
 use crate::Tensor;
-use miss_util::{MissError, MissResult};
 
 /// Minimum multiply-accumulate count (`m·k·n`) before a kernel call fans
 /// out to the thread pool; below this, thread spawns cost more than they
@@ -532,27 +531,6 @@ impl Tensor {
             out.row_mut(o).copy_from_slice(self.row(i));
         }
         out
-    }
-
-    /// Fallible row gather straight off `u32` ids — the serving path's
-    /// embedding lookup. Ids arrive in untrusted score requests, so an
-    /// out-of-range id is a typed [`MissError::BadRequest`] rather than a
-    /// panic, and gathering directly from the id slice skips the
-    /// `Vec<usize>` conversion `gather_rows` would need per call.
-    pub fn try_gather_rows_u32(&self, ids: &[u32]) -> MissResult<Tensor> {
-        let rows = self.rows();
-        let mut out = Tensor::zeros(ids.len(), self.cols());
-        for (o, &id) in ids.iter().enumerate() {
-            let r = id as usize;
-            if r >= rows {
-                return Err(MissError::bad_request(format!(
-                    "embedding id {id} (row {o} of the gather) out of range \
-                     for a {rows}-row table"
-                )));
-            }
-            out.row_mut(o).copy_from_slice(self.row(r));
-        }
-        Ok(out)
     }
 
     /// `self[idx[r]] += src[r]` for every row of `src` (scatter-add; the

@@ -84,6 +84,13 @@ impl BaseModel {
         }
     }
 
+    /// Parse a model label, case-insensitively (`"din"`, `"SIM(soft)"`).
+    pub fn from_label(label: &str) -> Option<BaseModel> {
+        ALL_BASELINES
+            .into_iter()
+            .find(|b| b.label().eq_ignore_ascii_case(label))
+    }
+
     /// Construct the model over `store`.
     pub fn build(
         self,
@@ -362,6 +369,11 @@ mod tests {
         assert_eq!(ALL_BASELINES.len(), 13);
         assert_eq!(ALL_BASELINES[0].label(), "LR");
         assert_eq!(ALL_BASELINES[12].label(), "FiGNN");
+        for base in ALL_BASELINES {
+            let lower = base.label().to_lowercase();
+            assert_eq!(BaseModel::from_label(&lower), Some(base));
+        }
+        assert_eq!(BaseModel::from_label("nope"), None);
     }
 
     #[test]

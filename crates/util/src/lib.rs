@@ -30,7 +30,7 @@ mod stats;
 
 pub use error::{MissError, MissResult};
 pub use math::{sigmoid, sigmoid_extend};
-pub use order::{argsort_desc, top_k_desc};
+pub use order::{argsort_desc, top_k_desc, top_k_desc_into};
 pub use rng::Rng;
 pub use sample::{Categorical, Zipf};
 pub use stats::{mean, mean_std, paired_t_significant, paired_t_statistic};

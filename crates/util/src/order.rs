@@ -3,23 +3,29 @@
 
 /// Indices that sort `xs` in descending order. Ties keep their original
 /// relative order (stable), which makes downstream behaviour deterministic.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "the comparator only sees indices drawn from 0..xs.len()"
-)]
 pub fn argsort_desc(xs: &[f32]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    debug_assert_eq!(idx.len(), xs.len(), "comparator indices are drawn from idx");
-    idx.sort_by(|&a, &b| xs[b].partial_cmp(&xs[a]).unwrap_or(std::cmp::Ordering::Equal));
-    idx
+    top_k_desc(xs, xs.len())
 }
 
 /// Indices of the `k` largest values of `xs`, in descending value order.
 /// If `k >= xs.len()`, returns a full argsort.
 pub fn top_k_desc(xs: &[f32], k: usize) -> Vec<usize> {
-    let mut idx = argsort_desc(xs);
-    idx.truncate(k);
+    let mut idx = Vec::new();
+    top_k_desc_into(xs, k, &mut idx);
     idx
+}
+
+/// [`top_k_desc`] into `idx` (cleared first), with the same tie order, so
+/// a per-row selection loop reuses one buffer.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the comparator only sees indices drawn from 0..xs.len()"
+)]
+pub fn top_k_desc_into(xs: &[f32], k: usize, idx: &mut Vec<usize>) {
+    idx.clear();
+    idx.extend(0..xs.len());
+    idx.sort_by(|&a, &b| xs[b].partial_cmp(&xs[a]).unwrap_or(std::cmp::Ordering::Equal));
+    idx.truncate(k);
 }
 
 #[cfg(test)]

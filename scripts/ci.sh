@@ -84,19 +84,28 @@ cargo test -q -p miss-trainer --test chaos
 echo "==> chaos gate: codec crash battery"
 cargo test -q -p miss-codec --test crash
 
-# The serving gate's bitwise-equivalence suite: the frozen forward must
-# reproduce the training-graph forward bit-for-bit (DIN/DIEN/IPNN ± MISS),
-# micro-batching must never change a score for any request grouping, and a
-# codec round-trip must freeze identically — under both thread modes.
-echo "==> serving gate: frozen-vs-graph equivalence (MISS_THREADS=1)"
+# The serving gate's bitwise-equivalence suite: the inference-mode forward
+# must reproduce the training-graph forward bit-for-bit (all 13 base models
+# ± MISS), micro-batching must never change a score for any request
+# grouping, and a codec round-trip must freeze identically — under both
+# thread modes. The malformed-request battery sends every model bad ids,
+# ragged histories and wrong field counts: each must come back as a typed
+# BadRequest, never a panic.
+echo "==> serving gate: inference-mode vs training-graph equivalence (MISS_THREADS=1)"
 MISS_THREADS=1 cargo test -q -p miss-serve --test equivalence
 
-echo "==> serving gate: frozen-vs-graph equivalence (default MISS_THREADS)"
+echo "==> serving gate: inference-mode vs training-graph equivalence (default MISS_THREADS)"
 cargo test -q -p miss-serve --test equivalence
 
-# R8 (DESIGN.md §7): after warm-up, the frozen forward allocates the same
-# number of times for any batch row count, and a GEMM allocates only its
-# output. A counting global allocator sees callees too.
+echo "==> serving gate: malformed requests are typed errors (MISS_THREADS=1)"
+MISS_THREADS=1 cargo test -q -p miss-serve --test malformed
+
+echo "==> serving gate: malformed requests are typed errors (default MISS_THREADS)"
+cargo test -q -p miss-serve --test malformed
+
+# R8 (DESIGN.md §7): after warm-up, every model's inference forward
+# allocates the same number of times for any batch row count, and a GEMM
+# allocates only its output. A counting global allocator sees callees too.
 echo "==> serving gate: no per-row allocation on the hot path"
 cargo test -q -p miss-serve --test alloc
 
@@ -133,9 +142,9 @@ python3 scripts/check_bench.py BENCH_training.json bench_baseline.json 0.25 \
     --require train_epoch_parallel_b4096 \
     --require-faster train_epoch_parallel_b4096 train_epoch_serial_b4096
 
-# The frozen-eval gate: eval through the pre-packed frozen engine must stay
-# in the same band as the training-graph eval (typically ~20% faster; the
-# 1.25 bound is noise headroom on a busy box, and catches the frozen path
+# The frozen-eval gate: eval through the inference-mode graph must stay in
+# the same band as the training-graph eval (typically faster; the 1.25
+# bound is noise headroom on a busy box, and catches the inference path
 # losing its pre-packing, which shows up as a multiple, not a percent).
 echo "==> bench gate: data_pipeline medians vs bench_baseline.json"
 python3 scripts/check_bench.py BENCH_data_pipeline.json bench_baseline.json 0.25 \
@@ -153,4 +162,4 @@ python3 scripts/check_bench.py BENCH_serving.json bench_baseline.json 0.25 \
     --require request_latency_mb64 \
     --require-ratio queue_batch_mb64 queue_solo_mb1 0.5
 
-echo "==> OK: build, tests (both thread modes), determinism suite, benches, serving equivalence and bench gates green offline"
+echo "==> OK: build, tests (both thread modes), determinism suite, benches, serving equivalence, malformed requests and bench gates green offline"

@@ -10,9 +10,8 @@
 //!
 //! `eval` rebuilds the exact parameter registration of the training run —
 //! pass the same `--model`/`--miss`/`--seed` — so MISS checkpoints load
-//! bit-for-bit; DIN/DIEN/IPNN then score through the frozen serving engine
-//! (identical bits, pre-packed GEMM panels), other models through the
-//! training graph.
+//! bit-for-bit; every model then scores through the serving engine's
+//! inference forward (identical bits, pre-packed GEMM panels).
 //!
 //! With `--out`, training checkpoints to FILE after every epoch; with
 //! `--resume`, it continues from FILE (bitwise identical to the run that
@@ -28,7 +27,7 @@
 
 use miss::core::MissConfig;
 use miss::data::{Dataset, WorldConfig};
-use miss::trainer::{evaluate, BaseModel, Experiment, SslKind, ALL_BASELINES};
+use miss::trainer::{BaseModel, Experiment, SslKind, ALL_BASELINES};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -85,13 +84,10 @@ fn world(args: &Args) -> WorldConfig {
 
 fn model(args: &Args) -> BaseModel {
     let name = args.get("--model").unwrap_or("DIN");
-    ALL_BASELINES
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown model {name}");
-            usage()
-        })
+    BaseModel::from_label(name).unwrap_or_else(|| {
+        eprintln!("unknown model {name}");
+        usage()
+    })
 }
 
 fn main() {
@@ -169,48 +165,21 @@ fn main() {
             let seed: u64 = args.get("--seed").map(|s| s.parse().unwrap()).unwrap_or(0);
             let exp = Experiment::new(base, ssl);
             let ckpt = PathBuf::from(args.get("--ckpt").unwrap_or_else(|| usage()));
-            // Freezable architectures evaluate through the serving engine's
-            // frozen forward — same bits as the training-graph eval without
-            // re-packing GEMM panels every batch. Everything else falls back
-            // to the graph path.
-            let r = if miss::serve::FrozenArch::from_label(base.label()).is_some() {
-                match miss::serve::load_frozen(&ckpt, &exp, &dataset.schema, seed) {
-                    Ok((frozen, progress)) => {
-                        if let Some(p) = progress {
-                            println!("checkpoint at epoch {} (adam step {})", p.epoch, p.step);
-                        }
-                        match miss::serve::evaluate_frozen(
-                            &frozen,
-                            &dataset.test,
-                            &dataset.schema,
-                            256,
-                        ) {
-                            Ok(r) => r,
-                            Err(err) => {
-                                eprintln!("miss-train: {err}");
-                                exit(err.exit_code())
-                            }
-                        }
+            // Every base model evaluates through the serving engine's
+            // inference forward: the training-graph eval's bits without its
+            // per-batch panel packing and backward state.
+            let scored = miss::serve::load_frozen(&ckpt, &exp, &dataset.schema, seed).and_then(
+                |(frozen, progress)| {
+                    if let Some(p) = progress {
+                        println!("checkpoint at epoch {} (adam step {})", p.epoch, p.step);
                     }
-                    Err(err) => {
-                        eprintln!("miss-train: {err}");
-                        exit(err.exit_code())
-                    }
-                }
-            } else {
-                let (mut store, m) = exp.build_model(&dataset.schema, seed);
-                match miss::codec::load_from_path(&ckpt, &mut store) {
-                    Ok(Some(p)) => {
-                        println!("checkpoint at epoch {} (adam step {})", p.epoch, p.step)
-                    }
-                    Ok(None) => {}
-                    Err(err) => {
-                        eprintln!("miss-train: {err}");
-                        exit(err.exit_code())
-                    }
-                }
-                evaluate(m.as_ref(), &store, &dataset.test, &dataset.schema, 256)
-            };
+                    miss::serve::evaluate_frozen(&frozen, &dataset.test, &dataset.schema, 256)
+                },
+            );
+            let r = scored.unwrap_or_else(|err| {
+                eprintln!("miss-train: {err}");
+                exit(err.exit_code())
+            });
             println!("test AUC {:.4}  Logloss {:.4}", r.auc, r.logloss);
         }
         _ => usage(),
