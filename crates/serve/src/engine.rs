@@ -19,7 +19,7 @@
 use crate::freeze::FrozenModel;
 use miss_data::{Batch, Sample, Schema, ScoreRequest};
 use miss_trainer::EvalResult;
-use miss_util::{profile, MissError, MissResult};
+use miss_util::{MissError, MissResult};
 
 /// Micro-batching scoring engine over a frozen model.
 pub struct ScoreEngine<'a> {
@@ -39,10 +39,9 @@ impl<'a> ScoreEngine<'a> {
     /// The deterministic batch-formation rule: request index ranges
     /// `[start, end)` such that each batch holds at most `max_batch`
     /// candidates (unless a single oversized request forces more). Public
-    /// so the serving bench can time batches individually; scoring goes
-    /// through [`ScoreEngine::score_queue`].
+    /// so a caller can time or dispatch the batches one by one; scoring
+    /// goes through [`ScoreEngine::score_queue`].
     pub fn form_batches(&self, requests: &[ScoreRequest]) -> Vec<(usize, usize)> {
-        let _bf = profile::scope("serve.batch_form");
         let mut batches = Vec::new();
         let mut start = 0;
         let mut filled = 0;
@@ -80,29 +79,27 @@ impl<'a> ScoreEngine<'a> {
     pub fn score_queue(&self, requests: &[ScoreRequest]) -> MissResult<Vec<f32>> {
         let batches = self.form_batches(requests);
         let per_batch = miss_parallel::par_map(batches.len(), |bi| {
-            // form_batches yields in-range, contiguous [r0, r1) windows.
-            debug_assert!(bi < batches.len());
             let (r0, r1) = batches[bi];
-            self.score_batch(&requests[r0..r1])
+            let refs: Vec<&Sample> = requests[r0..r1].iter().flat_map(|r| &r.samples).collect();
+            score_samples(self.model, &refs, self.model.schema())
         });
-        let mut all = Vec::new();
-        for v in per_batch {
-            all.extend_from_slice(&v?);
-        }
-        Ok(all)
+        Ok(per_batch
+            .into_iter()
+            .collect::<MissResult<Vec<_>>>()?
+            .concat())
     }
+}
 
-    /// Score one formed batch: validate, assemble, forward, sigmoid.
-    fn score_batch(&self, requests: &[ScoreRequest]) -> MissResult<Vec<f32>> {
-        let schema = self.model.schema();
-        let refs: Vec<&Sample> = requests.iter().flat_map(|r| r.samples.iter()).collect();
-        let batch = assemble(&refs, schema)?;
-        let logits = self.model.forward(&batch)?;
-        let _ep = profile::scope("serve.epilogue");
-        let mut out = Vec::with_capacity(refs.len());
-        miss_util::sigmoid_extend(logits.as_slice(), &mut out);
-        Ok(out)
-    }
+/// Sigmoid scores of `samples` as one batch: validate, assemble, forward.
+fn score_samples(
+    model: &FrozenModel,
+    samples: &[&Sample],
+    schema: &Schema,
+) -> MissResult<Vec<f32>> {
+    let logits = model.forward(&assemble(samples, schema)?)?;
+    let mut out = Vec::with_capacity(samples.len());
+    miss_util::sigmoid_extend(logits.as_slice(), &mut out);
+    Ok(out)
 }
 
 /// Assemble samples into a batch. `Batch::from_samples` is written for
@@ -131,60 +128,32 @@ fn assemble(samples: &[&Sample], schema: &Schema) -> MissResult<Batch> {
     Ok(Batch::from_samples(samples, schema))
 }
 
-/// Sigmoid scores for every sample through the inference forward, mirroring
-/// the trainer's eval chunking exactly (same chunk boundaries, same
-/// concatenation order), so metrics match `miss_trainer::evaluate`
-/// bit-for-bit while skipping the per-call GEMM packing and backward state.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "lo < hi <= n = samples.len() for every batch bi < nb"
-)]
-fn frozen_scores(
-    model: &FrozenModel,
-    samples: &[Sample],
-    schema: &Schema,
-    batch_size: usize,
-) -> MissResult<Vec<f32>> {
-    assert!(batch_size > 0, "batch_size must be positive");
-    let n = samples.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let nb = n.div_ceil(batch_size);
-    let chunk = miss_parallel::fixed_chunk_len(nb, 1);
-    let n_chunks = nb.div_ceil(chunk);
-    let per_chunk = miss_parallel::par_map(n_chunks, |ci| -> MissResult<Vec<f32>> {
-        let b0 = ci * chunk;
-        let b1 = (b0 + chunk).min(nb);
-        let mut out = Vec::with_capacity((b1 - b0) * batch_size);
-        for bi in b0..b1 {
-            let lo = bi * batch_size;
-            let hi = (lo + batch_size).min(n);
-            let refs: Vec<&Sample> = samples[lo..hi].iter().collect();
-            let logits = model.forward(&assemble(&refs, schema)?)?;
-            miss_util::sigmoid_extend(logits.as_slice(), &mut out);
-        }
-        Ok(out)
-    });
-    let mut all = Vec::with_capacity(n);
-    for v in per_chunk {
-        let v: Vec<f32> = v?;
-        all.extend_from_slice(&v);
-    }
-    Ok(all)
-}
-
-/// AUC / Logloss over a split through the inference forward. Bit-identical to
+/// AUC / Logloss over a split through the inference forward, one batched
+/// forward per `batch_size` window. A score does not depend on which rows
+/// share its batch (DESIGN.md §10.3), so this is bit-identical to
 /// `miss_trainer::evaluate` on the store the model froze from, without
 /// re-packing GEMM panels on every batch. Errors if the split does not
 /// match the frozen schema (a dataset/checkpoint mismatch).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "par_map hands out wi < windows.len()"
+)]
 pub fn evaluate_frozen(
     model: &FrozenModel,
     samples: &[Sample],
     schema: &Schema,
     batch_size: usize,
 ) -> MissResult<EvalResult> {
-    let scores = frozen_scores(model, samples, schema, batch_size)?;
+    assert!(batch_size > 0, "batch_size must be positive");
+    let windows: Vec<&[Sample]> = samples.chunks(batch_size).collect();
+    let per_window = miss_parallel::par_map(windows.len(), |wi| {
+        let refs: Vec<&Sample> = windows[wi].iter().collect();
+        score_samples(model, &refs, schema)
+    });
+    let scores = per_window
+        .into_iter()
+        .collect::<MissResult<Vec<_>>>()?
+        .concat();
     let labels: Vec<f32> = samples.iter().map(|s| s.label).collect();
     Ok(EvalResult {
         auc: miss_metrics::auc(&scores, &labels),

@@ -89,7 +89,6 @@ impl FrozenModel {
     /// scoring never panics on request content.
     pub fn forward(&self, batch: &Batch) -> MissResult<Tensor> {
         check_batch(batch, &self.schema)?;
-        let _fwd = miss_util::profile::scope("serve.forward");
         // The pool only ever holds whole graphs, and no forward runs under
         // the lock, so a poisoned lock still guards a valid pool.
         let pooled = self

@@ -15,8 +15,12 @@
 //!   candidates or queue drain — never wall-clock timers), so scores are
 //!   bit-identical to scoring each request alone at any thread count.
 //! - **Evaluate** ([`evaluate_frozen`]): the trainer's eval metrics through
-//!   the inference forward — same chunking, same bits, minus the per-batch
-//!   packing and backward state the training-graph eval pays.
+//!   the inference forward — same bits, minus the per-batch packing and
+//!   backward state the training-graph eval pays.
+//!
+//! The crate is a library only. `crates/bench/benches/serving.rs` measures
+//! micro-batched throughput (`BENCH_serving.json`); open-loop sojourn
+//! latency at a stated arrival rate lives in the `.perfbench` package.
 //!
 //! The determinism contract throughout: a candidate's score is a pure
 //! function of (checkpoint bytes, sample, detected ISA) — never of batch

@@ -1,11 +1,11 @@
 //! Checkpointed training: an epoch-stepped trainer whose interrupted runs
 //! resume **bitwise identically**.
 //!
-//! [`Trainer`] owns exactly the mutable training state that
-//! [`crate::fit`]'s loop keeps between epochs — the Adam instance (step
-//! counter + per-parameter moments live in the store), the training RNG
-//! stream, and the epoch counter. [`Trainer::save_checkpoint`] writes all of
-//! it through `miss-codec`; [`Trainer::resume_from`] restores it, so
+//! [`Trainer`] owns the mutable training state that [`crate::fit`] steps
+//! between epochs — the Adam instance (step counter + per-parameter moments
+//! live in the store), the training RNG stream, and the epoch counter.
+//! [`Trainer::save_checkpoint`] writes all of it through `miss-codec`;
+//! [`Trainer::resume_from`] restores it, so
 //!
 //! ```text
 //! train k epochs ── save ── load ── train n-k epochs
@@ -25,9 +25,8 @@ use std::path::Path;
 
 /// Epoch-stepped training loop state with save/resume.
 ///
-/// Construct with [`Trainer::new`] for a fresh run (identical to the state
-/// [`crate::fit`] starts from) or [`Trainer::resume_from`] to continue an
-/// interrupted one.
+/// Construct with [`Trainer::new`] for a fresh run (the state [`crate::fit`]
+/// starts from) or [`Trainer::resume_from`] to continue an interrupted one.
 pub struct Trainer {
     cfg: TrainConfig,
     adam: Adam,
@@ -36,7 +35,8 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Fresh trainer. Seeds the RNG exactly as [`crate::fit`] does, so a
+    /// Fresh trainer: Adam at `cfg.lr`/`cfg.l2` and the epoch RNG seeded
+    /// from `cfg.seed`. [`crate::fit`] steps one of these, so a
     /// `Trainer`-driven loop reproduces `fit`'s per-epoch weights bit for
     /// bit.
     pub fn new(cfg: TrainConfig) -> Trainer {
@@ -183,6 +183,8 @@ mod tests {
         }
     }
 
+    /// Pins the Adam/RNG derivation `Trainer::new` documents; the benchmark
+    /// package's training workload builds the same state by hand.
     #[test]
     fn trainer_matches_fit_epoch_loop() {
         let dataset = Dataset::generate(WorldConfig::tiny(), 41);

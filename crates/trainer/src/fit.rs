@@ -1,6 +1,7 @@
 //! Fitting loops: joint multi-task training (Eq. 17) and the two-stage
 //! pre-training alternative compared in Table IX.
 
+use crate::checkpoint::Trainer;
 use crate::evaluate::{evaluate, EvalResult};
 use miss_autograd::{Grads, Var};
 use miss_core::SslMethod;
@@ -49,12 +50,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Weight of a model's own auxiliary loss (DIEN), when present.
     pub extra_loss_weight: f32,
-    /// How many consecutive micro-batches each parallel task processes.
-    /// **Scheduling-only**: micro-batch boundaries, per-micro RNG streams,
-    /// and the gradient reduction order are all fixed by the minibatch alone
-    /// (see [`micro_batch_len`]), so any value produces bitwise-identical
-    /// weights — only task granularity (and hence load balance) changes.
-    pub micro_batches_per_task: usize,
     /// Minibatches with fewer rows than this run as a single micro-batch on
     /// the caller's thread (no sharding, no gradient merge): below the
     /// measured crossover the per-shard graph and reduction overhead costs
@@ -81,7 +76,6 @@ impl Default for TrainConfig {
             patience: 2,
             seed: 0,
             extra_loss_weight: 0.5,
-            micro_batches_per_task: 1,
             parallel_min_rows: PARALLEL_MIN_ROWS_DEFAULT,
         }
     }
@@ -116,8 +110,7 @@ pub const MIN_MICRO_ROWS: usize = 16;
 /// Rows per micro-batch for a minibatch of `batch` rows:
 /// `ceil(batch / TRAIN_MICRO_CHUNKS)` raised to [`MIN_MICRO_ROWS`]. A pure
 /// function of the minibatch size — micro boundaries (and therefore losses,
-/// gradients, and the fitted weights) are identical for every `MISS_THREADS`
-/// and every [`TrainConfig::micro_batches_per_task`].
+/// gradients, and the fitted weights) are identical for every `MISS_THREADS`.
 pub fn micro_batch_len(batch: usize) -> usize {
     batch.div_ceil(TRAIN_MICRO_CHUNKS).max(MIN_MICRO_ROWS)
 }
@@ -146,12 +139,13 @@ struct MicroJob<'a> {
 }
 
 /// A parallel task's long-lived slot: the reused graph plus this minibatch's
-/// jobs and outputs. Slots persist across minibatches so each task index
-/// keeps one tape arena (and one stable `Graph::id`) for the whole epoch.
+/// micro job and its output. Slots persist across minibatches so each micro
+/// index keeps one tape arena (and one stable `Graph::id`) for the whole
+/// epoch.
 struct TrainSlot<'a> {
     graph: Graph,
-    jobs: Vec<MicroJob<'a>>,
-    outs: Vec<Option<MicroOut>>,
+    job: MicroJob<'a>,
+    out: Option<MicroOut>,
 }
 
 /// What [`train_epoch`] did beyond the mean loss: how many minibatch steps
@@ -183,7 +177,7 @@ pub struct EpochOutcome {
 /// micro's loss is scaled by `rows/batch` so the shard losses sum to the
 /// minibatch mean, and gradients are folded in micro index order
 /// ([`Grads::merge_ordered`]) before a single Adam step. The result is
-/// bitwise identical for any `MISS_THREADS` and any task grouping.
+/// bitwise identical for any `MISS_THREADS`.
 ///
 /// # Self-healing (DESIGN.md §9)
 ///
@@ -200,7 +194,7 @@ pub struct EpochOutcome {
 )]
 #[expect(
     clippy::indexing_slicing,
-    reason = "micro windows lie inside pos..end <= order.len(), m / group < n_tasks <= slots.len(), slot 0 holds the first micro job, and the tree merge keeps i + gap < flat.len()"
+    reason = "micro windows lie inside pos..end <= order.len(), every one of the n_micros >= 1 micros has a slot once the jobs are placed, and the tree merge keeps i + gap < flat.len()"
 )]
 #[expect(
     clippy::needless_borrows_for_generic_args,
@@ -224,12 +218,11 @@ pub fn train_epoch(
     // Every micro-graph binds all dense params up front, in store order, so
     // the per-micro gradient lists can be zip-merged without any lookup.
     let dense_ids = store.dense_ids();
-    let group = cfg.micro_batches_per_task.max(1);
     let schema = &dataset.schema;
     let extra_loss_weight = cfg.extra_loss_weight;
     let mut slots: Vec<TrainSlot> = Vec::new();
 
-    // Reused across minibatches: the flattened micro outputs and the
+    // Reused across minibatches: the micro outputs in micro order and the
     // (into, from) Var pairs the tree merge maps gradients through.
     let mut flat: Vec<Option<MicroOut>> = Vec::new();
     let mut pairs: Vec<(Var, Var)> = Vec::new();
@@ -247,130 +240,122 @@ pub fn train_epoch(
             micro_batch_len(mb_rows)
         };
         let n_micros = mb_rows.div_ceil(micro_len);
-        let n_tasks = n_micros.div_ceil(group);
-        while slots.len() < n_tasks {
-            slots.push(TrainSlot {
-                graph: Graph::new(store),
-                jobs: Vec::new(),
-                outs: Vec::new(),
-            });
-        }
-        for slot in slots.iter_mut() {
-            slot.jobs.clear();
-            slot.outs.clear();
-        }
         // Fork the per-micro RNG streams on the main thread, in micro order.
         for m in 0..n_micros {
             let ms = pos + m * micro_len;
             let me = (ms + micro_len).min(end);
-            let refs: Vec<&Sample> = order[ms..me].iter().map(|&i| &dataset.train[i]).collect();
-            slots[m / group].jobs.push(MicroJob {
-                refs,
+            let job = MicroJob {
+                refs: order[ms..me].iter().map(|&i| &dataset.train[i]).collect(),
                 rng0: rng.fork(0x51AD),
                 poison_loss: false,
                 poison_batch: false,
-            });
+            };
+            match slots.get_mut(m) {
+                Some(slot) => slot.job = job,
+                None => slots.push(TrainSlot {
+                    graph: Graph::new(store),
+                    job,
+                    out: None,
+                }),
+            }
         }
 
         // At most two attempts per minibatch: parallel, then (only after a
         // contained panic or a non-finite step) a full serial recomputation
         // from the jobs' pristine RNG clones. Both produce identical bits.
         for attempt in 1..=2u32 {
-            for slot in slots[..n_tasks].iter_mut() {
-                slot.outs.clear();
-                for job in slot.jobs.iter_mut() {
-                    job.poison_loss = false;
-                    job.poison_batch = false;
-                }
+            for slot in slots[..n_micros].iter_mut() {
+                slot.out = None;
+                slot.job.poison_loss = false;
+                slot.job.poison_batch = false;
             }
             // Fault probes run on the dispatching thread only (plans are
             // thread-local); counters advance once per attempt, so a
             // one-shot fault does not re-fire on the recomputation.
             if miss_fault::active() {
-                let first = &mut slots[0].jobs[0];
+                let first = &mut slots[0].job;
                 first.poison_loss = miss_fault::hit(SITE_NAN_LOSS);
                 first.poison_batch = miss_fault::hit(SITE_BATCH_CORRUPT);
             }
 
             let store_ref: &ParamStore = &*store;
             let run_slot = |_t: usize, slot: &mut TrainSlot| {
-                for job in slot.jobs.iter_mut() {
-                    // Clone, never advance, the pristine stream: a retried
-                    // attempt replays exactly the same randomness.
-                    let mut wrng = job.rng0.clone();
-                    let batch = Batch::from_samples(&job.refs, schema);
-                    let g = &mut slot.graph;
-                    g.reset(store_ref);
-                    let bindings: Vec<(DenseId, Var)> = dense_ids
-                        .iter()
-                        .map(|&id| (id, g.param(store_ref, id)))
-                        .collect();
-                    let mut opts = ForwardOpts {
-                        training: true,
-                        rng: &mut wrng,
-                    };
-                    let mut loss = if ctr_loss {
-                        let logits = model.forward(g, store_ref, &batch, &mut opts);
-                        let labels = Tensor::from_vec(batch.size, 1, batch.labels.clone());
-                        let mut l = g.tape.bce_with_logits_mean(logits, labels);
-                        if let Some(extra) = model.extra_loss(g, store_ref, &batch, &mut opts) {
-                            let w = g.tape.scale(extra, extra_loss_weight);
-                            l = g.tape.add(l, w);
-                        }
-                        Some(l)
-                    } else {
-                        None
-                    };
-                    if let Some(method) = ssl {
-                        if let Some(aux) =
-                            method.ssl_loss(g, store_ref, model.embedding(), &batch, opts.rng)
-                        {
-                            loss = Some(match loss {
-                                Some(l) => g.tape.add(l, aux),
-                                None => aux,
-                            });
-                        }
+                let job = &slot.job;
+                // Clone, never advance, the pristine stream: a retried
+                // attempt replays exactly the same randomness.
+                let mut wrng = job.rng0.clone();
+                let batch = Batch::from_samples(&job.refs, schema);
+                let g = &mut slot.graph;
+                g.reset(store_ref);
+                let bindings: Vec<(DenseId, Var)> = dense_ids
+                    .iter()
+                    .map(|&id| (id, g.param(store_ref, id)))
+                    .collect();
+                let mut opts = ForwardOpts {
+                    training: true,
+                    rng: &mut wrng,
+                };
+                let mut loss = if ctr_loss {
+                    let logits = model.forward(g, store_ref, &batch, &mut opts);
+                    let labels = Tensor::from_vec(batch.size, 1, batch.labels.clone());
+                    let mut l = g.tape.bce_with_logits_mean(logits, labels);
+                    if let Some(extra) = model.extra_loss(g, store_ref, &batch, &mut opts) {
+                        let w = g.tape.scale(extra, extra_loss_weight);
+                        l = g.tape.add(l, w);
                     }
-                    let mut out = loss.map(|l| {
-                        // rows/batch weighting: the micro losses sum to the
-                        // minibatch mean the serial loop used to compute.
-                        let scaled = g.tape.scale(l, batch.size as f32 / mb_rows as f32);
-                        let value = g.tape.value(scaled).item() as f64;
-                        let grads = g.tape.backward(scaled);
-                        MicroOut {
-                            loss: value,
-                            grads,
-                            bindings,
-                        }
-                    });
-                    if let Some(o) = out.as_mut() {
-                        if job.poison_loss {
-                            o.loss = f64::NAN;
-                        }
-                        if job.poison_batch {
-                            if let Some(row) = o
-                                .grads
-                                .sparse
-                                .first_mut()
-                                .and_then(|sg| sg.grad_rows.as_mut_slice().first_mut())
-                            {
-                                *row = f32::NAN;
-                            }
-                        }
+                    Some(l)
+                } else {
+                    None
+                };
+                if let Some(method) = ssl {
+                    if let Some(aux) =
+                        method.ssl_loss(g, store_ref, model.embedding(), &batch, opts.rng)
+                    {
+                        loss = Some(match loss {
+                            Some(l) => g.tape.add(l, aux),
+                            None => aux,
+                        });
                     }
-                    slot.outs.push(out);
                 }
+                let mut out = loss.map(|l| {
+                    // rows/batch weighting: the micro losses sum to the
+                    // minibatch mean the serial loop used to compute.
+                    let scaled = g.tape.scale(l, batch.size as f32 / mb_rows as f32);
+                    let value = g.tape.value(scaled).item() as f64;
+                    let grads = g.tape.backward(scaled);
+                    MicroOut {
+                        loss: value,
+                        grads,
+                        bindings,
+                    }
+                });
+                if let Some(o) = out.as_mut() {
+                    if job.poison_loss {
+                        o.loss = f64::NAN;
+                    }
+                    if job.poison_batch {
+                        if let Some(row) = o
+                            .grads
+                            .sparse
+                            .first_mut()
+                            .and_then(|sg| sg.grad_rows.as_mut_slice().first_mut())
+                        {
+                            *row = f32::NAN;
+                        }
+                    }
+                }
+                slot.out = out;
             };
 
             let shard_scope = miss_util::profile::scope("train/forward_backward");
             let dispatched = if attempt == 1 {
-                try_par_for_each_mut(&mut slots[..n_tasks], &run_slot)
+                try_par_for_each_mut(&mut slots[..n_micros], &run_slot)
             } else {
                 // Serial recomputation: pinned to one thread, it is exactly
                 // the unsharded schedule the determinism contract equates
                 // with the parallel one (see the bit-identity tests).
                 miss_parallel::with_threads(1, || {
-                    try_par_for_each_mut(&mut slots[..n_tasks], &run_slot)
+                    try_par_for_each_mut(&mut slots[..n_micros], &run_slot)
                 })
             };
             drop(shard_scope);
@@ -390,9 +375,8 @@ pub fn train_epoch(
                 break;
             }
 
-            // Ordered reduction, pairwise in a fixed tree: flatten the
-            // outputs into micro index order (tasks hold consecutive micros,
-            // so slot order is micro order), then merge adjacent survivors
+            // Ordered reduction, pairwise in a fixed tree: take the outputs
+            // in micro index order (slot order), then merge adjacent survivors
             // at doubling gaps — (0,1)(2,3)… then (0,2)(4,6)… then (0,4)…
             // The shape of the tree is a pure function of the micro count,
             // never the thread count, and adjacent-pair merging keeps the
@@ -401,13 +385,12 @@ pub fn train_epoch(
             let merge_scope = miss_util::profile::scope("train/merge");
             flat.clear();
             let mut batch_loss = 0.0f64;
-            for slot in slots[..n_tasks].iter_mut() {
-                for out in slot.outs.drain(..) {
-                    if let Some(out) = &out {
-                        batch_loss += out.loss;
-                    }
-                    flat.push(out);
+            for slot in slots[..n_micros].iter_mut() {
+                let out = slot.out.take();
+                if let Some(out) = &out {
+                    batch_loss += out.loss;
                 }
+                flat.push(out);
             }
             // Every micro binds the dense params in store order on a freshly
             // reset graph, so the Var bindings are identical across micros;
@@ -514,20 +497,16 @@ pub fn fit(
     dataset: &Dataset,
     cfg: &TrainConfig,
 ) -> FitOutcome {
-    let mut adam = Adam::new(cfg.lr, cfg.l2);
-    let mut rng = Rng::new(cfg.seed ^ 0xF17);
+    let mut trainer = Trainer::new(cfg.clone());
     let mut best_valid = EvalResult {
         auc: f64::NEG_INFINITY,
         logloss: f64::INFINITY,
     };
     let mut best_snap = store.snapshot();
     let mut bad_epochs = 0usize;
-    let mut epochs = 0usize;
     let mut skipped_steps = 0usize;
     for _ in 0..cfg.max_epochs {
-        epochs += 1;
-        skipped_steps +=
-            train_epoch(model, ssl, store, &mut adam, dataset, cfg, &mut rng, true).skipped_steps;
+        skipped_steps += trainer.train_epoch(model, ssl, store, dataset).skipped_steps;
         let valid = evaluate(model, store, &dataset.valid, &dataset.schema, 256);
         if valid.auc > best_valid.auc {
             best_valid = valid;
@@ -545,7 +524,7 @@ pub fn fit(
     FitOutcome {
         test,
         valid: best_valid,
-        epochs,
+        epochs: trainer.epoch() as usize,
         skipped_steps,
     }
 }
@@ -640,20 +619,18 @@ mod tests {
         assert!(out.test.auc > 0.55, "MISS-Pre AUC {}", out.test.auc);
     }
 
-    /// The sharded path is adaptive now (minibatches below
-    /// `parallel_min_rows` run unsharded), so force sharding and pin the
-    /// tree-merge reduction's bit-identity across thread counts and task
-    /// groupings — the invariants the old left-fold guaranteed.
+    /// The sharded path is adaptive (minibatches below `parallel_min_rows`
+    /// run unsharded), so force sharding and pin the tree-merge reduction's
+    /// bit-identity across thread counts.
     #[test]
-    fn forced_sharding_bit_identical_across_threads_and_grouping() {
+    fn forced_sharding_bit_identical_across_threads() {
         let dataset = Dataset::generate(WorldConfig::tiny(), 17);
-        let run = |threads: usize, group: usize| {
+        let run = |threads: usize| {
             let mut store = ParamStore::new();
             let mut rng = Rng::new(9);
             let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
             let mut cfg = quick_cfg(9);
             cfg.parallel_min_rows = 0; // every minibatch shards
-            cfg.micro_batches_per_task = group;
             let mut adam = Adam::new(cfg.lr, cfg.l2);
             let mut epoch_rng = Rng::new(cfg.seed);
             miss_parallel::with_threads(threads, || {
@@ -663,9 +640,9 @@ mod tests {
                 (out.mean_loss.to_bits(), store.params_fingerprint())
             })
         };
-        let base = run(1, 1);
-        for (threads, group) in [(2, 1), (4, 1), (4, 1024), (2, 2)] {
-            assert_eq!(base, run(threads, group), "sharded @{threads}t group {group}");
+        let base = run(1);
+        for threads in [2, 4] {
+            assert_eq!(base, run(threads), "sharded @{threads}t");
         }
     }
 

@@ -229,21 +229,27 @@ impl Experiment {
     /// architecture a checkpoint expects (including the SSL parameters a
     /// `--miss` run registers, which a base-only rebuild would miscount).
     pub fn build_model(&self, schema: &Schema, seed: u64) -> (ParamStore, Box<dyn CtrModel>) {
+        let (store, model, _ssl) = self.build_with_ssl(schema, seed);
+        (store, model)
+    }
+
+    /// The one registration site: a fresh store, the init RNG stream for
+    /// `seed`, the base model, then the SSL plug-in on the same stream.
+    fn build_with_ssl(
+        &self,
+        schema: &Schema,
+        seed: u64,
+    ) -> (ParamStore, Box<dyn CtrModel>, Option<Box<dyn SslMethod>>) {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(seed ^ 0xE9);
         let model = self.base.build(&mut store, schema, &self.model_cfg, &mut rng);
-        let _ssl = self.ssl.build(&mut store, model.embedding(), &mut rng);
-        (store, model)
+        let ssl = self.ssl.build(&mut store, model.embedding(), &mut rng);
+        (store, model, ssl)
     }
 
     /// Run once with the given seed; returns best-validation test metrics.
     pub fn run(&self, dataset: &Dataset, seed: u64) -> FitOutcome {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::new(seed ^ 0xE9);
-        let model = self
-            .base
-            .build(&mut store, &dataset.schema, &self.model_cfg, &mut rng);
-        let ssl = self.ssl.build(&mut store, model.embedding(), &mut rng);
+        let (mut store, model, ssl) = self.build_with_ssl(&dataset.schema, seed);
         let mut cfg = self.train_cfg.clone();
         cfg.seed = seed;
         match (&ssl, self.pretrain_epochs) {
@@ -273,15 +279,7 @@ impl Experiment {
         // Model/SSL construction is deterministic given the seed, so a fresh
         // build per ring-resume candidate rebuilds identical param ids — a
         // half-loaded store from a corrupt slot is simply thrown away.
-        let build = || {
-            let mut store = ParamStore::new();
-            let mut rng = Rng::new(seed ^ 0xE9);
-            let model = self
-                .base
-                .build(&mut store, &dataset.schema, &self.model_cfg, &mut rng);
-            let ssl = self.ssl.build(&mut store, model.embedding(), &mut rng);
-            (store, model, ssl)
-        };
+        let build = || self.build_with_ssl(&dataset.schema, seed);
         let mut cfg = self.train_cfg.clone();
         cfg.seed = seed;
         let ring = self

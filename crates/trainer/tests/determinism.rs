@@ -132,15 +132,14 @@ enum Family {
     DinMiss,
 }
 
-/// Run a full 3-epoch `fit()` under the given thread count and task
-/// grouping and return the bitwise fingerprint of every final weight plus
-/// the outcome metrics' raw bits.
-fn train_fingerprint(family: Family, threads: usize, micros_per_task: usize) -> (u64, u64, u64) {
+/// Run a full 3-epoch `fit()` under the given thread count and return the
+/// bitwise fingerprint of every final weight plus the outcome metrics' raw
+/// bits.
+fn train_fingerprint(family: Family, threads: usize) -> (u64, u64, u64) {
     let dataset = Dataset::generate(WorldConfig::tiny(), 21);
     let mut store = ParamStore::new();
     let mut rng = Rng::new(4);
-    let mut cfg = quick_cfg(4);
-    cfg.micro_batches_per_task = micros_per_task;
+    let cfg = quick_cfg(4);
     miss_parallel::with_threads(threads, || {
         let out = match family {
             Family::Din => {
@@ -173,31 +172,14 @@ fn trained_weights_bit_identical_across_thread_counts() {
     // and the gradient reduction order are all thread-count independent, so
     // the fitted weights must match to the last bit.
     for family in [Family::Din, Family::Dien, Family::DinMiss] {
-        let serial = train_fingerprint(family, 1, 1);
+        let serial = train_fingerprint(family, 1);
         for threads in [2, 4] {
             assert_eq!(
                 serial,
-                train_fingerprint(family, threads, 1),
+                train_fingerprint(family, threads),
                 "fit() weights differ at {threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn trained_weights_invariant_to_task_grouping() {
-    // micro_batches_per_task only changes how micro-batches are packed into
-    // pool tasks (1 micro per task vs all micros in one task); the reduction
-    // is per-micro in index order either way, so weights must be identical.
-    for family in [Family::Din, Family::DinMiss] {
-        let one_per_task = train_fingerprint(family, 4, 1);
-        let single_task = train_fingerprint(family, 4, 1024);
-        assert_eq!(
-            one_per_task, single_task,
-            "task grouping changed the fitted weights"
-        );
-        let pairs = train_fingerprint(family, 2, 2);
-        assert_eq!(one_per_task, pairs, "grouping micros in pairs changed the weights");
     }
 }
 

@@ -47,6 +47,18 @@ impl Args {
     fn has(&self, flag: &str) -> bool {
         self.values.iter().any(|a| a == flag)
     }
+
+    /// `flag`'s value parsed as `T`, or `default` when absent; a malformed
+    /// value is a usage error (exit 2).
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        match self.get(flag) {
+            Some(s) => s.parse().unwrap_or_else(|_| {
+                eprintln!("bad value for {flag}: {s}");
+                usage()
+            }),
+            None => default,
+        }
+    }
 }
 
 fn usage() -> ! {
@@ -69,7 +81,7 @@ fn usage() -> ! {
 }
 
 fn world(args: &Args) -> WorldConfig {
-    let scale: f64 = args.get("--scale").map(|s| s.parse().unwrap()).unwrap_or(1.0);
+    let scale: f64 = args.parsed("--scale", 1.0);
     match args.get("--dataset").unwrap_or_else(|| usage()) {
         "cds" => WorldConfig::amazon_cds(scale),
         "books" => WorldConfig::amazon_books(scale),
@@ -114,17 +126,13 @@ fn main() {
             } else {
                 SslKind::None
             };
-            let seed: u64 = args.get("--seed").map(|s| s.parse().unwrap()).unwrap_or(0);
+            let seed: u64 = args.parsed("--seed", 0);
             let mut e = Experiment::new(base, ssl);
-            if let Some(epochs) = args.get("--epochs") {
-                e.train_cfg.max_epochs = epochs.parse().unwrap();
-            }
+            e.train_cfg.max_epochs = args.parsed("--epochs", e.train_cfg.max_epochs);
             e.checkpoint_out = args.get("--out").map(PathBuf::from);
             e.resume_from = args.get("--resume").map(PathBuf::from);
             e.ring_dir = args.get("--ring").map(PathBuf::from);
-            if let Some(keep) = args.get("--keep") {
-                e.ring_keep = keep.parse().unwrap_or_else(|_| usage());
-            }
+            e.ring_keep = args.parsed("--keep", e.ring_keep);
             println!("training {} on {} (seed {seed})...", e.label(), dataset.name);
             let checkpointed =
                 e.checkpoint_out.is_some() || e.resume_from.is_some() || e.ring_dir.is_some();
@@ -162,7 +170,7 @@ fn main() {
             } else {
                 SslKind::None
             };
-            let seed: u64 = args.get("--seed").map(|s| s.parse().unwrap()).unwrap_or(0);
+            let seed: u64 = args.parsed("--seed", 0);
             let exp = Experiment::new(base, ssl);
             let ckpt = PathBuf::from(args.get("--ckpt").unwrap_or_else(|| usage()));
             // Every base model evaluates through the serving engine's
