@@ -94,23 +94,6 @@ impl Tape {
         })
     }
 
-    /// `ln(max(x, eps))` — the clamp keeps log-loss style expressions finite.
-    pub fn ln_clamped(&mut self, x: Var, eps: f32) -> Var {
-        let value = self.value(x).map(|v| v.max(eps).ln());
-        self.push_op(&[x], value, move |g, vals, ctx| {
-            let dx = Tensor::from_vec(
-                g.rows(),
-                g.cols(),
-                g.as_slice()
-                    .iter()
-                    .zip(vals[x.0].as_slice())
-                    .map(|(&gv, &xv)| if xv > eps { gv / xv } else { 0.0 })
-                    .collect(),
-            );
-            ctx.accum(x, dx);
-        })
-    }
-
     /// Multiply by a fixed 0/1 (or scaled) mask — inverted dropout and
     /// attention masking. The mask is plain data, not a tape value.
     pub fn mask(&mut self, x: Var, mask: Tensor) -> Var {
@@ -194,19 +177,6 @@ mod tests {
             |t, vs| {
                 let y = t.exp(vs[0]);
                 t.mean_all(y)
-            },
-            5e-2,
-        );
-    }
-
-    #[test]
-    fn grad_ln() {
-        let x = Tensor::from_fn(2, 3, |r, c| 0.5 + 0.3 * (r as f32) + 0.2 * (c as f32));
-        check(
-            &[x],
-            |t, vs| {
-                let y = t.ln_clamped(vs[0], 1e-6);
-                t.sum_all(y)
             },
             5e-2,
         );

@@ -39,13 +39,6 @@ impl Tape {
         })
     }
 
-    /// Row means as an `R×1` column.
-    pub fn row_mean(&mut self, x: Var) -> Var {
-        let (_, c) = self.shape(x);
-        let s = self.row_sum(x);
-        self.scale(s, 1.0 / c as f32)
-    }
-
     /// Numerically stable row-wise softmax.
     pub fn softmax_rows(&mut self, x: Var) -> Var {
         let value = self.value(x).row_softmax();

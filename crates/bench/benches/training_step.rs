@@ -177,15 +177,4 @@ fn main() {
         epoch_case(&format!("train_epoch_parallel_b{batch}"), batch, false, &mut training);
     }
     training.finish();
-
-    // With MISS_PROFILE set, the per-phase scope timers inside train_epoch
-    // were live; drop their aggregate beside the bench JSON.
-    if miss_util::profile::enabled() {
-        let dir = std::env::var("TESTKIT_BENCH_DIR").unwrap_or_else(|_| ".".into());
-        let path = std::path::Path::new(&dir).join("PROFILE_training.json");
-        match miss_util::profile::write_json(&path) {
-            Ok(()) => println!("training: wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
 }

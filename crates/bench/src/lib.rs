@@ -18,31 +18,24 @@ pub struct ExpOpts {
 }
 
 impl ExpOpts {
-    /// Parse `--scale X --reps N --smoke` from `std::env::args`.
+    /// Parse `--scale X --reps N --smoke` from `std::env::args`. A missing
+    /// or malformed value, or an unknown flag, is a usage error (exit 2).
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
         let mut opts = ExpOpts {
             scale: 1.0,
             reps: 3,
             smoke: false,
         };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    opts.scale = args[i + 1].parse().expect("bad --scale");
-                    i += 2;
-                }
-                "--reps" => {
-                    opts.reps = args[i + 1].parse().expect("bad --reps");
-                    i += 2;
-                }
+        let mut args = std::env::args().skip(1);
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--scale" => opts.scale = parsed(&flag, args.next()),
+                "--reps" => opts.reps = parsed(&flag, args.next()),
                 "--smoke" => {
                     opts.smoke = true;
                     opts.reps = 1;
-                    i += 1;
                 }
-                other => panic!("unknown argument {other}"),
+                other => usage(&format!("unknown argument {other}")),
             }
         }
         opts
@@ -68,6 +61,19 @@ impl ExpOpts {
             e.train_cfg.patience = 0;
         }
     }
+}
+
+/// `flag`'s value parsed as `T`; a missing or malformed value exits 2.
+fn parsed<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    let value = value.unwrap_or_default();
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad value for {flag}: {value}")))
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\nusage: [--scale F] [--reps N] [--smoke]");
+    std::process::exit(2)
 }
 
 /// Generate the dataset for a world with the canonical seed.

@@ -246,15 +246,6 @@ impl Dataset {
         }
     }
 
-    /// Mutable borrow of a split (used by the case-study transforms).
-    pub fn split_mut(&mut self, s: Split) -> &mut Vec<Sample> {
-        match s {
-            Split::Train => &mut self.train,
-            Split::Valid => &mut self.valid,
-            Split::Test => &mut self.test,
-        }
-    }
-
     /// Table III analogue statistics.
     #[expect(
         clippy::indexing_slicing,

@@ -40,7 +40,6 @@
 mod batch;
 mod config;
 mod dataset;
-mod export;
 mod requests;
 mod transforms;
 mod world;

@@ -232,89 +232,5 @@ mod property_tests {
             let l = logloss(&probs, &labels);
             prop_assert!(l.is_finite() && l >= 0.0, "logloss {}", l);
         }
-
-        fn gauc_always_in_unit_interval(pairs in vec_of((0.0f32..1.0, bools(), 0u32..5), 1..64)) {
-            let scores: Vec<f32> = pairs.iter().map(|&(s, _, _)| s).collect();
-            let labels: Vec<f32> = pairs.iter().map(|&(_, y, _)| y as u8 as f32).collect();
-            let groups: Vec<u32> = pairs.iter().map(|&(_, _, g)| g).collect();
-            let g = gauc(&scores, &labels, &groups);
-            prop_assert!((0.0..=1.0).contains(&g), "GAUC {} out of bounds", g);
-        }
-    }
-}
-
-/// Group AUC (GAUC): the impression-weighted average of per-user AUCs, as
-/// introduced for production CTR evaluation by the DIN paper. Users whose
-/// group contains only one class are skipped (their AUC is undefined).
-///
-/// Returns 0.5 when no group is scoreable.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "the three slices are asserted to have equal lengths"
-)]
-pub fn gauc(scores: &[f32], labels: &[f32], groups: &[u32]) -> f64 {
-    assert_eq!(scores.len(), labels.len());
-    assert_eq!(scores.len(), groups.len());
-    // BTreeMap, not HashMap: the weighted f64 accumulation below runs in
-    // iteration order, and hash order is per-process random (RandomState) —
-    // with a hash map the last bits of GAUC change from run to run.
-    use std::collections::BTreeMap;
-    let mut by_group: BTreeMap<u32, (Vec<f32>, Vec<f32>)> = BTreeMap::new();
-    for i in 0..scores.len() {
-        let e = by_group.entry(groups[i]).or_default();
-        e.0.push(scores[i]);
-        e.1.push(labels[i]);
-    }
-    let mut weighted = 0.0f64;
-    let mut weight = 0.0f64;
-    for (s, l) in by_group.values() {
-        let pos = l.iter().filter(|&&y| y > 0.5).count();
-        if pos == 0 || pos == l.len() {
-            continue;
-        }
-        weighted += auc(s, l) * l.len() as f64;
-        weight += l.len() as f64;
-    }
-    if weight == 0.0 {
-        0.5
-    } else {
-        weighted / weight
-    }
-}
-
-#[cfg(test)]
-mod gauc_tests {
-    use super::*;
-
-    #[test]
-    fn gauc_matches_auc_for_single_group() {
-        let scores = [0.1f32, 0.4, 0.35, 0.8];
-        let labels = [0.0f32, 0.0, 1.0, 1.0];
-        let groups = [7u32; 4];
-        assert!((gauc(&scores, &labels, &groups) - auc(&scores, &labels)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gauc_ignores_single_class_groups() {
-        // group 1 perfect, group 2 all positives (skipped)
-        let scores = [0.9f32, 0.1, 0.5, 0.6];
-        let labels = [1.0f32, 0.0, 1.0, 1.0];
-        let groups = [1u32, 1, 2, 2];
-        assert_eq!(gauc(&scores, &labels, &groups), 1.0);
-    }
-
-    #[test]
-    fn gauc_weights_by_group_size() {
-        // group A (2 samples): AUC 1; group B (4 samples): AUC 0.
-        let scores = [0.9f32, 0.1, 0.1, 0.2, 0.8, 0.9];
-        let labels = [1.0f32, 0.0, 1.0, 1.0, 0.0, 0.0];
-        let groups = [1u32, 1, 2, 2, 2, 2];
-        let expect = (1.0 * 2.0 + 0.0 * 4.0) / 6.0;
-        assert!((gauc(&scores, &labels, &groups) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gauc_degenerate_is_half() {
-        assert_eq!(gauc(&[0.5], &[1.0], &[1]), 0.5);
     }
 }

@@ -94,18 +94,6 @@ impl EmbeddingLayer {
     pub fn mask_col_tensor(&self, batch: &Batch) -> Tensor {
         Tensor::from_vec(batch.mask.len(), 1, batch.mask.clone())
     }
-
-    /// Per-sample history lengths as a `B×1` tensor (min 1 to avoid division
-    /// by zero on fully padded rows, which the data pipeline never produces).
-    pub fn hist_len_tensor(&self, batch: &Batch) -> Tensor {
-        Tensor::from_vec(
-            batch.size,
-            1,
-            (0..batch.size)
-                .map(|i| (batch.hist_len(i).max(1)) as f32)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

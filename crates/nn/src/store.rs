@@ -152,11 +152,6 @@ impl ParamStore {
         &self.tables[id.0]
     }
 
-    /// Mutable access to an embedding table's weights.
-    pub fn table_value_mut(&mut self, id: TableId) -> &mut Tensor {
-        &mut self.tables[id.0].value
-    }
-
     /// Total number of scalar parameters (dense + embeddings).
     pub fn num_params(&self) -> usize {
         self.dense.iter().map(|p| p.value.len()).sum::<usize>()
@@ -169,11 +164,6 @@ impl ParamStore {
     /// numbering), which is what makes their gradient lists zip-mergeable.
     pub fn dense_ids(&self) -> Vec<DenseId> {
         (0..self.dense.len()).map(DenseId).collect()
-    }
-
-    /// Names of all registered dense parameters (diagnostics).
-    pub fn dense_names(&self) -> Vec<&str> {
-        self.dense.iter().map(|p| p.name.as_str()).collect()
     }
 
     /// Number of registered dense parameters.

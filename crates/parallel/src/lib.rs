@@ -10,9 +10,9 @@
 //! * Each chunk's result depends only on its chunk index (workers share no
 //!   mutable state beyond the claim counter), and chunk outputs are written
 //!   into pre-sized, disjoint slots by index.
-//! * Reductions ([`par_map_reduce`]) fold the per-chunk results serially in
-//!   chunk order after all workers finish, so floating-point rounding is the
-//!   same whether one thread or sixteen computed the chunks.
+//! * [`par_map`] returns the per-chunk results in chunk order, and callers
+//!   fold them serially after all workers finish, so floating-point rounding
+//!   is the same whether one thread or sixteen computed the chunks.
 //!
 //! The pool is `std::thread::scope`-based: workers are spawned per call and
 //! joined before returning, so closures may borrow from the caller's stack.
@@ -201,18 +201,6 @@ pub fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         .collect()
 }
 
-/// [`par_map`] followed by a serial, index-ordered fold. The reduction
-/// order is fixed, so floating-point accumulation is bit-identical for any
-/// thread count.
-pub fn par_map_reduce<R: Send, A>(
-    n: usize,
-    map: impl Fn(usize) -> R + Sync,
-    init: A,
-    reduce: impl FnMut(A, R) -> A,
-) -> A {
-    par_map(n, map).into_iter().fold(init, reduce)
-}
-
 /// Split `data` into consecutive chunks of `chunk_len` (last one shorter)
 /// and run `f(chunk_index, start_offset, chunk)` on each in parallel.
 ///
@@ -241,20 +229,6 @@ pub fn par_chunks_mut<T: Send>(
         let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(start), end - start) };
         f(ci, start, chunk);
     });
-}
-
-/// Run `f(i, &mut items[i])` for every item in parallel: the per-index
-/// special case of [`par_chunks_mut`]. Each worker gets exclusive `&mut`
-/// access to exactly one slot at a time, so long-lived per-worker state
-/// (scratch graphs, arenas) can live in `items` and be reused across calls
-/// with zero cloning. What `f` computes must depend on `i` and the slot
-/// alone, keeping results schedule-independent.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "par_chunks_mut with chunk_len 1 hands every task a window of exactly one element"
-)]
-pub fn par_for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    par_chunks_mut(items, 1, |i, _, chunk| f(i, &mut chunk[0]));
 }
 
 /// A worker panic contained by [`try_par_for_each_mut`]: which task
@@ -310,10 +284,16 @@ fn run_tasks_contained(n_tasks: usize, task: &(dyn Fn(usize) + Sync)) -> Result<
     Err(failures.swap_remove(0))
 }
 
-/// Fallible [`par_for_each_mut`]: worker panics are contained and returned
-/// as a typed [`PoolError`] instead of unwinding through the caller, so the
-/// caller can recompute the failed work (the trainer falls back to its
-/// serial path, which is bitwise-identical by the determinism contract).
+/// Run `f(i, &mut items[i])` for every item in parallel. Each worker gets
+/// exclusive `&mut` access to exactly one slot at a time, so long-lived
+/// per-worker state (scratch graphs, arenas) can live in `items` and be
+/// reused across calls with zero cloning. What `f` computes must depend on
+/// `i` and the slot alone, keeping results schedule-independent.
+///
+/// Worker panics are contained and returned as a typed [`PoolError`]
+/// instead of unwinding through the caller, so the caller can recompute the
+/// failed work (the trainer falls back to its serial path, which is
+/// bitwise-identical by the determinism contract).
 ///
 /// A slot whose task panicked may have been partially mutated — the caller
 /// owns re-initialising it before reuse.
@@ -322,7 +302,7 @@ fn run_tasks_contained(n_tasks: usize, task: &(dyn Fn(usize) + Sync)) -> Result<
 /// global task index is resolved via the fault registry's window cursor *on
 /// the dispatching thread* (fault plans are thread-local; workers never
 /// touch the registry), and the matching task panics. The plain
-/// [`par_for_each_mut`] / [`par_map`] paths never consult the registry, so
+/// [`par_chunks_mut`] / [`par_map`] paths never consult the registry, so
 /// kernel-level nested dispatches don't advance the window.
 #[expect(
     clippy::panic,
@@ -356,41 +336,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_for_each_mut_gives_each_slot_its_index() {
-        for threads in [1, 2, 5] {
-            let mut slots = vec![(0usize, String::new()); 23];
-            with_threads(threads, || {
-                par_for_each_mut(&mut slots, |i, s| {
-                    s.0 = i * 3;
-                    s.1 = format!("slot{i}");
-                });
-            });
-            for (i, s) in slots.iter().enumerate() {
-                assert_eq!(s.0, i * 3);
-                assert_eq!(s.1, format!("slot{i}"));
-            }
-        }
-    }
-
-    #[test]
     fn par_map_preserves_index_order() {
         for threads in [1, 2, 4, 7] {
             let out = with_threads(threads, || par_map(100, |i| i * i));
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_map_reduce_is_ordered_fold() {
-        // String concatenation is order-sensitive: any scheduling leak shows.
-        for threads in [1, 3, 8] {
-            let s = with_threads(threads, || {
-                par_map_reduce(26, |i| (b'a' + i as u8) as char, String::new(), |mut a, c| {
-                    a.push(c);
-                    a
-                })
-            });
-            assert_eq!(s, "abcdefghijklmnopqrstuvwxyz");
         }
     }
 
@@ -460,13 +409,11 @@ mod tests {
     #[test]
     fn try_par_for_each_mut_ok_path_matches_infallible() {
         for threads in [1, 2, 5] {
-            let mut a = vec![0usize; 23];
             let mut b = vec![0usize; 23];
             with_threads(threads, || {
-                par_for_each_mut(&mut a, |i, s| *s = i * 7 + 1);
                 try_par_for_each_mut(&mut b, |i, s| *s = i * 7 + 1).expect("no panics");
             });
-            assert_eq!(a, b);
+            assert_eq!(b, (0..23).map(|i| i * 7 + 1).collect::<Vec<_>>());
         }
     }
 

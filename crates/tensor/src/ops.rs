@@ -333,14 +333,6 @@ impl Tensor {
         }
     }
 
-    /// `self += s * other` in place (axpy).
-    pub fn add_scaled_assign(&mut self, other: &Tensor, s: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled_assign shape mismatch");
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += s * b;
-        }
-    }
-
     /// Add a `1×cols` row vector to every row (bias broadcast).
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
         assert_eq!(bias.rows(), 1, "bias must be a row vector");

@@ -120,11 +120,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Read one element.
     #[inline]
     #[expect(

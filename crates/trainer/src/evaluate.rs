@@ -103,39 +103,3 @@ mod tests {
         assert!(r.logloss > 0.5 && r.logloss < 1.0, "logloss {}", r.logloss);
     }
 }
-
-/// Per-user Group AUC over a split (weighted per the DIN paper); the user id
-/// is categorical field 0 in every schema this workspace produces.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "every schema has the user id as categorical field 0"
-)]
-pub fn evaluate_gauc(
-    model: &dyn CtrModel,
-    store: &ParamStore,
-    samples: &[Sample],
-    schema: &Schema,
-    batch_size: usize,
-) -> f64 {
-    let scores = scores(model, store, samples, schema, batch_size);
-    let labels: Vec<f32> = samples.iter().map(|s| s.label).collect();
-    let users: Vec<u32> = samples.iter().map(|s| s.cat[0]).collect();
-    miss_metrics::gauc(&scores, &labels, &users)
-}
-
-#[cfg(test)]
-mod gauc_tests {
-    use super::*;
-    use miss_data::{Dataset, WorldConfig};
-    use miss_models::{Din, ModelConfig};
-
-    #[test]
-    fn gauc_in_unit_interval_and_near_auc() {
-        let dataset = Dataset::generate(WorldConfig::tiny(), 3);
-        let mut store = ParamStore::new();
-        let mut rng = Rng::new(1);
-        let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-        let g = evaluate_gauc(&model, &store, &dataset.test, &dataset.schema, 64);
-        assert!((0.0..=1.0).contains(&g));
-    }
-}

@@ -347,7 +347,6 @@ pub fn train_epoch(
                 slot.out = out;
             };
 
-            let shard_scope = miss_util::profile::scope("train/forward_backward");
             let dispatched = if attempt == 1 {
                 try_par_for_each_mut(&mut slots[..n_micros], &run_slot)
             } else {
@@ -358,7 +357,6 @@ pub fn train_epoch(
                     try_par_for_each_mut(&mut slots[..n_micros], &run_slot)
                 })
             };
-            drop(shard_scope);
             if let Err(e) = dispatched {
                 outcome.recovered_panics += 1;
                 if attempt == 1 {
@@ -382,7 +380,6 @@ pub fn train_epoch(
             // never the thread count, and adjacent-pair merging keeps the
             // concatenated sparse gradient stream in micro order, same as
             // the old left fold.
-            let merge_scope = miss_util::profile::scope("train/merge");
             flat.clear();
             let mut batch_loss = 0.0f64;
             for slot in slots[..n_micros].iter_mut() {
@@ -419,7 +416,6 @@ pub fn train_epoch(
                 }
                 gap *= 2;
             }
-            drop(merge_scope);
             if let Some(mut merged) = flat.first_mut().and_then(Option::take) {
                 if miss_fault::active() && miss_fault::hit(SITE_NAN_GRAD) {
                     if let Some(sg) = merged.grads.sparse.first_mut() {
@@ -443,9 +439,7 @@ pub fn train_epoch(
                     outcome.skipped_steps += 1;
                     break;
                 }
-                let step_scope = miss_util::profile::scope("train/adam");
                 adam.step_with_bindings(store, &merged.bindings, merged.grads);
-                drop(step_scope);
                 total += batch_loss;
                 outcome.batches += 1;
             }
@@ -679,88 +673,5 @@ mod tests {
             fit(&model, None, &mut store, &dataset, &quick_cfg(seed)).test.auc
         };
         assert_eq!(run(3), run(3), "same seed must reproduce exactly");
-    }
-}
-
-/// A candidate hyper-parameter configuration for [`grid_search`].
-#[derive(Clone, Debug)]
-pub struct GridPoint {
-    /// Learning rate.
-    pub lr: f32,
-    /// L2 weight.
-    pub l2: f32,
-    /// Dropout ratio (applied via the model config by the caller's builder).
-    pub dropout: f32,
-}
-
-/// Validation-based hyper-parameter search (the paper's protocol, §VI-A5:
-/// lr, L2 and dropout are tuned on the validation set). Builds a fresh model
-/// per grid point with `build`, fits it, and returns the point with the best
-/// validation AUC together with its outcome.
-#[expect(
-    clippy::unreachable,
-    reason = "the grid is asserted non-empty, so best is always set"
-)]
-pub fn grid_search(
-    points: &[GridPoint],
-    dataset: &Dataset,
-    base_cfg: &TrainConfig,
-    mut build: impl FnMut(&GridPoint, &mut ParamStore) -> Box<dyn CtrModel>,
-) -> (GridPoint, FitOutcome) {
-    assert!(!points.is_empty(), "empty grid");
-    let mut best: Option<(GridPoint, FitOutcome)> = None;
-    for point in points {
-        let mut store = ParamStore::new();
-        let model = build(point, &mut store);
-        let cfg = TrainConfig {
-            lr: point.lr,
-            l2: point.l2,
-            ..base_cfg.clone()
-        };
-        let out = fit(model.as_ref(), None, &mut store, dataset, &cfg);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => out.valid.auc > b.valid.auc,
-        };
-        if better {
-            best = Some((point.clone(), out));
-        }
-    }
-    let Some(best) = best else {
-        unreachable!("grid asserted non-empty above")
-    };
-    best
-}
-
-#[cfg(test)]
-mod grid_tests {
-    use super::*;
-    use miss_data::WorldConfig;
-    use miss_models::{Fm, ModelConfig};
-    use miss_util::Rng;
-
-    #[test]
-    fn grid_search_picks_a_point_and_reports_best_validation() {
-        let dataset = Dataset::generate(WorldConfig::tiny(), 31);
-        let points = vec![
-            GridPoint { lr: 1e-2, l2: 1e-4, dropout: 0.0 },
-            GridPoint { lr: 1e-4, l2: 1e-4, dropout: 0.0 }, // too slow to learn
-        ];
-        let base = TrainConfig {
-            max_epochs: 3,
-            patience: 0,
-            ..TrainConfig::default()
-        };
-        let (chosen, out) = grid_search(&points, &dataset, &base, |p, store| {
-            let mut rng = Rng::new(7);
-            let mc = ModelConfig {
-                dropout: p.dropout,
-                ..ModelConfig::default()
-            };
-            Box::new(Fm::new(store, &dataset.schema, &mc, &mut rng))
-        });
-        assert!(out.valid.auc > 0.5);
-        // with 3 epochs the healthy learning rate must win
-        assert_eq!(chosen.lr, 1e-2);
     }
 }

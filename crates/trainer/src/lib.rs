@@ -22,13 +22,12 @@ mod registry;
 mod ring;
 
 pub use checkpoint::Trainer;
-pub use evaluate::{evaluate, evaluate_gauc, EvalResult};
+pub use evaluate::{evaluate, EvalResult};
 pub use miss_codec::{RetryPolicy, TrainProgress};
 pub use miss_util::{MissError, MissResult};
 pub use fit::{
-    fit, fit_pretrain, grid_search, micro_batch_len, train_epoch, EpochOutcome, FitOutcome,
-    GridPoint, TrainConfig, MIN_MICRO_ROWS, SITE_BATCH_CORRUPT, SITE_NAN_GRAD, SITE_NAN_LOSS,
-    TRAIN_MICRO_CHUNKS,
+    fit, fit_pretrain, micro_batch_len, train_epoch, EpochOutcome, FitOutcome, TrainConfig,
+    MIN_MICRO_ROWS, SITE_BATCH_CORRUPT, SITE_NAN_GRAD, SITE_NAN_LOSS, TRAIN_MICRO_CHUNKS,
 };
 pub use registry::{BaseModel, Experiment, SslKind, ALL_BASELINES, RING_KEEP_DEFAULT};
 pub use ring::{CheckpointRing, RingResume};

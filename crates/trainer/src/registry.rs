@@ -407,6 +407,27 @@ mod tests {
             assert!(out.test.auc.is_finite(), "{} failed", e.label());
         }
     }
+
+    /// The training benchmark registers DIN-MISS by hand rather than
+    /// through `Experiment`: a fresh store, `Rng::new(seed ^ 0xE9)`, the
+    /// base model, then `Miss::new` on the same stream. This pins that
+    /// derivation, so changing one side without the other fails here.
+    #[test]
+    fn din_miss_registration_matches_the_hand_built_store() {
+        let schema = Dataset::generate(WorldConfig::tiny(), 5).schema;
+        let e = Experiment::new(BaseModel::Din, SslKind::Miss(MissConfig::default()));
+        for seed in [0, 7, 42] {
+            let (store, _) = e.build_model(&schema, seed);
+            let mut hand = ParamStore::new();
+            let mut rng = Rng::new(seed ^ 0xE9);
+            let model = BaseModel::Din.build(&mut hand, &schema, &ModelConfig::default(), &mut rng);
+            Miss::new(&mut hand, model.embedding(), MissConfig::default(), &mut rng);
+            assert_eq!(store.num_dense(), hand.num_dense(), "seed {seed}");
+            assert_eq!(store.num_tables(), hand.num_tables(), "seed {seed}");
+            assert_eq!(store.num_params(), hand.num_params(), "seed {seed}");
+            assert_eq!(store.params_fingerprint(), hand.params_fingerprint(), "seed {seed}");
+        }
+    }
 }
 
 #[cfg(test)]

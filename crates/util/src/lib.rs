@@ -23,7 +23,6 @@
 mod error;
 mod math;
 mod order;
-pub mod profile;
 mod rng;
 mod sample;
 mod stats;

@@ -122,6 +122,11 @@ for f in BENCH_kernels.json BENCH_training_step.json BENCH_training.json BENCH_d
 done
 [[ "$missing" -eq 0 ]] || exit 1
 
+# The bench gates do not stop at the first failure: each one runs, a
+# failure is recorded by name, and one summary line lists every gate that
+# failed before the script exits 1.
+failed_gates=()
+
 # The kernels baseline deliberately still holds the pre-FMA medians: the
 # --max-ratio clause locks in the packed-FMA speedup (matmul_512x256x256
 # must stay >= 25% faster than that baseline, i.e. ratio <= 0.75). The
@@ -131,14 +136,16 @@ done
 echo "==> bench gate: kernels medians vs bench_baseline.json"
 python3 scripts/check_bench.py BENCH_kernels.json bench_baseline.json 0.25 \
     --max-ratio matmul_512x256x256 0.75 \
-    --require-ratio matmul_tn_128x128x20 matmul_tn_128x128x16 2.5
+    --require-ratio matmul_tn_128x128x20 matmul_tn_128x128x16 2.5 \
+    || failed_gates+=(kernels)
 
 # The training sweep gate: the adaptive sharded path must beat the forced
 # serial path at the largest swept minibatch (the crossover contract).
 echo "==> bench gate: training medians vs bench_baseline.json"
 python3 scripts/check_bench.py BENCH_training.json bench_baseline.json 0.25 \
     --require train_epoch_parallel_b4096 \
-    --require-faster train_epoch_parallel_b4096 train_epoch_serial_b4096
+    --require-faster train_epoch_parallel_b4096 train_epoch_serial_b4096 \
+    || failed_gates+=(training)
 
 # The frozen-eval gate: eval through the inference-mode graph must stay in
 # the same band as the training-graph eval (typically faster; the 1.25
@@ -147,7 +154,8 @@ python3 scripts/check_bench.py BENCH_training.json bench_baseline.json 0.25 \
 echo "==> bench gate: data_pipeline medians vs bench_baseline.json"
 python3 scripts/check_bench.py BENCH_data_pipeline.json bench_baseline.json 0.25 \
     --require eval_frozen_din \
-    --require-ratio eval_frozen_din eval_graph_din 1.25
+    --require-ratio eval_frozen_din eval_graph_din 1.25 \
+    || failed_gates+=(data_pipeline)
 
 # The serving gate: micro-batched scoring at max_batch=64 must run the same
 # queue at least 2x faster than one-request-at-a-time; the margin is
@@ -158,6 +166,12 @@ python3 scripts/check_bench.py BENCH_serving.json bench_baseline.json 0.25 \
     --require queue_solo_mb1 \
     --require queue_batch_mb64 \
     --require request_latency_mb64 \
-    --require-ratio queue_batch_mb64 queue_solo_mb1 0.5
+    --require-ratio queue_batch_mb64 queue_solo_mb1 0.5 \
+    || failed_gates+=(serving)
+
+if [[ "${#failed_gates[@]}" -gt 0 ]]; then
+    echo "FAILED bench gates: ${failed_gates[*]}" >&2
+    exit 1
+fi
 
 echo "==> OK: build, tests (both thread modes), determinism suite, benches, serving equivalence, malformed requests and bench gates green offline"
