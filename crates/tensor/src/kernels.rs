@@ -1,48 +1,38 @@
-//! Register-blocked GEMM micro-kernels.
+//! Packed-panel GEMM micro-kernels.
 //!
-//! Three variants cover every matmul/bmm path in the workspace:
-//! [`gemm_nn`] (`A @ B`), [`gemm_nt`] (`A @ Bᵀ`) and [`gemm_tn`]
-//! (`Aᵀ @ B`). Each keeps an `MR×NRW` accumulator tile in registers,
-//! streams the shared operand once per tile instead of once per output
-//! element, and unrolls the `k` loop by two. The tile bodies are generic
-//! over the tile shape and compiled twice: once for the baseline x86-64
-//! target (SSE2) and once under `#[target_feature(enable = "avx2")]` with
-//! wider column tiles, selected at runtime with `is_x86_feature_detected!`.
-//!
-//! A third instantiation — the packed FMA path below — runs under
-//! `#[target_feature(enable = "avx2,fma")]` when the CPU has both features:
-//! the shared operand is packed once per GEMM call into contiguous
-//! tile-aligned panels ([`pack_b_from_nn`]/[`pack_b_from_nt`]), the tile
-//! bodies accumulate with fused multiply-adds (`f32::mul_add`), and an
-//! optional [`GemmEpilogue`] (bias / bias+ReLU / bias+sigmoid) is applied in
+//! Every matmul and bmm in the workspace runs one data path. The shared
+//! operand B is packed once per GEMM call into contiguous tile-aligned
+//! panels ([`pack_b_from_nn`]/[`pack_b_from_nt`]), and [`gemm_packed`]
+//! streams A against those panels, six or four output rows at a time, with
+//! an optional [`GemmEpilogue`] (bias / bias+ReLU / bias+sigmoid) applied in
 //! the accumulator-store tail instead of as separate full-matrix passes.
+//!
+//! One layout, two accumulation roundings. Where cpuid reports AVX2+FMA the
+//! panel body is `fma_panel`, compiled under
+//! `#[target_feature(enable = "avx2,fma")]`; everywhere else it is the
+//! portable `plain_panel`, safe Rust over the same packed bytes.
 //!
 //! ## Determinism contract
 //!
 //! Determinism is **per-(shape, detected ISA)**, never per-thread-count.
-//! Every output element is accumulated as a single chain with `p` (the
-//! contraction index) strictly ascending; which *independent* elements are
-//! computed together (tile shape, vector width, row-chunk boundaries) never
-//! changes the order within one element's chain. Concretely:
+//! Every output element is accumulated as a single chain from 0.0 with `p`
+//! (the contraction index) strictly ascending; which *independent* elements
+//! are computed together (row tile, panel width, the tail panel's zero
+//! padding, row-chunk boundaries) never changes the order within one
+//! element's chain. Concretely:
 //!
-//! * The SSE2/AVX2 bodies accumulate *individually rounded* `acc + a·b`
-//!   steps. `x + a·b + c·d` in Rust is left-associated and never
-//!   reassociated or contracted into FMA, so those two instantiations, the
-//!   remainder loops, and a naive triple loop all produce bit-identical
-//!   results.
-//! * The FMA bodies accumulate `acc = a.mul_add(b, acc)` — one fused
-//!   rounding per step. The 16-wide panels, the 8-wide panels (the last
-//!   one zero-padded past column `n`), and the row remainders all use the
-//!   same per-element chain, so the FMA path is bitwise self-consistent for
-//!   any row split and equals a naive `mul_add` triple loop bitwise. It
-//!   differs from the non-FMA paths by the fused rounding (≤ 1 ULP per
-//!   step), which is why the contract is per-ISA.
+//! * The FMA body accumulates `acc = a.mul_add(b, acc)`: one fused rounding
+//!   per step. It equals a naive `mul_add` triple loop bitwise.
+//! * The portable body accumulates *individually rounded* `acc = acc + a·b`
+//!   steps. Rust never reassociates f32 arithmetic or contracts it into FMA,
+//!   so it equals a naive `acc += a * b` triple loop bitwise.
 //!
-//! The dispatched path is a pure function of the detected CPU features
-//! (cached cpuid, identical on every thread of the process), so for a fixed
-//! machine and shape the result bits are fixed for any `MISS_THREADS` and
-//! any chunk boundary placement. Bench JSONs record which ISA ran (see
-//! [`detected_isa`]) so baselines compare like-to-like.
+//! The two differ by the fused rounding (≤ 1 ULP per step), which is why the
+//! contract is per ISA. The dispatched body is a pure function of the
+//! detected CPU features (cached cpuid, identical on every thread of the
+//! process), so for a fixed machine and shape the result bits are fixed for
+//! any `MISS_THREADS` and any chunk boundary placement. Bench JSONs record
+//! which ISA ran (see [`detected_isa`]) so baselines compare like-to-like.
 //!
 //! The module-wide lint exemptions below keep this hot path's codegen as
 //! written (DESIGN.md §7): every kernel debug-asserts its slice lengths
@@ -65,369 +55,13 @@
     reason = "GEMM kernels take operands, extents, row windows and an epilogue as plain scalars"
 )]
 
-/// Row-chunk granularity for parallel dispatch: a multiple of every row-tile
-/// height used below (4 baseline, 6 on the AVX2 path), so chunk interiors
-/// are full tiles regardless of which ISA body runs.
+/// Row-chunk granularity for parallel dispatch: a multiple of both row-tile
+/// heights used below (6 in `fma_panel`, 4 in `plain_panel`), so chunk
+/// interiors are full tiles whichever body runs.
 pub(crate) const TILE_M: usize = 12;
 
-#[inline(always)]
-fn load<const W: usize>(x: &[f32], off: usize) -> [f32; W] {
-    let mut v = [0.0f32; W];
-    // The slice is exactly W long by construction; copy_from_slice keeps
-    // the bounds check but removes the Result-unwrap panic machinery from
-    // the innermost GEMM loop.
-    v.copy_from_slice(&x[off..off + W]);
-    v
-}
-
-#[inline(always)]
-fn store_add<const W: usize>(x: &mut [f32], off: usize, v: &[f32; W]) {
-    let dst = &mut x[off..off + W];
-    for t in 0..W {
-        dst[t] += v[t];
-    }
-}
-
-/// `C (m×n) += A (m×k) @ B (k×n)`, row-major, `C` pre-zeroed by callers
-/// that want a plain product. Axpy form: `MR` rows × `NRW` columns per tile.
-#[inline(always)]
-fn gemm_nn_body<const MR: usize, const NRW: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NRW <= n {
-        let mut i = 0;
-        while i + MR <= m {
-            let mut acc = [[0.0f32; NRW]; MR];
-            let mut p = 0;
-            while p + 2 <= k {
-                let b0 = load::<NRW>(b, p * n + j);
-                let b1 = load::<NRW>(b, (p + 1) * n + j);
-                for r in 0..MR {
-                    let a0 = a[(i + r) * k + p];
-                    let a1 = a[(i + r) * k + p + 1];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] = row[t] + a0 * b0[t] + a1 * b1[t];
-                    }
-                }
-                p += 2;
-            }
-            if p < k {
-                let b0 = load::<NRW>(b, p * n + j);
-                for r in 0..MR {
-                    let a0 = a[(i + r) * k + p];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] += a0 * b0[t];
-                    }
-                }
-            }
-            for r in 0..MR {
-                store_add::<NRW>(c, (i + r) * n + j, &acc[r]);
-            }
-            i += MR;
-        }
-        while i < m {
-            let mut acc = [0.0f32; NRW];
-            for p in 0..k {
-                let a0 = a[i * k + p];
-                let b0 = load::<NRW>(b, p * n + j);
-                for t in 0..NRW {
-                    acc[t] += a0 * b0[t];
-                }
-            }
-            store_add::<NRW>(c, i * n + j, &acc);
-            i += 1;
-        }
-        j += NRW;
-    }
-    if j < n {
-        // Column tail: per-row axpy over the remaining columns, p ascending.
-        for i in 0..m {
-            for p in 0..k {
-                let a0 = a[i * k + p];
-                let brow = &b[p * n + j..(p + 1) * n];
-                let crow = &mut c[i * n + j..(i + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += a0 * bv;
-                }
-            }
-        }
-    }
-}
-
-/// `C (m×n) += A (m×k) @ Bᵀ` where `B` is stored `n×k` (row = one output
-/// column). Dot-product form: both operands stream contiguously.
-#[inline(always)]
-fn gemm_nt_body<const MR: usize, const NTW: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut i = 0;
-    while i + MR <= m {
-        let mut j = 0;
-        while j + NTW <= n {
-            let mut acc = [[0.0f32; NTW]; MR];
-            let mut p = 0;
-            while p + 2 <= k {
-                let mut av = [[0.0f32; 2]; MR];
-                let mut bv = [[0.0f32; 2]; NTW];
-                for r in 0..MR {
-                    av[r] = load::<2>(a, (i + r) * k + p);
-                }
-                for t in 0..NTW {
-                    bv[t] = load::<2>(b, (j + t) * k + p);
-                }
-                for r in 0..MR {
-                    for t in 0..NTW {
-                        acc[r][t] = acc[r][t] + av[r][0] * bv[t][0] + av[r][1] * bv[t][1];
-                    }
-                }
-                p += 2;
-            }
-            if p < k {
-                for r in 0..MR {
-                    let a0 = a[(i + r) * k + p];
-                    for t in 0..NTW {
-                        acc[r][t] += a0 * b[(j + t) * k + p];
-                    }
-                }
-            }
-            for r in 0..MR {
-                store_add::<NTW>(c, (i + r) * n + j, &acc[r]);
-            }
-            j += NTW;
-        }
-        while j < n {
-            let brow = &b[j * k..(j + 1) * k];
-            for r in 0..MR {
-                let arow = &a[(i + r) * k..(i + r + 1) * k];
-                let mut acc = 0.0f32;
-                for (x, y) in arow.iter().zip(brow) {
-                    acc += x * y;
-                }
-                c[(i + r) * n + j] += acc;
-            }
-            j += 1;
-        }
-        i += MR;
-    }
-    while i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (x, y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            c[i * n + j] += acc;
-        }
-        i += 1;
-    }
-}
-
-/// `C rows [i0, i1) += (Aᵀ @ B)` rows `[i0, i1)`, where `A` is stored
-/// `k×m` and `B` is `k×n`; `c` holds only the `(i1-i0)×n` output window.
-/// The row-range signature lets parallel chunks share the full `A`/`B`
-/// (columns of `A` cannot be sliced contiguously).
-#[inline(always)]
-fn gemm_tn_body<const MR: usize, const NRW: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NRW <= n {
-        let mut i = i0;
-        while i + MR <= i1 {
-            let mut acc = [[0.0f32; NRW]; MR];
-            let mut p = 0;
-            while p + 2 <= k {
-                let b0 = load::<NRW>(b, p * n + j);
-                let b1 = load::<NRW>(b, (p + 1) * n + j);
-                for r in 0..MR {
-                    let a0 = a[p * m + i + r];
-                    let a1 = a[(p + 1) * m + i + r];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] = row[t] + a0 * b0[t] + a1 * b1[t];
-                    }
-                }
-                p += 2;
-            }
-            if p < k {
-                let b0 = load::<NRW>(b, p * n + j);
-                for r in 0..MR {
-                    let a0 = a[p * m + i + r];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] += a0 * b0[t];
-                    }
-                }
-            }
-            for r in 0..MR {
-                store_add::<NRW>(c, (i - i0 + r) * n + j, &acc[r]);
-            }
-            i += MR;
-        }
-        while i < i1 {
-            let mut acc = [0.0f32; NRW];
-            for p in 0..k {
-                let a0 = a[p * m + i];
-                let b0 = load::<NRW>(b, p * n + j);
-                for t in 0..NRW {
-                    acc[t] += a0 * b0[t];
-                }
-            }
-            store_add::<NRW>(c, (i - i0) * n + j, &acc);
-            i += 1;
-        }
-        j += NRW;
-    }
-    if j < n {
-        for i in i0..i1 {
-            for p in 0..k {
-                let a0 = a[p * m + i];
-                let brow = &b[p * n + j..(p + 1) * n];
-                let crow = &mut c[(i - i0) * n + j..(i - i0 + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += a0 * bv;
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// ISA dispatch: the AVX2 instantiations widen the column tile (16 f32 = two
-// YMM registers per accumulator row) and let LLVM vectorize the same body
-// with 8-wide instructions. Output bits are identical to the baseline path
-// by the determinism contract above; only throughput changes. AVX2 alone is
-// enabled in these two instantiations (never FMA), so no mul/add contraction
-// can occur; the explicit-FMA packed path further below is a *third*
-// instantiation with its own (per-ISA) bit pattern.
-// ---------------------------------------------------------------------------
-
-// SAFETY: `#[target_feature(enable = "avx2")]` is the *only* source of
-// unsafety in these three wrappers — executing them on a CPU without AVX2
-// is undefined behaviour. Precondition: callers must have verified AVX2
-// support at runtime (every call site gates on `has_avx2()`, i.e. cpuid via
-// `is_x86_feature_detected!`). No alignment precondition: the bodies are
-// safe Rust over `&[f32]` slices and LLVM emits unaligned loads. Bounds
-// are the safe dispatchers' debug-asserted contract (`a.len() == m·k`,
-// etc.), re-checked here with `debug_assert!` because this is the unsafe
-// entry point; the generic bodies then do their own slice indexing.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_nn_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    gemm_nn_body::<6, 16>(a, b, c, m, k, n)
-}
-
-// SAFETY: see `gemm_nn_avx2` — sole precondition is runtime-verified AVX2
-// (cpuid-gated at every call site); `b` is stored transposed (`n×k`).
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_nt_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    gemm_nt_body::<4, 8>(a, b, c, m, k, n)
-}
-
-// SAFETY: see `gemm_nn_avx2` — sole precondition is runtime-verified AVX2
-// (cpuid-gated at every call site); `c` is the `(i1-i0)×n` output window of
-// the `[i0, i1)` row range, per the row-range contract of `gemm_tn_body`.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_tn_avx2(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    debug_assert!(i0 <= i1 && i1 <= m);
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), (i1 - i0) * n);
-    gemm_tn_body::<4, 16>(a, b, c, i0, i1, k, m, n)
-}
-
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[inline]
-fn has_avx2() -> bool {
-    // Cached by std behind an atomic; effectively free after the first call.
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-pub(crate) fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { gemm_nn_avx2(a, b, c, m, k, n) };
-    }
-    gemm_nn_body::<4, 8>(a, b, c, m, k, n)
-}
-
-pub(crate) fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { gemm_nt_avx2(a, b, c, m, k, n) };
-    }
-    gemm_nt_body::<4, 4>(a, b, c, m, k, n)
-}
-
-pub(crate) fn gemm_tn(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), (i1 - i0) * n);
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { gemm_tn_avx2(a, b, c, i0, i1, k, m, n) };
-    }
-    gemm_tn_body::<4, 8>(a, b, c, i0, i1, k, m, n)
-}
-
-// ---------------------------------------------------------------------------
-// FMA path: packed B panels + fused multiply-add tiles + fused epilogues.
+// Packed B panels, the two panel bodies and the fused epilogues.
 //
 // Packed layout (one buffer of k·⌈n/8⌉·8 floats, built once per GEMM call
 // and shared read-only by every row chunk):
@@ -440,8 +74,8 @@ pub(crate) fn gemm_tn(
 // Every panel starts at column j0 = a multiple of 8 and at offset j0·k.
 // The tail panel runs through the same 8-wide tile body as a full one; its
 // pad lanes accumulate `a·0` and are never stored, and each valid lane is
-// still one p-ascending `mul_add` chain from 0.0, so the padding cannot
-// change a bit.
+// still one p-ascending chain from 0.0 (fused or not), so the padding
+// cannot change a bit.
 //
 // The same layout is produced from row-major B (`pack_b_from_nn`, a strided
 // copy) and from transposed n×k storage (`pack_b_from_nt`, a transposing
@@ -452,11 +86,10 @@ pub(crate) fn gemm_tn(
 // nothing.
 // ---------------------------------------------------------------------------
 
-/// Post-GEMM transform fused into the accumulator-store tail of the FMA
-/// kernels (and applied as one in-place pass after the non-FMA fallback).
-/// The bias slice is one value per output column; ReLU and sigmoid match
-/// the autograd ops (`max(0)` / `miss_util::sigmoid`) exactly, so fusing
-/// changes only where the work happens, not the math applied.
+/// Post-GEMM transform fused into the accumulator-store tail of both panel
+/// bodies. The bias slice is one value per output column; ReLU and sigmoid
+/// match the autograd ops (`max(0)` / `miss_util::sigmoid`) exactly, so
+/// fusing changes only where the work happens, not the math applied.
 #[derive(Clone, Copy, Debug)]
 pub enum GemmEpilogue<'a> {
     /// Plain product.
@@ -470,7 +103,7 @@ pub enum GemmEpilogue<'a> {
 }
 
 impl GemmEpilogue<'_> {
-    /// The bias slice, if any — used by dispatchers to validate its width
+    /// The bias slice, if any — used by the ops to validate its width
     /// against the output column count before entering the kernels.
     pub(crate) fn bias(&self) -> Option<&[f32]> {
         match *self {
@@ -480,27 +113,14 @@ impl GemmEpilogue<'_> {
             | GemmEpilogue::AddBiasSigmoid(b) => Some(b),
         }
     }
-
-    /// The transform applied to one finished accumulator for column `j`.
-    #[inline(always)]
-    fn apply(&self, j: usize, acc: f32) -> f32 {
-        debug_assert!(
-            self.bias().is_none_or(|b| j < b.len()),
-            "bias width was validated against n before entering the kernel"
-        );
-        match *self {
-            GemmEpilogue::None => acc,
-            GemmEpilogue::AddBias(b) => acc + b[j],
-            GemmEpilogue::AddBiasRelu(b) => (acc + b[j]).max(0.0),
-            GemmEpilogue::AddBiasSigmoid(b) => miss_util::sigmoid(acc + b[j]),
-        }
-    }
 }
 
-/// [`GemmEpilogue::apply`] with the variant selected at compile time. The
-/// FMA kernels are monomorphised per epilogue so the common `None` GEMM
-/// contains no bias loads, no branch, and — critically — no inlined `exp`
-/// call whose register clobbers would force the accumulator tile to spill.
+/// The [`GemmEpilogue`] transform of one finished accumulator for column
+/// `j`, with the variant selected at compile time (`EP` 0–3 in declaration
+/// order). Both panel bodies are monomorphised per epilogue so the common
+/// `None` GEMM contains no bias loads, no branch, and — critically — no
+/// inlined `exp` call whose register clobbers would force the accumulator
+/// tile to spill.
 #[inline(always)]
 fn ep_apply<const EP: u8>(bias: &[f32], j: usize, acc: f32) -> f32 {
     match EP {
@@ -508,21 +128,6 @@ fn ep_apply<const EP: u8>(bias: &[f32], j: usize, acc: f32) -> f32 {
         1 => acc + bias[j],
         2 => (acc + bias[j]).max(0.0),
         _ => miss_util::sigmoid(acc + bias[j]),
-    }
-}
-
-/// Unfused epilogue pass for the non-FMA fallback kernels: transforms a
-/// finished `rows×n` chunk of C in place. Same per-element math as the
-/// fused store tail, so on a non-FMA machine fused and unfused calls are
-/// bit-identical.
-pub(crate) fn apply_epilogue(c: &mut [f32], n: usize, ep: &GemmEpilogue) {
-    if matches!(ep, GemmEpilogue::None) {
-        return;
-    }
-    for row in c.chunks_exact_mut(n) {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = ep.apply(j, *v);
-        }
     }
 }
 
@@ -781,7 +386,7 @@ unsafe fn fma_panel<const NV: usize, const COL: bool, const EP: u8>(
 // intrinsics in the inlined tile bodies are the only sources of unsafety in
 // this wrapper — executing it on a CPU without AVX2+FMA is undefined
 // behaviour. Precondition: callers must have verified both features at
-// runtime; the safe entry point `gemm_fma` asserts `has_fma()` (cached
+// runtime; the safe dispatcher `gemm_packed` checks `has_fma()` (cached
 // cpuid) before the call. No alignment precondition (all vector memory ops
 // are unaligned); bounds for the tile bodies' unchecked loads follow from
 // the debug-asserted shape contract re-checked here at the unsafe entry
@@ -820,7 +425,98 @@ unsafe fn gemm_fma_avx2<const COL: bool, const EP: u8>(
     }
 }
 
-/// Whether the packed FMA path is available (AVX2 + FMA both detected).
+/// The portable panel body: `fma_panel`'s contract in safe Rust over the
+/// same `W`-wide packed panel (`W` = 16 or 8, the first `cols` columns
+/// stored), with each step an *individually rounded* `acc = acc + a·b`.
+/// Four rows of accumulators per tile, then the row remainder one row at a
+/// time; every element is the same p-ascending chain from 0.0 either way,
+/// so splitting the row range anywhere cannot change bits.
+#[inline(always)]
+fn plain_panel<const W: usize, const COL: bool, const EP: u8>(
+    a: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    j0: usize,
+    cols: usize,
+    bias: &[f32],
+) {
+    let mut i = i0;
+    while i + 4 <= i1 {
+        plain_rows::<4, W, COL, EP>(a, panel, c, i0, i, k, am, n, j0, cols, bias);
+        i += 4;
+    }
+    for i in i..i1 {
+        plain_rows::<1, W, COL, EP>(a, panel, c, i0, i, k, am, n, j0, cols, bias);
+    }
+}
+
+/// Output rows `[i, i + MR)` of [`plain_panel`]: `c[i][j0 + t] =
+/// ep(Σ_p a[i][p] · panel[p·W + t])` for `t < cols`, where `c` is the window
+/// of output rows from `i0`.
+#[inline(always)]
+fn plain_rows<const MR: usize, const W: usize, const COL: bool, const EP: u8>(
+    a: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    j0: usize,
+    cols: usize,
+    bias: &[f32],
+) {
+    let mut acc = [[0.0f32; W]; MR];
+    for (p, b) in panel.as_chunks::<W>().0[..k].iter().enumerate() {
+        for r in 0..MR {
+            let av = a[if COL { p * am + i + r } else { (i + r) * am + p }];
+            for t in 0..W {
+                acc[r][t] += av * b[t];
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let off = (i - i0 + r) * n + j0;
+        for (t, (dst, &v)) in c[off..off + cols].iter_mut().zip(row).enumerate() {
+            *dst = ep_apply::<EP>(bias, j0 + t, v);
+        }
+    }
+}
+
+/// Portable counterpart of `gemm_fma_avx2`: the same panel loop over the
+/// same packed bytes and row window, with [`plain_panel`] as the tile body.
+fn gemm_plain<const COL: bool, const EP: u8>(
+    a: &[f32],
+    pb: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    bias: &[f32],
+) {
+    debug_assert!(i0 <= i1 && (!COL || i1 <= am));
+    debug_assert_eq!(a.len(), if COL { k * am } else { i1 * am });
+    debug_assert_eq!(pb.len(), packed_len(k, n));
+    debug_assert_eq!(c.len(), (i1 - i0) * n);
+    for j0 in (0..wide_end(n)).step_by(16) {
+        let panel = &pb[j0 * k..(j0 + 16) * k];
+        plain_panel::<16, COL, EP>(a, panel, c, i0, i1, k, am, n, j0, 16, bias);
+    }
+    for j0 in (wide_end(n)..n).step_by(8) {
+        let panel = &pb[j0 * k..(j0 + 8) * k];
+        plain_panel::<8, COL, EP>(a, panel, c, i0, i1, k, am, n, j0, (n - j0).min(8), bias);
+    }
+}
+
+/// Whether the FMA panel body is available (AVX2 + FMA both detected).
 /// Cached by std behind atomics; effectively free after the first call.
 #[inline]
 pub(crate) fn has_fma() -> bool {
@@ -834,56 +530,26 @@ pub(crate) fn has_fma() -> bool {
     }
 }
 
-/// The GEMM instruction path `matmul`/`bmm` dispatch to on this machine.
-/// Recorded in bench JSON metadata so baselines compare like-to-like
-/// (result bits are a pure function of shape and this value).
+/// The GEMM instruction path `matmul`/`bmm` dispatch to on this machine:
+/// `"avx2+fma"` or `"baseline"`. Recorded in bench JSON metadata so
+/// baselines compare like-to-like (result bits are a pure function of shape
+/// and this value).
 pub fn detected_isa() -> &'static str {
     if has_fma() {
-        return "avx2+fma";
+        "avx2+fma"
+    } else {
+        "baseline"
     }
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        return "avx2";
-    }
-    "baseline"
 }
 
-/// Packed-B FMA GEMM over row-major A: `c = ep(a @ B)` where `pb` is the
-/// packed form of the `k×n` B (from either storage). *Assigns* `c` (it does
-/// not accumulate). Panics if the FMA path is unavailable — callers
-/// dispatch on [`has_fma`].
-pub(crate) fn gemm_fma_rowmajor(
-    a: &[f32],
-    pb: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ep: &GemmEpilogue,
-) {
-    gemm_fma::<false>(a, pb, c, 0, m, k, k, n, ep)
-}
-
-/// Packed-B FMA GEMM over transposed-A storage (`a` is `k×m`): writes output
-/// rows `[i0, i1)` into the window `c`. Same contract as
-/// [`gemm_fma_rowmajor`].
-pub(crate) fn gemm_fma_colmajor(
-    a: &[f32],
-    pb: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-    ep: &GemmEpilogue,
-) {
-    gemm_fma::<true>(a, pb, c, i0, i1, k, m, n, ep)
-}
-
-/// The safe entry point of [`gemm_fma_avx2`]: checks the CPU, then selects
-/// the epilogue monomorphisation so the plain GEMM carries no epilogue code.
-fn gemm_fma<const COL: bool>(
+/// The one GEMM entry point: `c = ep(A @ B)` for output rows `[i0, i1)`,
+/// where `pb` is the packed form of the `k×n` B (from either storage) and
+/// `c` is the `(i1-i0)×n` window of those rows. *Assigns* `c` (it does not
+/// accumulate). `COL = false` reads row-major A (`a` is `i1×k`, `am = k`);
+/// `COL = true` reads transposed-A storage (`a` is `k×m`, `am = m`). The
+/// epilogue is selected at compile time so the plain GEMM carries no
+/// epilogue code.
+pub(crate) fn gemm_packed<const COL: bool>(
     a: &[f32],
     pb: &[f32],
     c: &mut [f32],
@@ -894,111 +560,196 @@ fn gemm_fma<const COL: bool>(
     n: usize,
     ep: &GemmEpilogue,
 ) {
-    assert!(has_fma(), "FMA kernel dispatched without CPU support");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: avx2+fma support was verified by the assert above.
-    unsafe {
-        let f = match *ep {
-            GemmEpilogue::None => gemm_fma_avx2::<COL, 0>,
-            GemmEpilogue::AddBias(_) => gemm_fma_avx2::<COL, 1>,
-            GemmEpilogue::AddBiasRelu(_) => gemm_fma_avx2::<COL, 2>,
-            GemmEpilogue::AddBiasSigmoid(_) => gemm_fma_avx2::<COL, 3>,
-        };
-        f(a, pb, c, i0, i1, k, am, n, ep.bias().unwrap_or(&[]))
+    match *ep {
+        GemmEpilogue::None => gemm_ep::<COL, 0>(a, pb, c, i0, i1, k, am, n, &[]),
+        GemmEpilogue::AddBias(b) => gemm_ep::<COL, 1>(a, pb, c, i0, i1, k, am, n, b),
+        GemmEpilogue::AddBiasRelu(b) => gemm_ep::<COL, 2>(a, pb, c, i0, i1, k, am, n, b),
+        GemmEpilogue::AddBiasSigmoid(b) => gemm_ep::<COL, 3>(a, pb, c, i0, i1, k, am, n, b),
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("has_fma() is false off x86_64")
+}
+
+/// The kernel for one epilogue: the FMA body where cpuid reports AVX2+FMA,
+/// the portable body everywhere else.
+#[inline(always)]
+fn gemm_ep<const COL: bool, const EP: u8>(
+    a: &[f32],
+    pb: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    bias: &[f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if has_fma() {
+        // SAFETY: avx2+fma support was just detected at runtime.
+        return unsafe { gemm_fma_avx2::<COL, EP>(a, pb, c, i0, i1, k, am, n, bias) };
+    }
+    gemm_plain::<COL, EP>(a, pb, c, i0, i1, k, am, n, bias)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Textbook p-ascending reference; by the determinism contract the tiled
-    /// kernels must match it *bitwise*, not just within tolerance.
-    fn reference_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    fn fill(len: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
+        (0..len).map(f).collect()
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Textbook reference: one p-ascending chain from 0.0 per element, fused
+    /// (`mul_add`) or individually rounded (`acc += a * b`), then the
+    /// epilogue's scalar math. By the determinism contract the matching
+    /// panel body equals it *bitwise*, not just within tolerance.
+    fn naive(
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        fused: bool,
+        ep: &GemmEpilogue,
+    ) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
+                    let (x, y) = (a[i * k + p], b[p * n + j]);
+                    acc = if fused { x.mul_add(y, acc) } else { acc + x * y };
                 }
-                c[i * n + j] = acc;
+                c[i * n + j] = match *ep {
+                    GemmEpilogue::None => acc,
+                    GemmEpilogue::AddBias(bias) => acc + bias[j],
+                    GemmEpilogue::AddBiasRelu(bias) => (acc + bias[j]).max(0.0),
+                    GemmEpilogue::AddBiasSigmoid(bias) => miss_util::sigmoid(acc + bias[j]),
+                };
             }
         }
         c
     }
 
-    fn fill(len: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
-        (0..len).map(f).collect()
+    /// [`gemm_packed`] with the portable body forced, whatever the host.
+    fn portable<const COL: bool>(
+        a: &[f32],
+        pb: &[f32],
+        c: &mut [f32],
+        i0: usize,
+        i1: usize,
+        k: usize,
+        am: usize,
+        n: usize,
+        ep: &GemmEpilogue,
+    ) {
+        match *ep {
+            GemmEpilogue::None => gemm_plain::<COL, 0>(a, pb, c, i0, i1, k, am, n, &[]),
+            GemmEpilogue::AddBias(b) => gemm_plain::<COL, 1>(a, pb, c, i0, i1, k, am, n, b),
+            GemmEpilogue::AddBiasRelu(b) => gemm_plain::<COL, 2>(a, pb, c, i0, i1, k, am, n, b),
+            GemmEpilogue::AddBiasSigmoid(b) => gemm_plain::<COL, 3>(a, pb, c, i0, i1, k, am, n, b),
+        }
+    }
+
+    /// An `m×n` output filled by `kernel(window, i0, i1)` for the row ranges
+    /// `[0, split)` and `[split, m)`. The buffer starts as NaN, so a skipped
+    /// store shows up.
+    fn split_rows(
+        (m, n): (usize, usize),
+        split: usize,
+        kernel: impl Fn(&mut [f32], usize, usize),
+    ) -> Vec<f32> {
+        let mut c = vec![f32::NAN; m * n];
+        let (lo, hi) = c.split_at_mut(split * n);
+        kernel(lo, 0, split);
+        kernel(hi, split, m);
+        c
     }
 
     #[test]
     fn tiled_kernels_match_reference_bitwise_at_awkward_sizes() {
-        // Sizes straddle every tile boundary: below, at, and past 4/8/16.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (4, 8, 8),
-            (5, 9, 17),
-            (13, 6, 10),
-            (8, 2, 9),
-            (6, 11, 19),
-        ] {
+        // Shapes straddle every row tile (4, 6), panel width (8, 16) and
+        // tail-panel width; k = 0 must store ep(0.0) everywhere.
+        let mut shapes = vec![(1, 1, 1), (3, 5, 7), (4, 8, 8), (5, 9, 17), (13, 6, 10), (8, 2, 9)];
+        shapes.extend([(6, 11, 19), (5, 0, 9), (7, 0, 20)]);
+        for n in [1, 7, 8, 9, 15, 16, 17, 20, 33] {
+            shapes.extend([(7, 5, n), (13, 12, n)]);
+        }
+        for (m, k, n) in shapes {
             let a = fill(m * k, |i| ((i * 37 % 19) as f32 - 9.0) * 0.37);
-            let b = fill(k * n, |i| ((i * 23 % 17) as f32 - 8.0) * 0.29);
-            let want = reference_nn(&a, &b, m, k, n);
-
-            let mut c = vec![0.0f32; m * n];
-            gemm_nn(&a, &b, &mut c, m, k, n);
-            assert_eq!(c, want, "gemm_nn {m}x{k}x{n}");
-
-            // nt: B stored transposed (n×k).
-            let bt = fill(n * k, |i| b[(i % k) * n + i / k]);
-            let mut c = vec![0.0f32; m * n];
-            gemm_nt(&a, &bt, &mut c, m, k, n);
-            assert_eq!(c, want, "gemm_nt {m}x{k}x{n}");
-
-            // tn: A stored transposed (k×m), full row range.
             let at = fill(k * m, |i| a[(i % m) * k + i / m]);
-            let mut c = vec![0.0f32; m * n];
-            gemm_tn(&at, &b, &mut c, 0, m, k, m, n);
-            assert_eq!(c, want, "gemm_tn {m}x{k}x{n}");
+            let b = fill(k * n, |i| ((i * 23 % 17) as f32 - 8.0) * 0.29);
+            let bt = fill(n * k, |i| b[(i % k) * n + i / k]);
+            let bias = fill(n, |j| (j as f32 - 4.0) * 0.41);
+            let (mut from_nn, mut from_nt) = (Vec::new(), Vec::new());
+            pack_b_from_nn(&b, k, n, &mut from_nn);
+            pack_b_from_nt(&bt, n, k, &mut from_nt);
+            let splits = [0, 1, 4, 5, m / 2, m - 1, m];
+            for ep in [
+                GemmEpilogue::None,
+                GemmEpilogue::AddBias(&bias),
+                GemmEpilogue::AddBiasRelu(&bias),
+                GemmEpilogue::AddBiasSigmoid(&bias),
+            ] {
+                let plain = bits(&naive(&a, &b, (m, k, n), false, &ep));
+                let fused = bits(&naive(&a, &b, (m, k, n), true, &ep));
+                for (pb, from) in [(&from_nn, "nn"), (&from_nt, "nt")] {
+                    for split in splits.into_iter().filter(|&s| s <= m) {
+                        let what = format!("{ep:?} {m}x{k}x{n} B from {from}, split at {split}");
+                        let rows = |c: &mut [f32], i0: usize, i1: usize| {
+                            portable::<false>(&a[i0 * k..i1 * k], pb, c, 0, i1 - i0, k, k, n, &ep)
+                        };
+                        let cols = |c: &mut [f32], i0: usize, i1: usize| {
+                            portable::<true>(&at, pb, c, i0, i1, k, m, n, &ep)
+                        };
+                        let got = bits(&split_rows((m, n), split, rows));
+                        assert_eq!(got, plain, "portable, row-major A, {what}");
+                        let got = bits(&split_rows((m, n), split, cols));
+                        assert_eq!(got, plain, "portable, transposed A, {what}");
+                        if has_fma() {
+                            let rows = |c: &mut [f32], i0: usize, i1: usize| {
+                                let a = &a[i0 * k..i1 * k];
+                                gemm_packed::<false>(a, pb, c, 0, i1 - i0, k, k, n, &ep)
+                            };
+                            let cols = |c: &mut [f32], i0: usize, i1: usize| {
+                                gemm_packed::<true>(&at, pb, c, i0, i1, k, m, n, &ep)
+                            };
+                            let got = bits(&split_rows((m, n), split, rows));
+                            assert_eq!(got, fused, "dispatcher, row-major A, {what}");
+                            let got = bits(&split_rows((m, n), split, cols));
+                            assert_eq!(got, fused, "dispatcher, transposed A, {what}");
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn isa_paths_agree_bitwise() {
-        // Both tile instantiations must produce the same bits; on machines
-        // with AVX2 this compares the wide path against the baseline body.
-        let (m, k, n) = (23, 17, 37);
-        let a = fill(m * k, |i| ((i * 41 % 29) as f32 - 14.0) * 0.21);
-        let b = fill(k * n, |i| ((i * 13 % 23) as f32 - 11.0) * 0.17);
-        let mut wide = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &mut wide, m, k, n);
-        let mut narrow = vec![0.0f32; m * n];
-        gemm_nn_body::<4, 8>(&a, &b, &mut narrow, m, k, n);
-        assert_eq!(wide, narrow, "dispatched vs baseline gemm_nn");
-        let mut narrower = vec![0.0f32; m * n];
-        gemm_nn_body::<2, 4>(&a, &b, &mut narrower, m, k, n);
-        assert_eq!(wide, narrower, "tile shape must not change bits");
-    }
-
-    #[test]
     fn tn_row_windows_agree_with_full_range() {
+        // Transposed-A storage read through row windows: any split must
+        // reproduce the full-range bits, on the portable body and on the
+        // dispatcher, whichever body it picks on this host.
         let (m, k, n) = (11, 5, 9);
         let at = fill(k * m, |i| (i as f32 * 0.11).sin());
         let b = fill(k * n, |i| (i as f32 * 0.07).cos());
+        let mut pb = Vec::new();
+        pack_b_from_nn(&b, k, n, &mut pb);
+        let ep = GemmEpilogue::None;
         let mut full = vec![0.0f32; m * n];
-        gemm_tn(&at, &b, &mut full, 0, m, k, m, n);
-        // Any split into row windows must reproduce the same bits.
+        portable::<true>(&at, &pb, &mut full, 0, m, k, m, n, &ep);
+        let mut full_dispatched = vec![0.0f32; m * n];
+        gemm_packed::<true>(&at, &pb, &mut full_dispatched, 0, m, k, m, n, &ep);
         for split in [1, 4, 6, 10] {
-            let mut c = vec![0.0f32; m * n];
-            let (lo, hi) = c.split_at_mut(split * n);
-            gemm_tn(&at, &b, lo, 0, split, k, m, n);
-            gemm_tn(&at, &b, hi, split, m, k, m, n);
-            assert_eq!(c, full, "split at {split}");
+            let c = split_rows((m, n), split, |c, i0, i1| {
+                portable::<true>(&at, &pb, c, i0, i1, k, m, n, &ep)
+            });
+            assert_eq!(bits(&c), bits(&full), "portable, split at {split}");
+            let c = split_rows((m, n), split, |c, i0, i1| {
+                gemm_packed::<true>(&at, &pb, c, i0, i1, k, m, n, &ep)
+            });
+            assert_eq!(bits(&c), bits(&full_dispatched), "dispatcher, split at {split}");
         }
     }
 

@@ -9,12 +9,14 @@
 //! cache-friendly (see the Rust Performance Book: flat buffers, `ikj` matmul
 //! loop order, no per-element allocation).
 //!
-//! The matmul/bmm family runs on register-blocked tiled kernels (`kernels`)
-//! and, above a fixed size threshold, fans out row chunks over the
-//! `miss-parallel` pool. Accumulation order per output element is fixed
-//! (contraction index ascending, individually rounded), so results are
-//! bit-identical for any `MISS_THREADS` value — see `kernels.rs` for the
-//! full determinism argument.
+//! The matmul/bmm family packs its right-hand operand into one panel layout
+//! and runs it through one kernel dispatcher (`kernels`), which picks a
+//! fused-multiply-add panel body on AVX2+FMA CPUs and a portable one
+//! elsewhere; above a fixed size threshold it fans out row chunks over the
+//! `miss-parallel` pool. Each output element is one accumulation chain with
+//! the contraction index ascending (fused or individually rounded, per
+//! ISA), so results are bit-identical for any `MISS_THREADS` value — see
+//! `kernels.rs` for the full determinism argument.
 
 // R7 (DESIGN.md §7): serving links this crate, so production code has no
 // panic path; an index needs a reasoned `#[expect]` naming its bound.

@@ -1,11 +1,13 @@
 //! Dense kernels. All shape checks panic: a mismatch is a bug in the caller,
 //! never a recoverable runtime condition.
 //!
-//! The matmul/bmm family calls the register-blocked tiles in `kernels.rs`
-//! and, once the multiply-accumulate count crosses [`PAR_MIN_MACS`], fans
-//! output-row (or block) chunks out over `miss-parallel`. Chunk boundaries
-//! are a pure function of the shape, and each output element's accumulation
-//! order is fixed inside the kernels, so results are bit-identical for any
+//! Every matmul and bmm packs its right-hand operand into the panel layout
+//! of `kernels.rs` and runs the one packed dispatcher, `gemm_packed`, which
+//! picks the fused (AVX2+FMA) or the portable panel body. Once the
+//! multiply-accumulate count crosses [`PAR_MIN_MACS`] it fans output-row (or
+//! block) chunks out over `miss-parallel`. Chunk boundaries are a pure
+//! function of the shape, and each output element's accumulation order is
+//! fixed inside the kernels, so results are bit-identical for any
 //! `MISS_THREADS` value.
 #![expect(
     clippy::indexing_slicing,
@@ -83,11 +85,9 @@ fn block_chunks(
 /// repeated multiplies against it (frozen inference, eval loops) skip the
 /// per-call pack that [`Tensor::matmul_nn_ep`] performs.
 ///
-/// On FMA machines `data` holds exactly the bytes `pack_b_from_nn` would
-/// produce for this operand, so a prepacked multiply is bit-identical to the
-/// pack-per-call path. On non-FMA machines the kernels read row-major B
-/// directly, so we keep a plain copy instead; `has_fma()` is constant for
-/// the life of the process, which makes the choice at pack time safe.
+/// `data` holds exactly the bytes `pack_b_from_nn` would produce for this
+/// operand, and both panel bodies read that one layout, so a prepacked
+/// multiply is bit-identical to the pack-per-call path on every machine.
 pub struct PackedB {
     k: usize,
     n: usize,
@@ -100,11 +100,7 @@ impl PackedB {
     pub fn pack(b: &Tensor) -> PackedB {
         let (k, n) = b.shape();
         let mut data = Vec::new();
-        if kernels::has_fma() {
-            kernels::pack_b_from_nn(b.as_slice(), k, n, &mut data);
-        } else {
-            data.extend_from_slice(b.as_slice());
-        }
+        kernels::pack_b_from_nn(b.as_slice(), k, n, &mut data);
         PackedB { k, n, data }
     }
 
@@ -144,17 +140,13 @@ impl Tensor {
 
     /// [`Tensor::matmul_nn`] with a fused epilogue: bias add and activation
     /// happen in the accumulator-store tail of the kernel instead of as
-    /// separate full-matrix passes. On non-FMA machines the epilogue runs
-    /// as one in-place pass per row chunk — same math, same bits as the
-    /// unfused sequence there.
+    /// separate full-matrix passes, on both the fused and the portable panel
+    /// body.
     pub fn matmul_nn_ep(&self, other: &Tensor, ep: GemmEpilogue) -> Tensor {
         let (k, (k2, n)) = (self.cols(), other.shape());
         assert_eq!(k, k2, "matmul_nn inner dims {k} vs {k2}");
         if let Some(b) = ep.bias() {
             assert_eq!(b.len(), n, "epilogue bias width");
-        }
-        if !kernels::has_fma() {
-            return self.nn_ep_on(other.as_slice(), n, &ep);
         }
         // Pack B once per call; every row chunk reads the same panels.
         kernels::with_pack_scratch(|pb| {
@@ -167,33 +159,19 @@ impl Tensor {
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         let (k, (n, k2)) = (self.cols(), other.shape());
         assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
-        let (m, a, b) = (self.rows(), self.as_slice(), other.as_slice());
-        if !kernels::has_fma() {
-            return row_chunks(m, n, k, |r0, rows, c| {
-                kernels::gemm_nt(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n)
-            });
-        }
         // The transposing pack produces bytes identical to packing the
         // equivalent row-major B, so nt and nn agree bitwise.
         kernels::with_pack_scratch(|pb| {
-            kernels::pack_b_from_nt(b, n, k, pb);
+            kernels::pack_b_from_nt(other.as_slice(), n, k, pb);
             self.nn_ep_on(pb, n, &GemmEpilogue::None)
         })
     }
 
-    /// `ep(self @ B)`, where `b` holds B as the dispatched kernel reads it:
-    /// packed panels on the FMA path, row-major `k×n` otherwise.
-    fn nn_ep_on(&self, b: &[f32], n: usize, ep: &GemmEpilogue) -> Tensor {
+    /// `ep(self @ B)`, where `pb` holds the `k×n` B packed into panels.
+    fn nn_ep_on(&self, pb: &[f32], n: usize, ep: &GemmEpilogue) -> Tensor {
         let ((m, k), a) = (self.shape(), self.as_slice());
-        let fma = kernels::has_fma();
         row_chunks(m, n, k, |r0, rows, c| {
-            let a = &a[r0 * k..(r0 + rows) * k];
-            if fma {
-                kernels::gemm_fma_rowmajor(a, b, c, rows, k, n, ep);
-            } else {
-                kernels::gemm_nn(a, b, c, rows, k, n);
-                kernels::apply_epilogue(c, n, ep);
-            }
+            kernels::gemm_packed::<false>(&a[r0 * k..(r0 + rows) * k], pb, c, 0, rows, k, k, n, ep)
         })
     }
 
@@ -201,17 +179,12 @@ impl Tensor {
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         let ((k, m), (k2, n)) = (self.shape(), other.shape());
         assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
-        let (a, b) = (self.as_slice(), other.as_slice());
-        if !kernels::has_fma() {
-            return row_chunks(m, n, k, |i0, rows, c| {
-                kernels::gemm_tn(a, b, c, i0, i0 + rows, k, m, n)
-            });
-        }
+        let a = self.as_slice();
         kernels::with_pack_scratch(|pb| {
-            kernels::pack_b_from_nn(b, k, n, pb);
+            kernels::pack_b_from_nn(other.as_slice(), k, n, pb);
             let pb: &[f32] = pb;
             row_chunks(m, n, k, |i0, rows, c| {
-                kernels::gemm_fma_colmajor(a, pb, c, i0, i0 + rows, k, m, n, &GemmEpilogue::None)
+                kernels::gemm_packed::<true>(a, pb, c, i0, i0 + rows, k, m, n, &GemmEpilogue::None)
             })
         })
     }
@@ -231,12 +204,8 @@ impl Tensor {
         block_chunks((bp, q), blocks, blocks * p * q * k, |blk, cblk, pb| {
             let ablk = &a[blk * p * k..(blk + 1) * p * k];
             let bblk = &b[blk * q * k..(blk + 1) * q * k];
-            if kernels::has_fma() {
-                kernels::pack_b_from_nt(bblk, q, k, pb);
-                kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, k, q, &GemmEpilogue::None);
-            } else {
-                kernels::gemm_nt(ablk, bblk, cblk, p, k, q);
-            }
+            kernels::pack_b_from_nt(bblk, q, k, pb);
+            kernels::gemm_packed::<false>(ablk, pb, cblk, 0, p, k, k, q, &GemmEpilogue::None);
         })
     }
 
@@ -253,12 +222,8 @@ impl Tensor {
         block_chunks((bp, k), blocks, blocks * p * q * k, |blk, cblk, pb| {
             let ablk = &a[blk * p * q..(blk + 1) * p * q];
             let bblk = &b[blk * q * k..(blk + 1) * q * k];
-            if kernels::has_fma() {
-                kernels::pack_b_from_nn(bblk, q, k, pb);
-                kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, q, k, &GemmEpilogue::None);
-            } else {
-                kernels::gemm_nn(ablk, bblk, cblk, p, q, k);
-            }
+            kernels::pack_b_from_nn(bblk, q, k, pb);
+            kernels::gemm_packed::<false>(ablk, pb, cblk, 0, p, q, q, k, &GemmEpilogue::None);
         })
     }
 
@@ -275,12 +240,8 @@ impl Tensor {
         block_chunks((blocks * q, k), blocks, blocks * p * q * k, |blk, cblk, pb| {
             let ablk = &a[blk * p * q..(blk + 1) * p * q];
             let bblk = &b[blk * p * k..(blk + 1) * p * k];
-            if kernels::has_fma() {
-                kernels::pack_b_from_nn(bblk, p, k, pb);
-                kernels::gemm_fma_colmajor(ablk, pb, cblk, 0, q, p, q, k, &GemmEpilogue::None);
-            } else {
-                kernels::gemm_tn(ablk, bblk, cblk, 0, q, p, q, k);
-            }
+            kernels::pack_b_from_nn(bblk, p, k, pb);
+            kernels::gemm_packed::<true>(ablk, pb, cblk, 0, q, p, q, k, &GemmEpilogue::None);
         })
     }
 

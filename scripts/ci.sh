@@ -45,6 +45,25 @@ MISS_THREADS=1 cargo test -q
 echo "==> tier-1: cargo test -q (default MISS_THREADS)"
 cargo test -q
 
+# The GEMM gate re-runs the tensor crate's bitwise batteries by name: the
+# kernel unit tests (both panel bodies against the naive triple loop for
+# every A layout, B storage, epilogue and row split, plus the packing
+# layout invariance) and the thread-count determinism suite. Both already
+# ran inside `cargo test` above; running them here makes a kernel
+# regression fail with the battery named in the log, under both the pinned
+# and the default thread count.
+echo "==> GEMM gate: kernel bitwise battery (MISS_THREADS=1)"
+MISS_THREADS=1 cargo test -q -p miss-tensor --lib kernels
+
+echo "==> GEMM gate: kernel bitwise battery (default MISS_THREADS)"
+cargo test -q -p miss-tensor --lib kernels
+
+echo "==> GEMM gate: parallel determinism (MISS_THREADS=1)"
+MISS_THREADS=1 cargo test -q -p miss-tensor --test parallel_determinism
+
+echo "==> GEMM gate: parallel determinism (default MISS_THREADS)"
+cargo test -q -p miss-tensor --test parallel_determinism
+
 # The checkpoint gate re-runs the codec's two test batteries by name: the
 # corruption battery (every damaged artifact fails with the matching typed
 # MissError, never a panic or a hostile allocation) and the round-trip
