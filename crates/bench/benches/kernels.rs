@@ -29,10 +29,12 @@ fn main() {
     // Determinism (and therefore the numbers) are per-(shape, ISA): record
     // which dispatch path ran so baselines compare like-to-like.
     group.meta("isa", miss_tensor::detected_isa());
-    group.meta(
-        "miss_threads",
-        &std::env::var("MISS_THREADS").unwrap_or_else(|_| "unset".into()),
-    );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "records the MISS_THREADS this run saw in the bench JSON meta"
+    )]
+    let miss_threads = std::env::var("MISS_THREADS").unwrap_or_else(|_| "unset".into());
+    group.meta("miss_threads", &miss_threads);
 
     // The paper's shapes: batch 128, L = 30, K = 10, MLP width 40.
     let a = Tensor::from_fn(128, 40, |i, j| (i as f32 * 0.01 - j as f32 * 0.02).sin());

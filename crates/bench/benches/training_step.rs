@@ -128,10 +128,12 @@ fn main() {
     let mut training = BenchGroup::new("training");
     training.sample_size(10);
     training.meta("isa", miss_tensor::detected_isa());
-    training.meta(
-        "miss_threads",
-        &std::env::var("MISS_THREADS").unwrap_or_else(|_| "unset".into()),
-    );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "records the MISS_THREADS this run saw in the bench JSON meta"
+    )]
+    let miss_threads = std::env::var("MISS_THREADS").unwrap_or_else(|_| "unset".into());
+    training.meta("miss_threads", &miss_threads);
     // Large enough that the biggest swept minibatch is a full 4096 rows.
     let sweep_data = Dataset::generate(WorldConfig::amazon_cds(2.0), 77);
     let epoch_case = |name: &str, batch: usize, serial: bool, training: &mut BenchGroup| {

@@ -9,34 +9,22 @@
 //!
 //! # Activating a plan
 //!
-//! Two ways, checked in order:
+//! A plan is built with [`FaultPlan::empty`] and [`FaultPlan::arm`] /
+//! [`FaultPlan::arm_sticky`], and installed for the current thread for the
+//! duration of a closure with [`with_plan`]. Counters start fresh per
+//! installation, so concurrent tests never share state, and nothing is
+//! read from the environment: a process that installs no plan runs no
+//! fault.
 //!
-//! 1. **Scoped (tests):** [`with_plan`] installs a [`FaultPlan`] for the
-//!    current thread for the duration of a closure. Counters start fresh per
-//!    installation, so concurrent tests never share state.
-//! 2. **Process-wide (CLI / chaos runs):** the `MISS_FAULTS` environment
-//!    variable, parsed once on first use. A malformed spec panics with the
-//!    parse error — fault injection is an operator feature; a typo must fail
-//!    loudly, not silently disable the chaos run.
-//!
-//! With neither active every probe is a thread-local `None` check — the
+//! With no plan installed every probe is a thread-local `None` check — the
 //! disabled overhead is a few nanoseconds per *site*, and sites sit at
 //! per-minibatch / per-checkpoint granularity, never inside element loops.
 //!
-//! # Spec grammar
+//! # Sites
 //!
-//! ```text
-//! spec  := entry (',' entry)*
-//! entry := site '@' N ['+']
-//! site  := [a-z0-9._-]+           (ascii, case-sensitive)
-//! N     := decimal u64
-//! '+'   := sticky: fire on every qualifying probe from N on, not just once
-//! ```
-//!
-//! Example: `MISS_FAULTS=codec.write.err@100,trainer.nan.loss@3`
-//!
-//! How `N` is interpreted is a property of the *site* (each site documents
-//! its unit):
+//! An entry arms one site at a trigger value `N`, once or (sticky) from `N`
+//! on. How `N` is interpreted is a property of the *site* (each site
+//! documents its unit):
 //!
 //! | site                       | unit of N                 | effect when fired |
 //! |----------------------------|---------------------------|-------------------|
@@ -79,22 +67,19 @@
 )]
 
 use std::cell::RefCell;
-use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
-/// One parsed fail-point entry: fire at `n` on `site`, once or repeatedly.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultEntry {
-    /// Site name the entry arms.
-    pub site: String,
+/// One armed fail-point: fire at `n` on `site`, once or repeatedly.
+#[derive(Clone, Debug)]
+struct FaultEntry {
+    site: String,
     /// Trigger value; unit depends on the site (hit count, byte offset, …).
-    pub n: u64,
-    /// When true (`@N+`), fire on every qualifying probe from `n` on.
-    pub sticky: bool,
+    n: u64,
+    /// Fire on every qualifying probe from `n` on, not just once.
+    sticky: bool,
 }
 
-/// A parsed fault plan: the entries of one `MISS_FAULTS` spec.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A fault plan: the sites it arms, each with its trigger value.
+#[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     entries: Vec<FaultEntry>,
 }
@@ -105,68 +90,23 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Parse a spec string (see the module docs for the grammar).
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut entries = Vec::new();
-        for raw in spec.split(',') {
-            let part = raw.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let Some((site, num)) = part.split_once('@') else {
-                return Err(format!("entry {part:?}: expected `site@N` or `site@N+`"));
-            };
-            if site.is_empty()
-                || !site
-                    .bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'.' | b'_' | b'-'))
-            {
-                return Err(format!(
-                    "entry {part:?}: site must be non-empty [a-z0-9._-]+, got {site:?}"
-                ));
-            }
-            let (digits, sticky) = match num.strip_suffix('+') {
-                Some(d) => (d, true),
-                None => (num, false),
-            };
-            let n: u64 = digits
-                .parse()
-                .map_err(|_| format!("entry {part:?}: trigger {digits:?} is not a u64"))?;
-            if entries.iter().any(|e: &FaultEntry| e.site == site) {
-                return Err(format!("entry {part:?}: duplicate site {site:?}"));
-            }
-            entries.push(FaultEntry {
-                site: site.to_string(),
-                n,
-                sticky,
-            });
-        }
-        Ok(FaultPlan { entries })
+    /// Arm `site` to fire once, at `n`.
+    pub fn arm(self, site: &str, n: u64) -> FaultPlan {
+        self.push(site, n, false)
     }
 
-    /// Arm one more site (builder-style alternative to a spec string).
-    pub fn arm(mut self, site: &str, n: u64) -> FaultPlan {
+    /// Arm `site` sticky: it fires on every qualifying probe from `n` on.
+    pub fn arm_sticky(self, site: &str, n: u64) -> FaultPlan {
+        self.push(site, n, true)
+    }
+
+    fn push(mut self, site: &str, n: u64, sticky: bool) -> FaultPlan {
         self.entries.push(FaultEntry {
             site: site.to_string(),
             n,
-            sticky: false,
+            sticky,
         });
         self
-    }
-
-    /// Arm a sticky site (`@N+`: fires on every qualifying probe from `n`).
-    pub fn arm_sticky(mut self, site: &str, n: u64) -> FaultPlan {
-        self.entries.push(FaultEntry {
-            site: site.to_string(),
-            n,
-            sticky: true,
-        });
-        self
-    }
-
-    /// The parsed entries.
-    pub fn entries(&self) -> &[FaultEntry] {
-        &self.entries
     }
 
     fn into_states(self) -> Vec<SiteState> {
@@ -180,18 +120,6 @@ impl FaultPlan {
                 fired: 0,
             })
             .collect()
-    }
-}
-
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{}@{}{}", e.site, e.n, if e.sticky { "+" } else { "" })?;
-        }
-        Ok(())
     }
 }
 
@@ -214,65 +142,21 @@ thread_local! {
     static LOCAL: RefCell<Option<Vec<SiteState>>> = const { RefCell::new(None) };
 }
 
-/// Process-wide plan parsed from `MISS_FAULTS`, if the variable is set.
-#[expect(
-    clippy::panic,
-    reason = "deliberate fail-fast at process start: MISS_FAULTS is an operator-supplied test-harness spec parsed once before any request is accepted, and refusing to boot on a typo is safer than running without the requested fault plan"
-)]
-fn global() -> Option<&'static Mutex<Vec<SiteState>>> {
-    static GLOBAL: OnceLock<Option<Mutex<Vec<SiteState>>>> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| match std::env::var("MISS_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => match FaultPlan::parse(&spec) {
-                Ok(plan) => Some(Mutex::new(plan.into_states())),
-                Err(e) => panic!("invalid MISS_FAULTS spec: {e}"),
-            },
-            _ => None,
-        })
-        .as_ref()
-}
-
-/// Run `probe` against the named site of the active plan (thread-local
-/// first, then the `MISS_FAULTS` global). `None` when no plan arms the site.
+/// Run `probe` against the named site of this thread's plan. `None` when
+/// no plan is installed or it does not arm the site.
 fn with_site<R>(site: &str, probe: impl FnOnce(&mut SiteState) -> R) -> Option<R> {
-    enum Local<R> {
-        NoPlan,
-        NotArmed,
-        Ran(R),
-    }
-    let mut probe = Some(probe);
-    let local = LOCAL.with(|l| {
-        let mut guard = l.borrow_mut();
-        match guard.as_mut() {
-            // A thread-local plan shadows the global one entirely, even for
-            // sites it does not arm: scoped tests must be hermetic.
-            Some(states) => match states.iter_mut().find(|s| s.entry.site == site) {
-                Some(s) => match probe.take() {
-                    Some(p) => Local::Ran(p(s)),
-                    None => Local::NotArmed,
-                },
-                None => Local::NotArmed,
-            },
-            None => Local::NoPlan,
-        }
-    });
-    match local {
-        Local::Ran(r) => return Some(r),
-        Local::NotArmed => return None,
-        Local::NoPlan => {}
-    }
-    let probe = probe?;
-    let global = global()?;
-    let mut states = match global.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    states.iter_mut().find(|s| s.entry.site == site).map(probe)
+    LOCAL.with(|l| {
+        l.borrow_mut()
+            .as_mut()?
+            .iter_mut()
+            .find(|s| s.entry.site == site)
+            .map(probe)
+    })
 }
 
 /// Install `plan` for the current thread for the duration of `f`. Counters
 /// start at zero; any previously installed plan is restored afterwards.
-/// While installed, the plan shadows the `MISS_FAULTS` global completely.
+/// While installed, the plan shadows any outer plan completely.
 pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Vec<SiteState>>);
     impl Drop for Restore {
@@ -285,9 +169,9 @@ pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// True when any plan (scoped or `MISS_FAULTS`) is active for this thread.
+/// True when a plan is installed on this thread.
 pub fn active() -> bool {
-    LOCAL.with(|l| l.borrow().is_some()) || global().is_some()
+    LOCAL.with(|l| l.borrow().is_some())
 }
 
 /// Counter probe: count one hit of `site` and report whether it fires —
@@ -370,50 +254,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_accepts_the_documented_grammar() {
-        let p = FaultPlan::parse("codec.write.err@100,trainer.nan.loss@3+").unwrap();
-        assert_eq!(
-            p.entries(),
-            &[
-                FaultEntry {
-                    site: "codec.write.err".into(),
-                    n: 100,
-                    sticky: false
-                },
-                FaultEntry {
-                    site: "trainer.nan.loss".into(),
-                    n: 3,
-                    sticky: true
-                },
-            ]
-        );
-        assert_eq!(p.to_string(), "codec.write.err@100,trainer.nan.loss@3+");
-        // Whitespace and empty segments are tolerated.
-        let q = FaultPlan::parse(" a.b@1 , ,c-d_e@0+ ").unwrap();
-        assert_eq!(q.entries().len(), 2);
-        assert!(FaultPlan::parse("").unwrap().entries().is_empty());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_specs() {
-        for bad in [
-            "noat",          // missing @N
-            "site@",         // empty trigger
-            "site@x",        // non-numeric
-            "site@1x",       // trailing garbage
-            "@3",            // empty site
-            "Site@3",        // uppercase
-            "a b@3",         // space in site
-            "dup@1,dup@2",   // duplicate site
-            "site@18446744073709551616", // u64 overflow
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
     fn hit_fires_exactly_on_the_nth_probe() {
-        with_plan(FaultPlan::parse("s@3").unwrap(), || {
+        with_plan(FaultPlan::empty().arm("s", 3), || {
             assert_eq!(
                 (0..6).map(|_| hit("s")).collect::<Vec<_>>(),
                 [false, false, true, false, false, false]
@@ -425,7 +267,7 @@ mod tests {
 
     #[test]
     fn sticky_hit_fires_from_n_onwards() {
-        with_plan(FaultPlan::parse("s@2+").unwrap(), || {
+        with_plan(FaultPlan::empty().arm_sticky("s", 2), || {
             assert_eq!(
                 (0..4).map(|_| hit("s")).collect::<Vec<_>>(),
                 [false, true, true, true]
@@ -436,13 +278,13 @@ mod tests {
 
     #[test]
     fn armed_and_fire_implement_one_shot_values() {
-        with_plan(FaultPlan::parse("w@40").unwrap(), || {
+        with_plan(FaultPlan::empty().arm("w", 40), || {
             assert_eq!(armed("w"), Some(40));
             assert_eq!(armed("w"), Some(40), "armed() does not consume");
             fire("w");
             assert_eq!(armed("w"), None, "fired one-shot entries disarm");
         });
-        with_plan(FaultPlan::parse("w@40+").unwrap(), || {
+        with_plan(FaultPlan::empty().arm_sticky("w", 40), || {
             fire("w");
             assert_eq!(armed("w"), Some(40), "sticky entries stay armed");
         });
@@ -450,12 +292,12 @@ mod tests {
 
     #[test]
     fn take_window_resolves_a_global_index_to_one_dispatch() {
-        with_plan(FaultPlan::parse("p@5").unwrap(), || {
+        with_plan(FaultPlan::empty().arm("p", 5), || {
             assert_eq!(take_window("p", 3), None); // window [0,3)
             assert_eq!(take_window("p", 4), Some(2)); // window [3,7): 5-3=2
             assert_eq!(take_window("p", 10), None, "one-shot: consumed");
         });
-        with_plan(FaultPlan::parse("p@0").unwrap(), || {
+        with_plan(FaultPlan::empty().arm("p", 0), || {
             assert_eq!(take_window("p", 1), Some(0), "index 0 of the first window");
         });
     }
@@ -463,21 +305,21 @@ mod tests {
     #[test]
     fn with_plan_scopes_and_restores() {
         assert!(!hit("outer"), "no plan outside with_plan");
-        with_plan(FaultPlan::parse("outer@1").unwrap(), || {
+        with_plan(FaultPlan::empty().arm("outer", 1), || {
             assert!(hit("outer"));
-            with_plan(FaultPlan::parse("inner@1").unwrap(), || {
+            with_plan(FaultPlan::empty().arm("inner", 1), || {
                 assert!(!hit("outer"), "inner plan shadows outer");
                 assert!(hit("inner"));
             });
             assert!(!hit("outer"), "outer counter kept: already past n=1");
             assert_eq!(armed("outer"), Some(1), "outer plan restored");
         });
-        assert!(!active() || std::env::var("MISS_FAULTS").is_ok());
+        assert!(!active(), "no plan after the outermost scope ends");
     }
 
     #[test]
     fn counters_reset_per_installation() {
-        let plan = FaultPlan::parse("s@1").unwrap();
+        let plan = FaultPlan::empty().arm("s", 1);
         with_plan(plan.clone(), || assert!(hit("s")));
         with_plan(plan, || assert!(hit("s"), "fresh counters each install"));
     }

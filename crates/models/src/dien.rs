@@ -1,10 +1,6 @@
 //! DIEN (Zhou et al., 2019): GRU interest extraction over the behaviour
 //! sequence, an auxiliary next-behaviour loss, and AUGRU interest evolution
 //! gated by candidate attention.
-#![expect(
-    clippy::disallowed_types,
-    reason = "R1: the per-Graph::id aux-loss state map is insert/remove by key only, never iterated"
-)]
 
 use crate::pooling::{masked_softmax_rows, mean_pool};
 use crate::{CtrModel, EmbeddingLayer, ForwardOpts, ModelConfig};
@@ -13,17 +9,6 @@ use miss_data::{Batch, Schema};
 use miss_nn::{dropout, AuGruCell, Graph, GruCell, Mlp, ParamStore};
 use miss_tensor::Tensor;
 use miss_util::Rng;
-use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// DIEN baseline.
-pub struct DienState {
-    /// Per-step GRU hidden states (`L` entries of `B×K`), cached by the most
-    /// recent forward pass for the auxiliary loss.
-    hidden: Vec<Var>,
-    /// The item-sequence embedding used by that pass.
-    seq_emb: Var,
-}
 
 /// DIEN baseline model.
 pub struct Dien {
@@ -32,14 +17,6 @@ pub struct Dien {
     augru: AuGruCell,
     deep: Mlp,
     dropout: f32,
-    /// Cached by `forward` for `extra_loss` on the same graph, keyed by
-    /// [`Graph::id`] so concurrent training workers (each with its own
-    /// graph) never read or clobber each other's state. Only training-mode
-    /// forwards insert (eval never calls `extra_loss`), and `extra_loss`
-    /// removes its entry, so the map stays bounded by the worker count and
-    /// the lock is held only for the insert/remove — never across a
-    /// forward. The `Mutex` keeps the model `Send + Sync`.
-    state: Mutex<HashMap<u64, DienState>>,
 }
 
 impl Dien {
@@ -54,7 +31,6 @@ impl Dien {
             augru: AuGruCell::new(store, "dien.augru", k, k, rng),
             deep: Mlp::relu_tower(store, "dien.deep", in_dim, &cfg.mlp_sizes, rng),
             dropout: cfg.dropout,
-            state: Mutex::new(HashMap::new()),
         }
     }
 
@@ -132,15 +108,10 @@ impl CtrModel for Dien {
         }
 
         if opts.training {
-            // Replaces any state a previous step left under this graph's id,
-            // so the map never grows past one entry per live worker graph.
-            self.state.lock().unwrap().insert(
-                g.id(),
-                DienState {
-                    hidden,
-                    seq_emb: seq,
-                },
-            );
+            // For `extra_loss` on this graph: the `L` per-step GRU states
+            // (`B×K` each), then the item-sequence embedding.
+            hidden.push(seq);
+            g.carry = hidden;
         }
 
         let mut parts = self.emb.embed_all_cat(g, store, batch);
@@ -154,8 +125,8 @@ impl CtrModel for Dien {
 
     /// DIEN's auxiliary loss: each hidden state must score the *actual* next
     /// behaviour above a uniformly sampled negative item (inner-product
-    /// logistic loss, masked to real transitions). Must be called after
-    /// `forward` on the same graph.
+    /// logistic loss, masked to real transitions). Must be called after a
+    /// training `forward` on the same graph, and consumes what it left.
     fn extra_loss(
         &self,
         g: &mut Graph,
@@ -163,7 +134,8 @@ impl CtrModel for Dien {
         batch: &Batch,
         opts: &mut ForwardOpts,
     ) -> Option<Var> {
-        let state = self.state.lock().unwrap().remove(&g.id())?;
+        let mut hidden = std::mem::take(&mut g.carry);
+        let seq_emb = hidden.pop()?;
         let b = batch.size;
         let l = batch.seq_len;
         let item_vocab = self.emb.schema().seq_fields[0].vocab;
@@ -172,12 +144,9 @@ impl CtrModel for Dien {
 
         let mut logit_cols = Vec::new();
         let mut mask = Vec::new();
-        for t in 0..(l - 1) {
-            let h_t = state.hidden[t];
+        for (t, &h_t) in hidden.iter().enumerate().take(l - 1) {
             // Positive: the actual next behaviour.
-            let next = g
-                .tape
-                .gather_rows(state.seq_emb, Self::step_rows(b, l, t + 1));
+            let next = g.tape.gather_rows(seq_emb, Self::step_rows(b, l, t + 1));
             let pos = g.tape.mul(h_t, next);
             logit_cols.push(g.tape.row_sum(pos));
             // Negative: a random item.
@@ -280,8 +249,9 @@ mod tests {
         assert!(model.extra_loss(&mut gb, &store, &batch, &mut opts_b).is_none());
     }
 
-    /// Eval-mode forwards must not grow the aux-state map (eval never calls
-    /// `extra_loss`, so inserting there would leak one entry per graph).
+    /// Eval-mode forwards must not leave aux state on the graph (eval never
+    /// calls `extra_loss`, so the states would only be kept alive for
+    /// nothing).
     #[test]
     fn eval_forward_leaves_no_state() {
         let (dataset, batch) = tiny_batch();
@@ -291,6 +261,21 @@ mod tests {
         let mut g = Graph::new(&store);
         let mut opts = ForwardOpts { training: false, rng: &mut rng };
         model.forward(&mut g, &store, &batch, &mut opts);
+        assert!(model.extra_loss(&mut g, &store, &batch, &mut opts).is_none());
+    }
+
+    /// A reset graph starts a new step: the previous training forward's
+    /// states must not reach this step's `extra_loss`.
+    #[test]
+    fn reset_drops_aux_state() {
+        let (dataset, batch) = tiny_batch();
+        let mut store = ParamStore::new();
+        let mut rng = Rng::new(7);
+        let model = Dien::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
+        let mut g = Graph::new(&store);
+        let mut opts = ForwardOpts { training: true, rng: &mut rng };
+        model.forward(&mut g, &store, &batch, &mut opts);
+        g.reset(&store);
         assert!(model.extra_loss(&mut g, &store, &batch, &mut opts).is_none());
     }
 

@@ -5,10 +5,6 @@ use crate::store::{DenseId, ParamStore, TableId};
 use miss_autograd::{LinearAct, Tape, Var};
 use miss_tensor::{PackedB, Tensor};
 use miss_util::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide graph identity counter; see [`Graph::id`].
-static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A forward/backward step: wraps a [`Tape`] and records which tape leaves
 /// correspond to which store parameters so the optimiser can route
@@ -26,7 +22,9 @@ pub struct Graph {
     pub tape: Tape,
     dense_bindings: Vec<(DenseId, Var)>,
     dense_cache: Vec<Option<Var>>,
-    id: u64,
+    /// Values a training forward leaves for its model's `extra_loss` on
+    /// the same graph (DIEN's GRU states). [`Graph::reset`] clears them.
+    pub carry: Vec<Var>,
     /// `Some` in inference mode: each dense parameter's weight panels,
     /// packed on first use by [`Graph::linear`] and kept across resets.
     packed: Option<Vec<Option<PackedB>>>,
@@ -39,7 +37,7 @@ impl Graph {
             tape: Tape::new(),
             dense_bindings: Vec::new(),
             dense_cache: vec![None; store.dense.len()],
-            id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
+            carry: Vec::new(),
             packed: None,
         }
     }
@@ -61,7 +59,7 @@ impl Graph {
             tape,
             dense_bindings: Vec::new(),
             dense_cache,
-            id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
+            carry: Vec::new(),
             packed: Some((0..n).map(|_| None).collect()),
         }
     }
@@ -71,20 +69,13 @@ impl Graph {
         self.packed.is_some()
     }
 
-    /// Process-unique, stable identity of this graph instance. Survives
-    /// [`Graph::reset`], so models that cache forward state for a later
-    /// `extra_loss` on the *same* graph (DIEN) can key it per graph and
-    /// stay contention-free when many worker graphs run concurrently.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Clear the step's recordings while keeping the tape's arena capacity,
     /// so one `Graph` can serve a whole batch loop without reallocating.
     /// Outstanding [`Var`]s are invalidated; parameter leaves re-bind to
     /// `store`'s current values on next use. An inference graph keeps its
     /// parameter constants.
     pub fn reset(&mut self, store: &ParamStore) {
+        self.carry.clear();
         if let Some(packed) = &self.packed {
             self.tape.truncate(packed.len());
             return;
@@ -239,17 +230,6 @@ mod tests {
         let grads = g.tape.backward(loss);
         assert_eq!(grads.expect(w).as_slice(), &[4.0, 6.0]);
         assert_eq!(g.dense_bindings().len(), 1);
-    }
-
-    #[test]
-    fn graph_ids_are_unique_and_stable_across_reset() {
-        let store = ParamStore::new();
-        let mut a = Graph::new(&store);
-        let b = Graph::new(&store);
-        assert_ne!(a.id(), b.id());
-        let id = a.id();
-        a.reset(&store);
-        assert_eq!(a.id(), id, "reset must not change graph identity");
     }
 
     #[test]

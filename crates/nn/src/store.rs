@@ -237,9 +237,10 @@ impl ParamStore {
         Ok(())
     }
 
-    /// A copy of every parameter's value without its Adam moments: a
-    /// snapshot to build a model over and run it for inference (a build
-    /// fetches the existing parameters by name), not a store to train.
+    /// A copy of every parameter's value without its Adam moments, in
+    /// registration order, so a model built over this store reads the copy
+    /// through the same ids: a snapshot to run inference on, not a store to
+    /// train.
     pub fn values_only(&self) -> ParamStore {
         ParamStore {
             dense: self

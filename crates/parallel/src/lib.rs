@@ -84,6 +84,10 @@ pub fn max_threads() -> usize {
         return n.max(1);
     }
     static PROCESS: OnceLock<usize> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R10: MISS_THREADS is the one setting the library reads from the environment; it moves wall-clock only, never a result bit (DESIGN.md §6)"
+    )]
     *PROCESS.get_or_init(|| {
         if let Ok(s) = std::env::var("MISS_THREADS") {
             if let Ok(n) = s.trim().parse::<usize>() {

@@ -13,7 +13,7 @@
 
 use miss_data::{Batch, Schema};
 use miss_models::{CtrModel, ForwardOpts, ModelConfig};
-use miss_nn::{Graph, ParamStore};
+use miss_nn::{Graph, ParamStore, ParamView};
 use miss_tensor::Tensor;
 use miss_util::{MissError, MissResult, Rng};
 use std::sync::{Mutex, PoisonError};
@@ -45,37 +45,33 @@ impl FrozenModel {
     }
 
     /// Freeze `store`'s parameters as `arch` over `schema`. The model is
-    /// built over a copy of the store's values, with the embedding width and
-    /// deep-tower widths read off the store, so it fetches every parameter
-    /// by name; extra parameters (MISS SSL heads) are carried but never
-    /// read. A parameter the build had to register because the store lacks
-    /// it is [`MissError::UnknownParam`], an embedding table sized for
-    /// another dataset [`MissError::ShapeMismatch`].
+    /// built over a store of its own, with the embedding width and
+    /// deep-tower widths read off `store`, and every parameter it registers
+    /// then takes `store`'s value of that name. A parameter `store` lacks is
+    /// [`MissError::UnknownParam`], one of another shape (a table sized for
+    /// another dataset, a tower for other field counts)
+    /// [`MissError::ShapeMismatch`]. Parameters the model does not register
+    /// (MISS SSL heads) are not copied, and neither are Adam moments.
     pub fn freeze(
         store: &ParamStore,
         schema: &Schema,
         arch: FrozenArch,
     ) -> MissResult<FrozenModel> {
-        let cfg = model_config(store, schema)?;
-        let mut own = store.values_only();
-        let (dense, tables) = (own.num_dense(), own.num_tables());
+        let cfg = model_config(store)?;
+        let mut own = ParamStore::new();
         let model = arch.build(&mut own, schema, &cfg, &mut Rng::new(0));
-        let added = own
-            .dense_views()
-            .nth(dense)
-            .map(|v| ("dense param", v.name));
-        let added = added.or_else(|| {
-            own.table_views()
-                .nth(tables)
-                .map(|v| ("embedding table", v.name))
-        });
-        if let Some((kind, name)) = added {
-            return Err(MissError::UnknownParam {
-                kind,
-                name: name.to_string(),
-            });
+        let dense: Vec<String> = own.dense_views().map(|v| v.name.to_string()).collect();
+        for name in dense {
+            let value = value_of(store.dense_views(), "dense param", &name)?;
+            own.set_dense_param(&name, value)?;
         }
-        Ok(FrozenModel::new(own, model, schema.clone()))
+        let tables: Vec<String> = own.table_views().map(|v| v.name.to_string()).collect();
+        for name in tables {
+            let value = value_of(store.table_views(), "embedding table", &name)?;
+            own.set_table_param(&name, value)?;
+        }
+        // Serving never reads the Adam moments the build allocated.
+        Ok(FrozenModel::new(own.values_only(), model, schema.clone()))
     }
 
     /// The schema the model scores against.
@@ -113,25 +109,25 @@ impl FrozenModel {
     }
 }
 
+/// A copy of the value of parameter `name` among `views`.
+fn value_of<'a>(
+    mut views: impl Iterator<Item = ParamView<'a>>,
+    kind: &'static str,
+    name: &str,
+) -> MissResult<Tensor> {
+    views
+        .find(|v| v.name == name)
+        .map(|v| v.value.clone())
+        .ok_or_else(|| MissError::UnknownParam {
+            kind,
+            name: name.to_string(),
+        })
+}
+
 /// The model hyper-parameters a store was built with: `embed_dim` is the
 /// width of the `emb.*` tables, `mlp_sizes` the widths of a `*.deep.l{i}`
 /// tower, plus the trailing 1 of its separate `*.head` when it has one.
-/// Also checks every `*.{vocab}` table's rows against `schema`: a build
-/// would re-register a mis-sized table with a panic, not an error.
-fn model_config(store: &ParamStore, schema: &Schema) -> MissResult<ModelConfig> {
-    for t in store.table_views() {
-        let vocab = schema
-            .vocabs
-            .iter()
-            .find(|v| t.name.rsplit('.').next() == Some(v.name.as_str()));
-        if let Some(v) = vocab.filter(|v| v.size != t.value.rows()) {
-            return Err(MissError::ShapeMismatch {
-                context: format!("embedding table {}", t.name),
-                expected: (v.size, t.value.cols()),
-                got: t.value.shape(),
-            });
-        }
-    }
+fn model_config(store: &ParamStore) -> MissResult<ModelConfig> {
     let embed_dim = store
         .table_views()
         .find(|t| t.name.starts_with("emb."))

@@ -73,4 +73,13 @@ fn freeze_rejects_a_store_it_cannot_serve() {
     other.vocabs[1].size += 1;
     let resized = FrozenModel::freeze(&din, &other, BaseModel::Din);
     assert!(matches!(resized, Err(MissError::ShapeMismatch { .. })));
+    // One more categorical field: the deep tower's input is wider.
+    let mut wider = dataset.schema.clone();
+    wider.cat_fields.push(("extra".to_string(), wider.cat_fields[0].1));
+    let widened = FrozenModel::freeze(&din, &wider, BaseModel::Din);
+    assert!(
+        matches!(&widened, Err(MissError::ShapeMismatch { context, .. }) if context.contains("din.deep.l0.w")),
+        "{:?}",
+        widened.err()
+    );
 }

@@ -20,8 +20,9 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Shapes below, at, and far above the `1 << 18` MAC dispatch threshold,
-/// deliberately not multiples of the 4×8 register tile.
+/// Shapes below, at, and far above the `1 << 18` MAC dispatch threshold.
+/// All but the threshold shape straddle the row tiles (6 or 4 rows) and
+/// the 16- or 8-wide B panels.
 const SHAPES: &[(usize, usize, usize)] = &[
     (5, 9, 17),    // tiny, stays serial
     (64, 64, 64),  // exactly 2^18 MACs: first shape that fans out

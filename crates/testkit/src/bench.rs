@@ -261,6 +261,10 @@ fn escape(s: &str) -> String {
         .collect()
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench harness settings (TESTKIT_BENCH_SAMPLES/_WARMUP) size the timing loop, never what a case computes"
+)]
 fn env_usize(key: &str) -> Option<usize> {
     std::env::var(key).ok().and_then(|s| s.trim().parse().ok())
 }
@@ -269,6 +273,10 @@ fn env_usize(key: &str) -> Option<usize> {
 /// `[workspace]`), so artifacts land in one place no matter which package
 /// the bench runs from. `TESTKIT_BENCH_DIR` overrides.
 fn output_dir() -> PathBuf {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TESTKIT_BENCH_DIR only redirects where the bench JSON is written"
+    )]
     if let Ok(d) = std::env::var("TESTKIT_BENCH_DIR") {
         return PathBuf::from(d);
     }

@@ -139,6 +139,10 @@ fn run_case<S: Strategy>(
     );
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "TESTKIT_SEED/TESTKIT_CASES replay or widen a property run; the failure report prints the seed that reproduces it"
+)]
 fn env_u64(key: &str) -> Option<u64> {
     std::env::var(key).ok().and_then(|s| s.trim().parse().ok())
 }

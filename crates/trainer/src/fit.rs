@@ -140,8 +140,7 @@ struct MicroJob<'a> {
 
 /// A parallel task's long-lived slot: the reused graph plus this minibatch's
 /// micro job and its output. Slots persist across minibatches so each micro
-/// index keeps one tape arena (and one stable `Graph::id`) for the whole
-/// epoch.
+/// index keeps one tape arena for the whole epoch.
 struct TrainSlot<'a> {
     graph: Graph,
     job: MicroJob<'a>,
@@ -549,8 +548,9 @@ pub fn fit_pretrain(
         )
         .skipped_steps;
     }
-    // Fine-tune with the main loss only (fresh optimiser state, same story
-    // as re-initialising the heads on top of pre-trained embeddings).
+    // Fine-tune with the main loss only. Adam's m/v moments live in the
+    // store and carry over from pre-training; only the step counter (and
+    // so the bias correction) restarts with the new optimiser.
     let mut out = fit(model, None, store, dataset, cfg);
     out.skipped_steps += skipped_steps;
     out

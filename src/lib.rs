@@ -12,8 +12,8 @@
 //! - [`autograd`] — tape-based reverse-mode automatic differentiation;
 //! - [`nn`] — layers, parameter store, Adam optimiser;
 //! - [`codec`] — versioned checkpoint save/load with typed errors;
-//! - [`fault`] — deterministic fail-point registry (`MISS_FAULTS`) for
-//!   chaos-testing the recovery paths;
+//! - [`fault`] — deterministic fail-point registry whose test-scoped plans
+//!   chaos-test the recovery paths;
 //! - [`parallel`] — the deterministic `MISS_THREADS` worker pool;
 //! - [`data`] — the interest-world behavioural simulator and dataset pipeline;
 //! - [`metrics`] — AUC / Logloss;

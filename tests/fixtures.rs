@@ -58,6 +58,7 @@ fn fixtures() -> Vec<(&'static str, String)> {
         ("r6_string", format!("{r6}\npub fn f() -> &'static str {{\n    \"never call .unwrap( in hot paths\"\n}}\n")),
         ("r6_unwrap_or", format!("{r6}\npub fn f(x: Option<u32>) -> u32 {{\n    x.unwrap_or(0).max(x.unwrap_or_default())\n}}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        assert_eq!(super::f(Some(2)).checked_add(1).unwrap(), 3);\n    }}\n}}\n")),
         ("r9_expect_site", format!("{r6}\npub fn f(grid: &[u32]) -> u32 {{\n    #[expect(clippy::expect_used, reason = \"empty grid asserted impossible by the caller\")]\n    let a = *grid.first().expect(\"non-empty\");\n    let b = grid.last().copied().unwrap();\n    a + b\n}}\n")),
+        ("r10_env", "pub fn a() -> bool {\n    std::env::var(\"MISS_KNOB\").is_ok()\n}\npub fn b() -> bool {\n    std::env::var_os(\"MISS_KNOB\").is_some()\n}\npub fn c() -> &'static str {\n    env!(\"CARGO_PKG_NAME\")\n}\n".into()),
         ("r9_no_reason", "#[allow(clippy::needless_return)]\npub fn f() -> u32 {\n    return 1;\n}\n".into()),
     ]
 }
@@ -113,6 +114,10 @@ fn findings() -> &'static Findings {
         }
         std::fs::write(src.join("lib.rs"), lib).expect("write lib.rs");
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cargo sets CARGO for its test binaries: the fixture crate is linted by the same toolchain"
+        )]
         let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
         let out = Command::new(cargo)
             .args(["clippy", "--offline", "--quiet", "--keep-going", "--all-targets"])
@@ -316,6 +321,20 @@ fn r6_silent_on_unwrap_inside_string_literal() {
 fn r6_silent_on_unwrap_or_and_in_tests() {
     // `unwrap_or` is fine, and test code is exempt through clippy.toml.
     assert!(at("r6_unwrap_or").is_empty(), "{:?}", at("r6_unwrap_or"));
+}
+
+// ---------------------------------------------------------------- R10
+
+#[test]
+fn r10_fires_on_runtime_env_reads_only() {
+    // `env!` is resolved at compile time: not a setting read at run time.
+    assert_eq!(
+        at("r10_env"),
+        vec![
+            (line_of("r10_env", "env::var("), "clippy::disallowed_methods"),
+            (line_of("r10_env", "env::var_os("), "clippy::disallowed_methods"),
+        ]
+    );
 }
 
 // ------------------------------------------------------- exemption layer
