@@ -1,7 +1,6 @@
 //! Elementwise and broadcast arithmetic.
 
 use crate::tape::{Tape, Var};
-use miss_tensor::Tensor;
 
 impl Tape {
     /// Elementwise `a + b`.
@@ -62,25 +61,6 @@ impl Tape {
         self.push_op(&[x, col], value, move |g, vals, ctx| {
             ctx.accum(x, g.mul_col_broadcast(&vals[col.0]));
             ctx.accum(col, g.mul(&vals[x.0]).row_sum());
-        })
-    }
-
-    /// Multiply every element of `x` by a learnable `1×1` scalar `s`
-    /// (used for the paper's 1×m×1 / n×1×1 convolution kernel weights).
-    pub fn mul_scalar_var(&mut self, x: Var, s: Var) -> Var {
-        assert_eq!(self.shape(s), (1, 1), "mul_scalar_var needs a 1x1 scalar");
-        let sv = self.value(s).item();
-        let value = self.value(x).scale(sv);
-        self.push_op(&[x, s], value, move |g, vals, ctx| {
-            let sv = vals[s.0].item();
-            ctx.accum(x, g.scale(sv));
-            let ds: f32 = g
-                .as_slice()
-                .iter()
-                .zip(vals[x.0].as_slice())
-                .map(|(&gv, &xv)| gv * xv)
-                .sum();
-            ctx.accum(s, Tensor::scalar(ds));
         })
     }
 }

@@ -8,10 +8,12 @@
 mod activation;
 mod arith;
 mod block;
+mod conv;
 mod linear;
 mod loss;
 mod matmul;
 mod reduce;
 mod shape;
 
+pub use conv::ConvTap;
 pub use linear::LinearAct;

@@ -77,24 +77,10 @@ impl Tape {
 
     /// Row-wise L2 normalisation `y = x / max(‖x‖, eps)`.
     pub fn l2_normalize_rows(&mut self, x: Var, eps: f32) -> Var {
-        let norms = self.value(x).row_l2_norm(eps);
-        let inv = norms.map(|n| 1.0 / n);
-        let value = self.value(x).mul_col_broadcast(&inv);
+        let (value, inv) = l2_normalize(self.value(x), eps);
         let out_slot = self.len();
         self.push_op(&[x], value, move |g, vals, ctx| {
-            let y = &vals[out_slot];
-            let (r, c) = y.shape();
-            let mut dx = Tensor::zeros(r, c);
-            for i in 0..r {
-                let yrow = y.row(i);
-                let grow = g.row(i);
-                let n = 1.0 / inv.get(i, 0);
-                let dot: f32 = yrow.iter().zip(grow).map(|(&a, &b)| a * b).sum();
-                for ((d, &yv), &gv) in dx.row_mut(i).iter_mut().zip(yrow).zip(grow) {
-                    *d = (gv - yv * dot) / n;
-                }
-            }
-            ctx.accum(x, dx);
+            ctx.accum(x, l2_normalize_backward(g.clone(), &vals[out_slot], &inv));
         })
     }
 
@@ -112,6 +98,32 @@ impl Tape {
             ctx.accum(x, dx);
         })
     }
+}
+
+/// `x / max(‖x‖, eps)` row by row, and the inverse norms it scaled by.
+pub(crate) fn l2_normalize(x: &Tensor, eps: f32) -> (Tensor, Tensor) {
+    let inv = x.row_l2_norm(eps).map(|n| 1.0 / n);
+    (x.mul_col_broadcast(&inv), inv)
+}
+
+/// The backward of [`l2_normalize`] given its output `y` and inverse norms,
+/// in place on the output gradient `g`: row `i` becomes
+/// `(g − y·dot(y, g)) / n` with `n = 1/inv_i` and a sequential dot.
+pub(crate) fn l2_normalize_backward(mut g: Tensor, y: &Tensor, inv: &Tensor) -> Tensor {
+    let c = y.cols();
+    for ((grow, yrow), &iv) in g
+        .as_mut_slice()
+        .chunks_exact_mut(c)
+        .zip(y.as_slice().chunks_exact(c))
+        .zip(inv.as_slice())
+    {
+        let n = 1.0 / iv;
+        let dot: f32 = yrow.iter().zip(grow.iter()).map(|(&a, &b)| a * b).sum();
+        for (d, &yv) in grow.iter_mut().zip(yrow) {
+            *d = (*d - yv * dot) / n;
+        }
+    }
+    g
 }
 
 #[cfg(test)]

@@ -108,9 +108,13 @@ impl BackwardCtx {
     /// scattered tensor up to the sign of a zero for distinct indices, and
     /// reassociates (deterministically) the sums over a repeated index.
     pub fn accum_rows(&mut self, v: Var, shape: (usize, usize), idx: &[usize], src: &Tensor) {
-        self.grads[v.0]
-            .get_or_insert_with(|| Tensor::zeros(shape.0, shape.1))
-            .scatter_add_rows(idx, src);
+        self.slot(v, shape).scatter_add_rows(idx, src);
+    }
+
+    /// The `shape` gradient of `v`, for an op to add into in place; an
+    /// empty slot starts from zeros.
+    pub fn slot(&mut self, v: Var, shape: (usize, usize)) -> &mut Tensor {
+        self.grads[v.0].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1))
     }
 }
 

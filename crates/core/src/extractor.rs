@@ -2,7 +2,7 @@
 //! (Eq. 18–20) plus the self-attention and LSTM alternatives of Table VIII.
 
 use crate::config::ExtractorKind;
-use miss_autograd::Var;
+use miss_autograd::{ConvTap, Var};
 use miss_data::Batch;
 use miss_nn::{init, DenseId, Graph, Linear, LstmCell, ParamStore};
 use miss_tensor::Tensor;
@@ -104,8 +104,9 @@ impl Extractor {
         }
     }
 
-    /// Eq. 19–20: horizontal convolution `G_m^{j,l,k} = ReLU(C^{j,l:l+m-1,k} ∘ g_m)`.
-    #[expect(clippy::expect_used, reason = "every kernel is built with m >= 1 taps")]
+    /// Eq. 19–20: horizontal convolution `G_m^{j,l,k} = ReLU(C^{j,l:l+m-1,k} ∘ g_m)`,
+    /// one fused tape node per `(branch, field)`: tap `i` of `g_m` reads
+    /// each user's history `i` positions on.
     fn extract_cnn(
         &self,
         g: &mut Graph,
@@ -125,23 +126,16 @@ impl Extractor {
             let per_field = seq_embs
                 .iter()
                 .map(|&seq| {
-                    let mut acc: Option<Var> = None;
-                    for (i, &wid) in scalars.iter().enumerate() {
-                        let mut idx = Vec::with_capacity(b * w);
-                        for bi in 0..b {
-                            for pos in 0..w {
-                                idx.push(bi * l + pos + i);
-                            }
-                        }
-                        let shifted = g.tape.gather_rows(seq, idx);
-                        let wv = g.param(store, wid);
-                        let scaled = g.tape.mul_scalar_var(shifted, wv);
-                        acc = Some(match acc {
-                            Some(a) => g.tape.add(a, scaled),
-                            None => scaled,
-                        });
-                    }
-                    g.tape.relu(acc.expect("kernel has at least one tap"))
+                    let taps: Vec<ConvTap> = scalars
+                        .iter()
+                        .enumerate()
+                        .map(|(shift, &wid)| ConvTap {
+                            x: seq,
+                            shift,
+                            w: g.param(store, wid),
+                        })
+                        .collect();
+                    g.tape.scalar_conv_relu(&taps, b, w)
                 })
                 .collect();
             maps.push(InterestMap {
@@ -270,12 +264,11 @@ impl Extractor {
 }
 
 /// Eq. 22–23: vertical convolution over the field axis of one interest map,
-/// producing `J−n+1` feature-enhanced maps. `scalars` are the `n` taps of
-/// `ĝ_{m,n}`.
+/// producing `J−n+1` feature-enhanced maps, one fused tape node each.
+/// `scalars` are the `n` taps of `ĝ_{m,n}`.
 #[expect(
-    clippy::expect_used,
     clippy::indexing_slicing,
-    reason = "1 <= n <= j is asserted, so the kernel is non-empty and j0 + i < j"
+    reason = "1 <= n <= j is asserted, so j0 + i < j"
 )]
 pub(crate) fn vertical_conv(
     g: &mut Graph,
@@ -286,18 +279,21 @@ pub(crate) fn vertical_conv(
     let j = map.per_field.len();
     let n = scalars.len();
     assert!(n >= 1 && n <= j, "vertical kernel taller than field count");
+    // Every tap reads the same row of its field, so the whole `(B·W)×K`
+    // map is one block.
+    let rows = g.tape.shape(map.per_field[0]).0;
     (0..=(j - n))
         .map(|j0| {
-            let mut acc: Option<Var> = None;
-            for (i, &wid) in scalars.iter().enumerate() {
-                let wv = g.param(store, wid);
-                let scaled = g.tape.mul_scalar_var(map.per_field[j0 + i], wv);
-                acc = Some(match acc {
-                    Some(a) => g.tape.add(a, scaled),
-                    None => scaled,
-                });
-            }
-            g.tape.relu(acc.expect("non-empty kernel"))
+            let taps: Vec<ConvTap> = scalars
+                .iter()
+                .enumerate()
+                .map(|(i, &wid)| ConvTap {
+                    x: map.per_field[j0 + i],
+                    shift: 0,
+                    w: g.param(store, wid),
+                })
+                .collect();
+            g.tape.scalar_conv_relu(&taps, 1, rows)
         })
         .collect()
 }

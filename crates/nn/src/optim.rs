@@ -32,12 +32,19 @@ pub struct Adam {
     /// L2 regularisation weight (applied to the gradient).
     pub l2: f32,
     t: u64,
-    /// Sparse-merge scratch: one `(table<<32|row, arrival)` entry per looked-
-    /// up row, re-sorted each step. Reused so steady-state steps allocate
-    /// nothing on the sparse path.
-    merge_entries: Vec<(u64, u32)>,
-    /// Sparse-merge scratch: the summed gradient of the row currently being
-    /// applied (sized to that table's dim).
+    /// Sparse-merge scratch, one `u32` per row of each table: 0 for a row
+    /// the current step has not touched, else 1 + its index in
+    /// `merge_rows`. Grown to a table's vocabulary on first use; each step
+    /// starts by zeroing the slots the previous one set, which `merge_rows`
+    /// still lists even if that step unwound half-way.
+    merge_slot: Vec<Vec<u32>>,
+    /// Sparse-merge scratch: the `(table, row)`s touched this step, in
+    /// order of first arrival, each with the offset of its summed gradient
+    /// in `merge_buf`.
+    merge_rows: Vec<(usize, usize, usize)>,
+    /// Sparse-merge scratch: every touched row's summed gradient, one run
+    /// of the table's dim each. All three buffers are reused, so steady-
+    /// state steps allocate nothing on the sparse path.
     merge_buf: Vec<f32>,
 }
 
@@ -51,7 +58,8 @@ impl Adam {
             eps: 1e-8,
             l2,
             t: 0,
-            merge_entries: Vec::new(),
+            merge_slot: Vec::new(),
+            merge_rows: Vec::new(),
             merge_buf: Vec::new(),
         }
     }
@@ -116,76 +124,69 @@ impl Adam {
         self.step_sparse(store, &grads, bc1, bc2);
     }
 
-    /// Fused sparse merge + update. One `(packed key, arrival rank)` entry
-    /// per looked-up row is sorted so that duplicate `(table, row)` keys
-    /// become adjacent *and* keep their arrival order (the order the
-    /// backward passes emitted them, which the trainer's ordered reduction
-    /// already fixed); each run is then summed into a flat scratch buffer
-    /// and applied in place. No per-row heap allocation, no hash map, and
-    /// the application order — ascending `(table, row)` — is a pure
-    /// function of the touched key set.
+    /// Fused sparse merge + update. Each looked-up row's gradient is added
+    /// into its `(table, row)`'s run of a flat scratch buffer, found through
+    /// a per-table slot array, in arrival order: the order the backward
+    /// passes emitted the rows, which the trainer's ordered reduction
+    /// already fixed. Each unique row is then updated once. No sort, no
+    /// hash map, no per-row heap allocation; a row's sum depends only on
+    /// its own arrivals, and rows update independently, so the bits equal
+    /// those of any merge that keeps each row's arrival order.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "integer key packing only: table ids and row indices are u32 by construction, so (table << 32 | row) round-trips"
+        reason = "a step touches at most one row per looked-up index, far fewer than u32::MAX"
     )]
     fn step_sparse(&mut self, store: &mut ParamStore, grads: &Grads, bc1: f32, bc2: f32) {
-        self.merge_entries.clear();
-        let mut row_of = Vec::with_capacity(grads.sparse.len() + 1);
-        row_of.push(0u32);
-        let mut base = 0u32;
-        for sg in &grads.sparse {
-            let t = (sg.table_id as u64) << 32;
-            for (r, &idx) in sg.indices.iter().enumerate() {
-                self.merge_entries.push((t | idx as u64, base + r as u32));
-            }
-            base += sg.indices.len() as u32;
-            row_of.push(base);
+        for &(table_id, idx, _) in &self.merge_rows {
+            self.merge_slot[table_id][idx] = 0;
         }
-        // Arrival rank is unique, so the full key is totally ordered and
-        // `sort_unstable` is deterministic (and stable on the packed key).
-        self.merge_entries.sort_unstable();
-
-        let mut i = 0;
-        let mut prev_table = 0usize;
-        while i < self.merge_entries.len() {
-            let (key, _) = self.merge_entries[i];
-            let table_id = (key >> 32) as usize;
-            let idx = key as u32 as usize;
-            assert!(
-                table_id >= prev_table,
-                "merged sparse rows must stay contiguous per table"
-            );
-            prev_table = table_id;
-            let dim = store.tables[table_id].dim;
-            self.merge_buf.clear();
-            self.merge_buf.resize(dim, 0.0);
-            let mut j = i;
-            while j < self.merge_entries.len() && self.merge_entries[j].0 == key {
-                let rank = self.merge_entries[j].1;
-                // Locate (source grad, row) for this arrival rank.
-                let sgi = row_of.partition_point(|&b| b <= rank) - 1;
-                let sg = &grads.sparse[sgi];
-                let row = sg.grad_rows.row((rank - row_of[sgi]) as usize);
+        self.merge_rows.clear();
+        self.merge_buf.clear();
+        if self.merge_slot.len() < store.tables.len() {
+            self.merge_slot.resize_with(store.tables.len(), Vec::new);
+        }
+        for sg in &grads.sparse {
+            let table = &store.tables[sg.table_id];
+            let dim = table.dim;
+            let slots = &mut self.merge_slot[sg.table_id];
+            if slots.len() < table.rows() {
+                slots.resize(table.rows(), 0);
+            }
+            for (r, &idx) in sg.indices.iter().enumerate() {
+                let idx = idx as usize;
+                let off = match slots[idx] {
+                    0 => {
+                        let off = self.merge_buf.len();
+                        self.merge_buf.resize(off + dim, 0.0);
+                        self.merge_rows.push((sg.table_id, idx, off));
+                        slots[idx] = self.merge_rows.len() as u32;
+                        off
+                    }
+                    s => self.merge_rows[s as usize - 1].2,
+                };
+                let row = sg.grad_rows.row(r);
                 debug_assert_eq!(row.len(), dim, "grad row width != table dim");
-                for (acc, &g) in self.merge_buf.iter_mut().zip(row) {
+                for (acc, &g) in self.merge_buf[off..off + dim].iter_mut().zip(row) {
                     *acc += g;
                 }
-                j += 1;
             }
+        }
+
+        for &(table_id, idx, off) in &self.merge_rows {
             let table = &mut store.tables[table_id];
-            let off = idx * dim;
-            let w = &mut table.value.as_mut_slice()[off..off + dim];
-            let m = &mut table.m.as_mut_slice()[off..off + dim];
-            let v = &mut table.v.as_mut_slice()[off..off + dim];
+            let dim = table.dim;
+            let at = idx * dim;
+            let w = &mut table.value.as_mut_slice()[at..at + dim];
+            let m = &mut table.m.as_mut_slice()[at..at + dim];
+            let v = &mut table.v.as_mut_slice()[at..at + dim];
             for k in 0..dim {
-                let gi = self.merge_buf[k] + self.l2 * w[k];
+                let gi = self.merge_buf[off + k] + self.l2 * w[k];
                 m[k] = self.beta1 * m[k] + (1.0 - self.beta1) * gi;
                 v[k] = self.beta2 * v[k] + (1.0 - self.beta2) * gi * gi;
                 let mhat = m[k] / bc1;
                 let vhat = v[k] / bc2;
                 w[k] -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
-            i = j;
         }
     }
 }

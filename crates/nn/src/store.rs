@@ -41,7 +41,7 @@ pub struct EmbeddingTable {
     pub(crate) value: Tensor,
     pub(crate) m: Tensor,
     pub(crate) v: Tensor,
-    /// Per-row last-update step for lazy bias correction bookkeeping.
+    /// Embedding dimension (columns of `value`, `m` and `v`).
     pub(crate) dim: usize,
 }
 

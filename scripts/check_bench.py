@@ -7,7 +7,9 @@ The baseline may be a single-group document (`{"group": ..., "cases":
 [...]}`) or a multi-group one (`{"groups": [<single-group doc>, ...]}`);
 case names are unique across groups, so both flatten to one name->median
 map. A fresh file is always a single group, so gating it against the full
-baseline only compares the cases that group produced. Cases present on one
+baseline only compares the cases that group produced. A group the baseline
+lacks is gated by its within-run clauses (--require-faster, --require-ratio)
+alone, and is an error when it has none. Cases present on one
 side only — a renamed sweep, a retired case, a case added mid-PR — print a
 named warning and never fail the gate, so the case set can evolve without
 breaking CI between the rename and the baseline refresh.
@@ -199,6 +201,23 @@ def self_test():
             lambda r: r.returncode == 1 and "nothing to gate against" in r.stderr,
         ),
         (
+            "baseline-less group passes on its within-run clauses",
+            run(
+                [doc("step", a=200, b=100), {"groups": [doc("kernels", k=10)]}],
+                [0, 1, "--require-ratio", "a", "b", "3.0"],
+            ),
+            lambda r: r.returncode == 0
+            and "gating on the within-run clauses alone" in r.stdout,
+        ),
+        (
+            "baseline-less group still fails its within-run clauses",
+            run(
+                [doc("step", a=400, b=100), {"groups": [doc("kernels", k=10)]}],
+                [0, 1, "--require-ratio", "a", "b", "3.0"],
+            ),
+            lambda r: r.returncode == 1 and "exceeds --require-ratio" in r.stderr,
+        ),
+        (
             "empty baseline case list is a named error",
             run([doc("g", a=100), {"group": "g", "cases": []}], [0, 1]),
             lambda r: r.returncode == 1 and "nothing to gate against" in r.stderr,
@@ -258,15 +277,21 @@ def main():
     hard_errors = []
 
     # An empty baseline side means every regression comparison below would
-    # be silently skipped and the gate would "pass" having checked nothing —
-    # the exact failure mode after a group rename or a truncated baseline
-    # commit. Name it and fail.
+    # be silently skipped. A group gated by within-run clauses (one fresh
+    # median against another) still checks something, so it passes on those
+    # alone, with a note. Without such a clause the gate would "pass" having
+    # checked nothing — the exact failure mode after a group rename or a
+    # truncated baseline commit. Name it and fail.
     if not base:
-        hard_errors.append(
-            f"baseline {base_path} has no cases for group "
-            f"`{fresh_group or '<any>'}` — nothing to gate against "
-            "(refresh it with --update-baseline)"
-        )
+        where = f"baseline {base_path} has no cases for group `{fresh_group or '<any>'}`"
+        if faster or pair_ratios:
+            print(f"note: {where}; gating on the within-run clauses alone")
+        else:
+            hard_errors.append(
+                f"{where} — nothing to gate against (refresh it with "
+                "--update-baseline, or gate the group with --require-faster "
+                "or --require-ratio)"
+            )
 
     for name in required:
         if name not in fresh:
@@ -339,7 +364,10 @@ def main():
             print(f"  {name}: {b} -> {f} ns (x{ratio:.2f})", file=sys.stderr)
     if hard_errors or failures:
         sys.exit(1)
-    print(f"\nbench gate passed ({len(base)} baseline cases, tolerance {tolerance:.0%})")
+    if base:
+        print(f"\nbench gate passed ({len(base)} baseline cases, tolerance {tolerance:.0%})")
+    else:
+        print("\nbench gate passed (within-run clauses only, no baseline cases)")
 
 
 if __name__ == "__main__":

@@ -166,6 +166,15 @@ python3 scripts/check_bench.py BENCH_training.json bench_baseline.json 0.25 \
     --require-faster train_epoch_parallel_b4096 train_epoch_serial_b4096 \
     || failed_gates+=(training)
 
+# The MISS overhead gate: MISS costs nothing at serving time, so its price
+# is the extra training work of Eq. 17. A DIN+MISS joint step may cost at
+# most 3x a plain DIN step of the same run. bench_baseline.json has no
+# training_step group, so this within-run ratio is the whole gate.
+echo "==> bench gate: training_step MISS overhead (within one run)"
+python3 scripts/check_bench.py BENCH_training_step.json bench_baseline.json 0.25 \
+    --require-ratio din_miss_joint_step din_forward_backward_step 3.0 \
+    || failed_gates+=(training_step)
+
 # The frozen-eval gate: eval through the inference-mode graph must stay in
 # the same band as the training-graph eval (typically faster; the 1.25
 # bound is noise headroom on a busy box, and catches the inference path
