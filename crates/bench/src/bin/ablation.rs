@@ -46,12 +46,12 @@ fn main() {
         opts.tune(&mut base);
         rows.push(CellResult::from_runs(
             "DIN",
-            &base.run_reps(&dataset, opts.reps),
+            &opts.runs(&base, &dataset),
         ));
         for (label, cfg) in &variants {
             let mut e = Experiment::new(BaseModel::Din, SslKind::Miss(cfg.clone()));
             opts.tune(&mut e);
-            let runs = e.run_reps(&dataset, opts.reps);
+            let runs = opts.runs(&e, &dataset);
             eprintln!("[ablation] {} {label} done", dataset.name);
             rows.push(CellResult::from_runs(label.clone(), &runs));
         }

@@ -27,7 +27,7 @@ fn main() {
             cfg.alpha2 = a;
             let mut e = Experiment::new(BaseModel::Din, SslKind::Miss(cfg));
             opts.tune(&mut e);
-            let runs = e.run_reps(&dataset, opts.reps);
+            let runs = opts.runs(&e, &dataset);
             eprintln!("[fig06] {} alpha={a} done", dataset.name);
             rows.push(CellResult::from_runs(format!("alpha={a}"), &runs));
         }

@@ -24,7 +24,7 @@ fn main() {
             cfg.tau = t;
             let mut e = Experiment::new(BaseModel::Din, SslKind::Miss(cfg));
             opts.tune(&mut e);
-            let runs = e.run_reps(&dataset, opts.reps);
+            let runs = opts.runs(&e, &dataset);
             eprintln!("[fig07] {} tau={t} done", dataset.name);
             rows.push(CellResult::from_runs(format!("tau={t}"), &runs));
         }

@@ -17,7 +17,7 @@ fn main() {
         for base in ALL_BASELINES {
             let mut e = Experiment::new(base, SslKind::None);
             opts.tune(&mut e);
-            let runs = e.run_reps(&dataset, opts.reps);
+            let runs = opts.runs(&e, &dataset);
             eprintln!("[table04] {} {} done", dataset.name, e.label());
             rows.push(CellResult::from_runs(e.label(), &runs));
         }
@@ -26,7 +26,7 @@ fn main() {
             SslKind::Miss(MissConfig::default()),
         );
         opts.tune(&mut e);
-        let runs = e.run_reps(&dataset, opts.reps);
+        let runs = opts.runs(&e, &dataset);
         eprintln!("[table04] {} MISS done", dataset.name);
         rows.push(CellResult::from_runs("MISS", &runs));
         cells.push(rows);

@@ -28,7 +28,7 @@ fn main() {
             for ssl in ssls() {
                 let mut e = Experiment::new(base, ssl);
                 opts.tune(&mut e);
-                let runs = e.run_reps(&dataset, opts.reps);
+                let runs = opts.runs(&e, &dataset);
                 eprintln!("[table06] {} {} done", dataset.name, e.label());
                 rows.push(CellResult::from_runs(e.label(), &runs));
             }

@@ -29,14 +29,14 @@ fn main() {
                     Experiment::new(base, SslKind::Miss(MissConfig::variant(v)));
                 opts.tune(&mut e);
                 let label = format!("{}-{}", base.label(), v.label());
-                let runs = e.run_reps(&dataset, opts.reps);
+                let runs = opts.runs(&e, &dataset);
                 eprintln!("[table07] {} {} done", dataset.name, label);
                 rows.push(CellResult::from_runs(label, &runs));
             }
             // The plain base model closes each block, as in the paper.
             let mut e = Experiment::new(base, SslKind::None);
             opts.tune(&mut e);
-            let runs = e.run_reps(&dataset, opts.reps);
+            let runs = opts.runs(&e, &dataset);
             rows.push(CellResult::from_runs(base.label(), &runs));
         }
         cells.push(rows);

@@ -15,7 +15,7 @@ fn main() {
         let mut rows = Vec::new();
         let mut e = Experiment::new(BaseModel::Din, SslKind::None);
         opts.tune(&mut e);
-        rows.push(CellResult::from_runs("DIN", &e.run_reps(&dataset, opts.reps)));
+        rows.push(CellResult::from_runs("DIN", &opts.runs(&e, &dataset)));
         for (label, kind) in [
             ("MISS-SA", ExtractorKind::SelfAttention),
             ("MISS-LSTM", ExtractorKind::Lstm),
@@ -26,7 +26,7 @@ fn main() {
                 SslKind::Miss(MissConfig::with_extractor(kind)),
             );
             opts.tune(&mut e);
-            let runs = e.run_reps(&dataset, opts.reps);
+            let runs = opts.runs(&e, &dataset);
             eprintln!("[table08] {} {} done", dataset.name, label);
             rows.push(CellResult::from_runs(label, &runs));
         }

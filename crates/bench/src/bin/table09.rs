@@ -16,14 +16,14 @@ fn main() {
 
         let mut din = Experiment::new(BaseModel::Din, SslKind::None);
         opts.tune(&mut din);
-        rows.push(CellResult::from_runs("DIN", &din.run_reps(&dataset, opts.reps)));
+        rows.push(CellResult::from_runs("DIN", &opts.runs(&din, &dataset)));
 
         let mut joint =
             Experiment::new(BaseModel::Din, SslKind::Miss(MissConfig::default()));
         opts.tune(&mut joint);
         rows.push(CellResult::from_runs(
             "MISS-Joint",
-            &joint.run_reps(&dataset, opts.reps),
+            &opts.runs(&joint, &dataset),
         ));
 
         let mut pre = Experiment::new(BaseModel::Din, SslKind::Miss(MissConfig::default()));
@@ -31,7 +31,7 @@ fn main() {
         opts.tune(&mut pre);
         rows.push(CellResult::from_runs(
             "MISS-Pre",
-            &pre.run_reps(&dataset, opts.reps),
+            &opts.runs(&pre, &dataset),
         ));
         eprintln!("[table09] {} done", dataset.name);
         cells.push(rows);

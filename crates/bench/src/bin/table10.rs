@@ -29,7 +29,7 @@ fn main() {
             let mut din = Experiment::new(BaseModel::Din, SslKind::None);
             opts.tune(&mut din);
             let d = mean(
-                &din.run_reps(&dataset, opts.reps)
+                &opts.runs(&din, &dataset)
                     .iter()
                     .map(|r| r.auc)
                     .collect::<Vec<_>>(),
@@ -38,8 +38,7 @@ fn main() {
                 Experiment::new(BaseModel::Din, SslKind::Miss(MissConfig::default()));
             opts.tune(&mut miss);
             let m = mean(
-                &miss
-                    .run_reps(&dataset, opts.reps)
+                &opts.runs(&miss, &dataset)
                     .iter()
                     .map(|r| r.auc)
                     .collect::<Vec<_>>(),

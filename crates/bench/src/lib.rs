@@ -54,6 +54,15 @@ impl ExpOpts {
         }
     }
 
+    /// Test metrics of `e` over this many seeds; a run that aborts ends the
+    /// binary with the error's exit code.
+    pub fn runs(&self, e: &Experiment, dataset: &Dataset) -> Vec<EvalResult> {
+        e.run_reps(dataset, self.reps).unwrap_or_else(|err| {
+            eprintln!("{}: {err}", e.label());
+            std::process::exit(err.exit_code())
+        })
+    }
+
     /// Apply smoke-mode shortcuts to an experiment.
     pub fn tune(&self, e: &mut Experiment) {
         if self.smoke {

@@ -1,5 +1,5 @@
 //! The versioned checkpoint container: header, checksummed section table,
-//! and the params / moments / progress section payloads.
+//! and the params / moments / progress / best section payloads.
 //!
 //! See DESIGN.md §8 for the wire diagram and the versioning policy. In
 //! short:
@@ -24,7 +24,7 @@
 //! check that survives even a hypothetical checksum-colliding corruption.
 
 use crate::wire::{fnv1a, put_f32s, put_str, put_u32, put_u64, u32_le, u64_le, SectionReader};
-use miss_nn::ParamStore;
+use miss_nn::{ParamStore, StoreSnapshot};
 use miss_tensor::Tensor;
 use miss_util::MissError;
 use std::io::{Read, Write};
@@ -37,8 +37,10 @@ pub const MAGIC: [u8; 8] = *b"MISSCKPT";
 
 /// Current (and only) format version. Compatibility policy: readers accept
 /// exactly the versions they know; any layout change bumps this constant and
-/// adds an explicit migration arm, never a silent reinterpretation.
-pub const FORMAT_VERSION: u32 = 1;
+/// adds an explicit migration arm, never a silent reinterpretation. Version
+/// 2 added the phase and early-stopping fields to the progress section and
+/// the best section; a version-1 file is [`MissError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed header prefix: magic + version + section count + fingerprint.
 pub const HEADER_FIXED_LEN: usize = 24;
@@ -53,9 +55,12 @@ pub const SECTION_MOMENTS: u32 = 2;
 /// Section id: training progress (optional — present in resumable
 /// checkpoints saved by the trainer).
 pub const SECTION_PROGRESS: u32 = 3;
+/// Section id: the best-validation weights, values only (present exactly
+/// when the progress section names a best epoch).
+pub const SECTION_BEST: u32 = 4;
 
-/// Sections a version-1 reader accepts, small enough that a corrupt count
-/// can never drive a large table allocation.
+/// Sections a reader accepts, small enough that a corrupt count can never
+/// drive a large table allocation.
 const MAX_SECTIONS: u32 = 8;
 
 fn section_name(id: u32) -> Option<&'static str> {
@@ -63,23 +68,45 @@ fn section_name(id: u32) -> Option<&'static str> {
         SECTION_PARAMS => Some("params"),
         SECTION_MOMENTS => Some("moments"),
         SECTION_PROGRESS => Some("progress"),
+        SECTION_BEST => Some("best"),
         _ => None,
     }
 }
 
-/// Where a run was when it was checkpointed: enough state to make a resumed
-/// run bitwise identical to an uninterrupted one (together with the weights
-/// and moments stored alongside).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TrainProgress {
-    /// Epochs fully completed.
+/// The best validated epoch so far, with the weights it ended on.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Best {
+    /// Epoch (1-based, counting pre-training) whose weights these are.
     pub epoch: u64,
-    /// Adam steps applied (drives bias correction on resume).
+    /// Validation AUC at that epoch.
+    pub auc: f64,
+    /// Validation Logloss at that epoch.
+    pub logloss: f64,
+    /// Parameter values at that epoch (no moments).
+    pub weights: StoreSnapshot,
+}
+
+/// Where a run was when it was checkpointed: enough state to make a resumed
+/// run bitwise identical to an uninterrupted one (together with the latest
+/// weights and moments stored alongside) and to finish it the same way —
+/// same phase, same early-stopping state, same best weights.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TrainProgress {
+    /// Epochs fully completed, pre-training included.
+    pub epoch: u64,
+    /// Adam steps applied in the current phase (drives bias correction on
+    /// resume).
     pub step: u64,
     /// Training RNG raw state (`Rng::state_parts().0`).
     pub rng_state: u64,
     /// Training RNG stream increment (`Rng::state_parts().1`, always odd).
     pub rng_inc: u64,
+    /// The phase schedule: `None` for joint training; `Some(n)` for
+    /// SSL-only pre-training while `epoch < n`, then CTR-only fine-tuning.
+    pub pretrain_epochs: Option<u64>,
+    /// The best validated epoch so far; `None` before the first one. Its
+    /// weights travel in the best section.
+    pub best: Option<Best>,
 }
 
 // ---------------------------------------------------------------------------
@@ -122,15 +149,20 @@ fn encode_moments(store: &ParamStore) -> Vec<u8> {
 }
 
 fn encode_progress(p: &TrainProgress) -> Vec<u8> {
+    let (two_stage, pretrain) = p.pretrain_epochs.map_or((0, 0), |n| (1, n));
+    let best = p.best.as_ref();
+    let (best, auc, logloss) = best.map_or((0, 0.0, 0.0), |b| (b.epoch, b.auc, b.logloss));
     let mut out = Vec::new();
-    put_u64(&mut out, p.epoch);
-    put_u64(&mut out, p.step);
-    put_u64(&mut out, p.rng_state);
-    put_u64(&mut out, p.rng_inc);
+    for v in [p.epoch, p.step, p.rng_state, p.rng_inc, two_stage, pretrain, best] {
+        put_u64(&mut out, v);
+    }
+    put_u64(&mut out, auc.to_bits());
+    put_u64(&mut out, logloss.to_bits());
     out
 }
 
-/// Serialise `store` (and, when given, training progress) to `w`.
+/// Serialise `store` (and, when given, training progress with its best
+/// weights) to `w`.
 ///
 /// The moments section is always written by this entry point; a future
 /// inference-artifact exporter may omit it, which [`load`] already accepts.
@@ -145,6 +177,13 @@ pub fn save(
     ];
     if let Some(p) = progress {
         sections.push((SECTION_PROGRESS, encode_progress(p)));
+        if let Some(best) = &p.best {
+            // The snapshot is positional; a values-only copy of the store
+            // pairs each value with its registration name.
+            let mut shadow = store.values_only();
+            shadow.restore(&best.weights);
+            sections.push((SECTION_BEST, encode_params(&shadow)));
+        }
     }
 
     let mut header = Vec::with_capacity(HEADER_FIXED_LEN + sections.len() * SECTION_ENTRY_LEN + 8);
@@ -465,51 +504,75 @@ fn decode_tensor_section(
     Ok(TensorSection { dense, tables })
 }
 
+/// The progress section. A best epoch's weights arrive in their own section;
+/// until [`load`] fills them in they are an empty snapshot.
 fn decode_progress(payload: &[u8]) -> Result<TrainProgress, MissError> {
     let mut r = SectionReader::new(payload, "progress");
-    let p = TrainProgress {
-        epoch: r.u64("epoch")?,
-        step: r.u64("step")?,
-        rng_state: r.u64("rng state")?,
-        rng_inc: r.u64("rng increment")?,
-    };
+    let mut next = |what| r.u64(what);
+    let (epoch, step, rng_state, rng_inc) =
+        (next("epoch")?, next("step")?, next("rng state")?, next("rng increment")?);
+    let (two_stage, pretrain) = (next("phase")?, next("pretrain epochs")?);
+    let (best_epoch, auc, logloss) = (
+        next("best epoch")?,
+        f64::from_bits(next("best auc")?),
+        f64::from_bits(next("best logloss")?),
+    );
     r.finish()?;
-    if p.rng_inc & 1 == 0 {
-        return Err(MissError::corrupt(
-            "progress",
-            format!("rng increment {} must be odd", p.rng_inc),
-        ));
+    let corrupt = |reason: String| Err(MissError::corrupt("progress", reason));
+    let pretrain_epochs = match (two_stage, pretrain) {
+        (0, 0) => None,
+        (1, n) => Some(n),
+        _ => return corrupt(format!("unknown phase schedule {two_stage}/{pretrain}")),
+    };
+    if rng_inc & 1 == 0 {
+        return corrupt(format!("rng increment {rng_inc} must be odd"));
     }
-    Ok(p)
+    if best_epoch > epoch {
+        return corrupt(format!("best epoch {best_epoch} is beyond the {epoch} epochs run"));
+    }
+    if best_epoch > 0 && !((0.0..=1.0).contains(&auc) && logloss >= 0.0) {
+        return corrupt(format!("best validation AUC {auc} / Logloss {logloss} out of range"));
+    }
+    let weights = StoreSnapshot::default();
+    Ok(TrainProgress {
+        epoch,
+        step,
+        rng_state,
+        rng_inc,
+        pretrain_epochs,
+        best: (best_epoch > 0).then_some(Best { epoch: best_epoch, auc, logloss, weights }),
+    })
 }
 
-fn apply_counts(
-    section: &'static str,
-    kind_dense: usize,
-    kind_tables: usize,
-    store: &ParamStore,
-) -> Result<(), MissError> {
-    let _ = section;
-    if kind_dense != store.num_dense() {
-        return Err(MissError::CountMismatch {
-            kind: "dense params",
-            expected: store.num_dense(),
-            got: kind_dense,
-        });
+fn check_counts(section: &TensorSection, store: &ParamStore) -> Result<(), MissError> {
+    for (kind, expected, got) in [
+        ("dense params", store.num_dense(), section.dense.len()),
+        ("embedding tables", store.num_tables(), section.tables.len()),
+    ] {
+        if got != expected {
+            return Err(MissError::CountMismatch { kind, expected, got });
+        }
     }
-    if kind_tables != store.num_tables() {
-        return Err(MissError::CountMismatch {
-            kind: "embedding tables",
-            expected: store.num_tables(),
-            got: kind_tables,
-        });
+    Ok(())
+}
+
+/// Set every value record of a params-shaped section by name.
+fn apply_values(section: TensorSection, store: &mut ParamStore) -> Result<(), MissError> {
+    check_counts(&section, store)?;
+    for mut rec in section.dense {
+        store.set_dense_param(&rec.name, rec.tensors.swap_remove(0))?;
+    }
+    for mut rec in section.tables {
+        store.set_table_param(&rec.name, rec.tensors.swap_remove(0))?;
     }
     Ok(())
 }
 
 /// Load a checkpoint into `store`, which must already hold the matching
 /// architecture (construct the model first, then load — same contract as the
-/// old format). Returns the training progress when the artifact carries it.
+/// old format). The store receives the *latest* weights and moments; the
+/// returned training progress, when the artifact carries one, holds the
+/// best-validation weights as a snapshot of that store.
 ///
 /// Every malformed input returns a typed [`MissError`]; no input can panic.
 /// On `Err` the store may hold a mix of old and new values — callers should
@@ -521,6 +584,7 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
     let mut params: Option<TensorSection> = None;
     let mut moments: Option<TensorSection> = None;
     let mut progress: Option<TrainProgress> = None;
+    let mut best: Option<TensorSection> = None;
     for entry in &header.entries {
         let payload = read_exactly(r, entry.len, entry.name, "section payload")?;
         if fnv1a(&payload) != entry.checksum {
@@ -530,6 +594,7 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
             SECTION_PARAMS => params = Some(decode_tensor_section(&payload, "params", 1)?),
             SECTION_MOMENTS => moments = Some(decode_tensor_section(&payload, "moments", 2)?),
             SECTION_PROGRESS => progress = Some(decode_progress(&payload)?),
+            SECTION_BEST => best = Some(decode_tensor_section(&payload, "best", 1)?),
             _ => {
                 // decode_header already rejected unknown ids.
                 return Err(MissError::corrupt("header", format!("unknown id {}", entry.id)));
@@ -539,17 +604,10 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
     let Some(params) = params else {
         return Err(MissError::corrupt("header", "missing required params section"));
     };
-
-    apply_counts("params", params.dense.len(), params.tables.len(), store)?;
-    for mut rec in params.dense {
-        store.set_dense_param(&rec.name, rec.tensors.swap_remove(0))?;
-    }
-    for mut rec in params.tables {
-        store.set_table_param(&rec.name, rec.tensors.swap_remove(0))?;
-    }
+    apply_values(params, store)?;
 
     if let Some(moments) = moments {
-        apply_counts("moments", moments.dense.len(), moments.tables.len(), store)?;
+        check_counts(&moments, store)?;
         for mut rec in moments.dense {
             let v = rec.tensors.swap_remove(1);
             let m = rec.tensors.swap_remove(0);
@@ -571,6 +629,23 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
                 header.fingerprint
             ),
         ));
+    }
+
+    match (progress.as_mut().and_then(|p| p.best.as_mut()), best) {
+        (Some(best), Some(section)) => {
+            let mut shadow = store.values_only();
+            apply_values(section, &mut shadow)?;
+            best.weights = shadow.snapshot();
+        }
+        (None, None) => {}
+        (Some(_), None) => {
+            let reason = "the progress names a best epoch but the best section is missing";
+            return Err(MissError::corrupt("best", reason));
+        }
+        (None, Some(_)) => {
+            let reason = "a best section without a best epoch in the progress";
+            return Err(MissError::corrupt("best", reason));
+        }
     }
     Ok(progress)
 }
@@ -602,9 +677,10 @@ pub fn load_from_path(
 /// One section's position inside an encoded checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SectionInfo {
-    /// Wire id ([`SECTION_PARAMS`] / [`SECTION_MOMENTS`] / [`SECTION_PROGRESS`]).
+    /// Wire id ([`SECTION_PARAMS`] / [`SECTION_MOMENTS`] / [`SECTION_PROGRESS`]
+    /// / [`SECTION_BEST`]).
     pub id: u32,
-    /// Human name ("params" / "moments" / "progress").
+    /// Human name ("params" / "moments" / "progress" / "best").
     pub name: &'static str,
     /// Byte offset of the payload within the file.
     pub offset: usize,

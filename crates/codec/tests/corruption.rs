@@ -11,7 +11,8 @@
 //! - artifacts for the wrong architecture.
 
 use miss_codec::{
-    fnv1a, layout, TrainProgress, FORMAT_VERSION, HEADER_FIXED_LEN, SECTION_ENTRY_LEN,
+    fnv1a, layout, Best, TrainProgress, FORMAT_VERSION, HEADER_FIXED_LEN, MAGIC,
+    SECTION_ENTRY_LEN,
 };
 use miss_data::{Dataset, WorldConfig};
 use miss_models::{Din, Ipnn, ModelConfig};
@@ -32,15 +33,26 @@ fn din_store(seed: u64) -> ParamStore {
     store
 }
 
-fn checkpoint_bytes() -> Vec<u8> {
-    let store = din_store(1);
-    let progress = TrainProgress {
+/// Progress of a joint run three epochs in, whose best epoch was epoch 2
+/// with `din_store(3)`'s weights.
+fn progress() -> TrainProgress {
+    TrainProgress {
         epoch: 3,
         step: 120,
         rng_state: 0xDEADBEEF,
         rng_inc: 0xB5,
-    };
-    miss_codec::save_to_vec(&store, Some(&progress)).expect("save")
+        pretrain_epochs: None,
+        best: Some(Best {
+            epoch: 2,
+            auc: 0.75,
+            logloss: 0.5,
+            weights: din_store(3).snapshot(),
+        }),
+    }
+}
+
+fn checkpoint_bytes() -> Vec<u8> {
+    miss_codec::save_to_vec(&din_store(1), Some(&progress())).expect("save")
 }
 
 fn load_into_fresh(bytes: &[u8]) -> Result<Option<TrainProgress>, MissError> {
@@ -49,14 +61,14 @@ fn load_into_fresh(bytes: &[u8]) -> Result<Option<TrainProgress>, MissError> {
 }
 
 #[test]
-fn layout_reports_all_three_sections() {
+fn layout_reports_every_section() {
     let bytes = checkpoint_bytes();
     let lay = layout(&bytes).expect("layout");
     let names: Vec<&str> = lay.sections.iter().map(|s| s.name).collect();
-    assert_eq!(names, ["params", "moments", "progress"]);
+    assert_eq!(names, ["params", "moments", "progress", "best"]);
     assert_eq!(
         lay.header_len,
-        HEADER_FIXED_LEN + 3 * SECTION_ENTRY_LEN + 8
+        HEADER_FIXED_LEN + 4 * SECTION_ENTRY_LEN + 8
     );
     let total: usize = lay.header_len + lay.sections.iter().map(|s| s.len).sum::<usize>();
     assert_eq!(total, bytes.len(), "layout must account for every byte");
@@ -122,15 +134,31 @@ fn one_flipped_byte_per_region_is_detected_and_named() {
 fn flipped_version_byte_is_unsupported_version_not_corrupt() {
     let bytes = checkpoint_bytes();
     let mut bad = bytes.clone();
-    bad[8] ^= 0x02; // version 1 -> 3, before the header checksum is consulted
+    bad[8] ^= 0x02; // before the header checksum is consulted
     let err = load_into_fresh(&bad).expect_err("version bump must fail");
     match err {
         MissError::UnsupportedVersion { found, supported } => {
-            assert_eq!(found, 3);
+            assert_eq!(found, FORMAT_VERSION ^ 0x02);
             assert_eq!(supported, FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other}"),
     }
+}
+
+/// A version-1 file (no phase, no early-stopping state, no best section)
+/// is refused by version, never misparsed.
+#[test]
+fn version_1_file_is_unsupported_version() {
+    let store = din_store(1);
+    let mut v1 = MAGIC.to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&store.params_fingerprint().to_le_bytes());
+    let err = load_into_fresh(&v1).expect_err("version 1 must fail");
+    assert!(
+        matches!(err, MissError::UnsupportedVersion { found: 1, supported: 2 }),
+        "{err}"
+    );
 }
 
 /// Rewrite one section's payload, fixing up its table checksum and the
@@ -191,15 +219,7 @@ fn trailing_garbage_inside_a_section_is_detected() {
 
 #[test]
 fn even_rng_increment_is_rejected() {
-    let store = din_store(1);
-    let progress = TrainProgress {
-        epoch: 1,
-        step: 1,
-        rng_state: 7,
-        rng_inc: 9,
-    };
-    let bytes = miss_codec::save_to_vec(&store, Some(&progress)).expect("save");
-    let bad = with_rewritten_section(&bytes, "progress", |payload| {
+    let bad = with_rewritten_section(&checkpoint_bytes(), "progress", |payload| {
         payload[24..32].copy_from_slice(&8u64.to_le_bytes()); // even increment
     });
     let err = load_into_fresh(&bad).expect_err("even increment must fail");
@@ -207,6 +227,101 @@ fn even_rng_increment_is_rejected() {
         matches!(err, MissError::Corrupt { section: "progress", .. }),
         "{err}"
     );
+}
+
+/// Each impossible value of the phase and early-stopping fields, written
+/// with consistent checksums, is typed corruption of the progress section.
+/// Progress layout: epoch, step, rng state, rng increment, two-stage flag,
+/// pre-training epochs, best epoch, best AUC, best Logloss (u64 each).
+#[test]
+fn impossible_phase_and_early_stopping_values_are_rejected() {
+    let bytes = checkpoint_bytes();
+    let cases: [(&str, &[(usize, u64)]); 4] = [
+        ("unknown phase schedule", &[(4, 7)]),
+        ("joint run with pre-training epochs", &[(5, 2)]),
+        ("best epoch in the future", &[(6, 9)]),
+        ("best AUC above 1", &[(7, 1.5f64.to_bits())]),
+    ];
+    for (what, fields) in cases {
+        let bad = with_rewritten_section(&bytes, "progress", |payload| {
+            for &(i, v) in fields {
+                payload[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+            }
+        });
+        let err = load_into_fresh(&bad).expect_err(what);
+        assert!(
+            matches!(err, MissError::Corrupt { section: "progress", .. }),
+            "{what}: {err}"
+        );
+    }
+}
+
+/// A copy of `bytes` holding only the sections `keep` accepts, with a
+/// consistent header.
+fn without_sections(bytes: &[u8], keep: impl Fn(&str) -> bool) -> Vec<u8> {
+    let lay = layout(bytes).expect("layout");
+    let kept: Vec<_> = lay.sections.iter().filter(|s| keep(s.name)).collect();
+    let mut out = bytes[..16].to_vec();
+    out[12..16].copy_from_slice(&(kept.len() as u32).to_le_bytes());
+    out.extend_from_slice(&lay.fingerprint.to_le_bytes());
+    for s in &kept {
+        let idx = lay.sections.iter().position(|p| p.id == s.id).expect("idx");
+        let entry = HEADER_FIXED_LEN + idx * SECTION_ENTRY_LEN;
+        out.extend_from_slice(&bytes[entry..entry + SECTION_ENTRY_LEN]);
+    }
+    let hsum = fnv1a(&out);
+    out.extend_from_slice(&hsum.to_le_bytes());
+    for s in &kept {
+        out.extend_from_slice(&bytes[s.offset..s.offset + s.len]);
+    }
+    out
+}
+
+#[test]
+fn best_section_must_match_the_progress_section() {
+    let bytes = checkpoint_bytes();
+    // The progress names best epoch 2, but its weights are gone.
+    let missing = without_sections(&bytes, |name| name != "best");
+    let err = load_into_fresh(&missing).expect_err("missing best section");
+    assert!(matches!(err, MissError::Corrupt { section: "best", .. }), "{err}");
+    // Best weights with no progress, or with a progress that names no best
+    // epoch, belong to no run.
+    let orphan = without_sections(&bytes, |name| name != "progress");
+    let err = load_into_fresh(&orphan).expect_err("best without progress");
+    assert!(matches!(err, MissError::Corrupt { section: "best", .. }), "{err}");
+    let unnamed = with_rewritten_section(&bytes, "progress", |p| {
+        p[48..56].copy_from_slice(&0u64.to_le_bytes());
+    });
+    let err = load_into_fresh(&unnamed).expect_err("best epoch 0 with best weights");
+    assert!(matches!(err, MissError::Corrupt { section: "best", .. }), "{err}");
+}
+
+#[test]
+fn malformed_best_section_is_typed() {
+    let bytes = checkpoint_bytes();
+    // Wrong length: the last record loses its final value.
+    let short = with_rewritten_section(&bytes, "best", |p| {
+        p.truncate(p.len() - 4);
+    });
+    let err = load_into_fresh(&short).expect_err("short best section");
+    assert!(matches!(err, MissError::Corrupt { section: "best", .. }), "{err}");
+    // Wrong record count.
+    let miscounted = with_rewritten_section(&bytes, "best", |p| {
+        p[0..4].copy_from_slice(&0u32.to_le_bytes());
+    });
+    let err = load_into_fresh(&miscounted).expect_err("miscounted best section");
+    assert!(
+        matches!(err, MissError::Corrupt { section: "best", .. } | MissError::CountMismatch { .. }),
+        "{err}"
+    );
+    // A record under a name the architecture does not register.
+    let renamed = with_rewritten_section(&bytes, "best", |p| {
+        // The first record's name starts after the two counts and its own
+        // length prefix.
+        p[12] ^= 0x20;
+    });
+    let err = load_into_fresh(&renamed).expect_err("unknown best record");
+    assert!(matches!(err, MissError::UnknownParam { .. }), "{err}");
 }
 
 #[test]

@@ -36,6 +36,8 @@ fn progress(epoch: u64) -> TrainProgress {
         step: 7 * epoch,
         rng_state: 0xC0FFEE ^ epoch,
         rng_inc: 0xB5,
+        pretrain_epochs: None,
+        best: None,
     }
 }
 

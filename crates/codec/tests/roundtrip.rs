@@ -1,10 +1,11 @@
 //! Round-trip property tests: over arbitrary model configurations
 //! (DIN/DIEN/IPNN, ±MISS, varying embedding widths), a save → load cycle
-//! must restore parameters, Adam moments, and training progress **bitwise**.
+//! must restore parameters, Adam moments, and training progress — phase,
+//! early-stopping state and best weights included — **bitwise**.
 //!
 //! Replay a failure with `TESTKIT_SEED=<seed printed on failure>`.
 
-use miss_codec::TrainProgress;
+use miss_codec::{Best, TrainProgress};
 use miss_core::{Miss, MissConfig, SslMethod};
 use miss_data::{Batch, Dataset, Sample, WorldConfig};
 use miss_models::{CtrModel, Dien, Din, ForwardOpts, Ipnn, ModelConfig};
@@ -102,16 +103,28 @@ properties! {
         seed in 0u64..1000,
         epoch in 0u64..100,
         step in 0u64..10_000,
+        two_stage in bools(),
+        has_best in bools(),
     ) {
         let mut store = ParamStore::new();
         let (model, ssl) = build(&mut store, model_idx, use_miss, embed_dim, seed);
-        train_steps(model.as_ref(), ssl.as_ref(), &mut store, 2);
+        // The best weights are a step behind the latest ones.
+        train_steps(model.as_ref(), ssl.as_ref(), &mut store, 1);
+        let best_weights = store.snapshot();
+        train_steps(model.as_ref(), ssl.as_ref(), &mut store, 1);
 
         let progress = TrainProgress {
             epoch,
             step,
             rng_state: seed.wrapping_mul(0x9E3779B97F4A7C15),
             rng_inc: (seed << 1) | 1,
+            pretrain_epochs: two_stage.then_some(step % (2 * epoch + 1)),
+            best: (has_best && epoch > 0).then(|| Best {
+                epoch: 1 + step % epoch,
+                auc: (seed % 1000) as f64 / 1000.0,
+                logloss: step as f64 / 7.0,
+                weights: best_weights.clone(),
+            }),
         };
         let bytes = miss_codec::save_to_vec(&store, Some(&progress)).expect("save failed");
 
@@ -125,9 +138,14 @@ properties! {
         );
 
         let loaded = miss_codec::load_from_slice(&bytes, &mut store2).expect("load failed");
-        prop_assert_eq!(loaded, Some(progress));
+        prop_assert_eq!(loaded.as_ref(), Some(&progress));
         prop_assert_eq!(store.params_fingerprint(), store2.params_fingerprint());
         assert_stores_bitwise_equal(&store, &store2);
+        if let Some(best) = loaded.and_then(|p| p.best) {
+            store.restore(&best_weights);
+            store2.restore(&best.weights);
+            prop_assert_eq!(store.params_fingerprint(), store2.params_fingerprint());
+        }
     }
 
     fn params_only_artifacts_roundtrip_without_progress(

@@ -323,6 +323,7 @@ impl ParamStore {
 
 /// A snapshot of every parameter value (not the optimiser moments), used by
 /// early stopping to restore the best-validation weights.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StoreSnapshot {
     dense: Vec<Tensor>,
     tables: Vec<Tensor>,

@@ -209,17 +209,20 @@ fn check_batch(batch: &Batch, schema: &Schema) -> MissResult<()> {
 /// Load a checkpoint into a freshly rebuilt architecture and freeze it.
 ///
 /// `exp` must describe the experiment that *wrote* the checkpoint (base
-/// model, SSL kind, model config) and `seed` its training seed, so the
-/// rebuilt store registers the exact parameter set the artifact carries —
-/// including SSL parameters, which the forward never reads. Returns the
-/// frozen model and the checkpoint's training progress.
+/// model, SSL kind, model config), so the rebuilt store registers the exact
+/// parameter set the artifact carries — including SSL parameters, which the
+/// forward never reads; the load overwrites every value, so no seed is
+/// needed. A training checkpoint freezes its best-validation weights.
+/// Returns the frozen model and the checkpoint's training progress.
 pub fn load_frozen(
     path: &std::path::Path,
     exp: &miss_trainer::Experiment,
     schema: &Schema,
-    seed: u64,
 ) -> MissResult<(FrozenModel, Option<miss_codec::TrainProgress>)> {
-    let (mut store, model) = exp.build_model(schema, seed);
+    let (mut store, model) = exp.build_model(schema, 0);
     let progress = miss_codec::load_from_path(path, &mut store)?;
+    if let Some(best) = progress.as_ref().and_then(|p| p.best.as_ref()) {
+        store.restore(&best.weights);
+    }
     Ok((FrozenModel::new(store, model, schema.clone()), progress))
 }

@@ -177,6 +177,8 @@ fn frozen_eval_matches_graph_eval() {
     }
 }
 
+/// The store is built with `SEED`; `load_frozen` rebuilds with no seed at
+/// all, and the load overwrites every value, so the forward bits agree.
 #[test]
 fn codec_round_trip_freezes_identically() {
     let (_world, dataset) = world_and_dataset();
@@ -187,7 +189,7 @@ fn codec_round_trip_freezes_identically() {
             let (store, _model) = exp.build_model(&dataset.schema, SEED);
             let direct = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
             miss_codec::save_to_path(&path, &store, None).unwrap();
-            let (loaded, progress) = load_frozen(&path, &exp, &dataset.schema, SEED).unwrap();
+            let (loaded, progress) = load_frozen(&path, &exp, &dataset.schema).unwrap();
             assert!(progress.is_none());
             let batch = batch_of(&dataset.test[..dataset.test.len().min(32)], &dataset.schema);
             assert_eq!(

@@ -1,169 +1,197 @@
-//! Checkpointed training: an epoch-stepped trainer whose interrupted runs
-//! resume **bitwise identically**.
-//!
-//! [`Trainer`] owns the mutable training state that [`crate::fit`] steps
-//! between epochs — the Adam instance (step counter + per-parameter moments
-//! live in the store), the training RNG stream, and the epoch counter.
-//! [`Trainer::save_checkpoint`] writes all of it through `miss-codec`;
-//! [`Trainer::resume_from`] restores it, so
-//!
-//! ```text
-//! train k epochs ── save ── load ── train n-k epochs
-//! ```
-//!
-//! produces the same `params_fingerprint` as `n` uninterrupted epochs, for
-//! every `MISS_THREADS` (regression-tested in `tests/end_to_end.rs`).
+//! The training protocol in one place: [`Trainer`] runs the paper's epoch
+//! loop (DESIGN.md §2) and owns all of its state, a [`TrainProgress`]: the
+//! epoch, the Adam step and RNG stream, the phase schedule, the
+//! best validation epoch with its weights (the Adam
+//! moments live in the store). A checkpoint is the store plus that progress,
+//! so a run killed after any epoch and continued with [`Trainer::resume`]
+//! trains, stops and reports exactly like one that never stopped, for every
+//! `MISS_THREADS` (`tests/chaos.rs`).
 
-use crate::fit::{train_epoch, EpochOutcome, TrainConfig};
-use miss_codec::TrainProgress;
+use crate::evaluate::evaluate;
+use crate::fit::{train_epoch, EpochOutcome, FitOutcome, TrainConfig};
+use crate::EvalResult;
+use miss_codec::{Best, TrainProgress};
 use miss_core::SslMethod;
 use miss_data::Dataset;
 use miss_models::CtrModel;
 use miss_nn::{Adam, ParamStore};
 use miss_util::{MissError, Rng};
-use std::path::Path;
 
-/// Epoch-stepped training loop state with save/resume.
-///
-/// Construct with [`Trainer::new`] for a fresh run (the state [`crate::fit`]
-/// starts from) or [`Trainer::resume_from`] to continue an interrupted one.
+/// RNG stream of validated training (joint, or fine-tuning after the
+/// optimiser restart).
+const FIT_STREAM: u64 = 0xF17;
+/// RNG stream of SSL-only pre-training.
+const PRETRAIN_STREAM: u64 = 0x9E7;
+/// Rows per scored batch when validating and testing.
+const EVAL_BATCH: usize = 256;
+
+/// The training loop and its resumable state. Construct with
+/// [`Trainer::new`] (joint training), [`Trainer::pretraining`] (two-stage)
+/// or [`Trainer::resume`]; drive it with [`Trainer::run`], or epoch by epoch
+/// with [`Trainer::train_epoch`].
 pub struct Trainer {
     cfg: TrainConfig,
-    adam: Adam,
-    rng: Rng,
-    epoch: u64,
+    progress: TrainProgress,
 }
 
 impl Trainer {
-    /// Fresh trainer: Adam at `cfg.lr`/`cfg.l2` and the epoch RNG seeded
-    /// from `cfg.seed`. [`crate::fit`] steps one of these, so a
-    /// `Trainer`-driven loop reproduces `fit`'s per-epoch weights bit for
-    /// bit.
+    /// Fresh joint run (MISS-Joint, the paper's default): CTR and SSL losses
+    /// together from the first epoch, Adam at `cfg.lr`/`cfg.l2` and the RNG
+    /// stream `cfg.seed ^ 0xF17`.
     pub fn new(cfg: TrainConfig) -> Trainer {
-        let adam = Adam::new(cfg.lr, cfg.l2);
-        let rng = Rng::new(cfg.seed ^ 0xF17);
-        Trainer {
-            cfg,
-            adam,
-            rng,
+        Trainer::start(cfg, None, FIT_STREAM)
+    }
+
+    /// Fresh two-stage run (MISS-Pre, Table IX): `pretrain_epochs` SSL-only
+    /// epochs on the stream `cfg.seed ^ 0x9E7`, then CTR-only fine-tuning as
+    /// a fresh joint run would start it — the Adam step counter restarts and
+    /// the RNG is re-seeded to `cfg.seed ^ 0xF17`, while the moments carry
+    /// over in the store.
+    pub fn pretraining(cfg: TrainConfig, pretrain_epochs: usize) -> Trainer {
+        let stream = if pretrain_epochs == 0 { FIT_STREAM } else { PRETRAIN_STREAM };
+        Trainer::start(cfg, Some(pretrain_epochs as u64), stream)
+    }
+
+    fn start(cfg: TrainConfig, pretrain_epochs: Option<u64>, stream: u64) -> Trainer {
+        let (rng_state, rng_inc) = Rng::new(cfg.seed ^ stream).state_parts();
+        let progress = TrainProgress {
             epoch: 0,
-        }
+            step: 0,
+            rng_state,
+            rng_inc,
+            pretrain_epochs,
+            best: None,
+        };
+        Trainer { cfg, progress }
     }
 
-    /// Epochs completed so far.
+    /// Epochs completed so far, pre-training included.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.progress.epoch
     }
 
-    /// The training configuration this trainer runs under.
-    pub fn config(&self) -> &TrainConfig {
-        &self.cfg
+    /// The run's resumable state, as a checkpoint stores it.
+    pub fn progress(&self) -> &TrainProgress {
+        &self.progress
     }
 
-    /// Run one training epoch (CTR loss on, plus `ssl`'s auxiliary loss when
-    /// given). Returns the epoch's [`EpochOutcome`] (mean loss plus any
-    /// recovery/skip counters).
+    fn in_pretraining(&self) -> bool {
+        self.progress.pretrain_epochs.is_some_and(|n| self.progress.epoch < n)
+    }
+
+    /// Whether the protocol has stopped: pre-training is over and either
+    /// `max_epochs` validated epochs have run or validation AUC has not
+    /// improved for more than `patience` of them. Every validated epoch
+    /// either sets a new best or is a bad one, so the bad epochs are those
+    /// since the best epoch, or all validated epochs when none was best.
+    fn finished(&self) -> bool {
+        let p = &self.progress;
+        let validated = p.epoch.saturating_sub(p.pretrain_epochs.unwrap_or(0));
+        let bad = p.best.as_ref().map_or(validated, |b| p.epoch - b.epoch);
+        !self.in_pretraining()
+            && (validated >= self.cfg.max_epochs as u64 || bad > self.cfg.patience as u64)
+    }
+
+    /// One epoch of the protocol. The phase picks the losses: both in a
+    /// joint run, `ssl`'s alone in pre-training, the CTR loss alone in
+    /// fine-tuning. Outside pre-training the epoch is then validated, and a
+    /// better validation AUC becomes the new best epoch with a snapshot of
+    /// `store`.
+    ///
+    /// An epoch in which the non-finite guard rejected every step fails
+    /// with [`MissError::NonFinite`]: the run is poisoned, not unlucky.
     pub fn train_epoch(
         &mut self,
         model: &dyn CtrModel,
         ssl: Option<&dyn SslMethod>,
         store: &mut ParamStore,
         dataset: &Dataset,
-    ) -> EpochOutcome {
-        let out = train_epoch(
-            model,
-            ssl,
-            store,
-            &mut self.adam,
-            dataset,
-            &self.cfg,
-            &mut self.rng,
-            true,
-        );
-        self.epoch += 1;
-        out
-    }
-
-    fn progress(&self) -> TrainProgress {
-        let (rng_state, rng_inc) = self.rng.state_parts();
-        TrainProgress {
-            epoch: self.epoch,
-            step: self.adam.steps(),
-            rng_state,
-            rng_inc,
-        }
-    }
-
-    /// Checkpoint `store` plus this trainer's progress to `path`.
-    pub fn save_checkpoint(&self, store: &ParamStore, path: &Path) -> Result<(), MissError> {
-        miss_codec::save_to_path(path, store, Some(&self.progress()))
-    }
-
-    /// [`Trainer::save_checkpoint`] into an in-memory buffer.
-    pub fn save_checkpoint_bytes(&self, store: &ParamStore) -> Result<Vec<u8>, MissError> {
-        miss_codec::save_to_vec(store, Some(&self.progress()))
-    }
-
-    /// [`Trainer::save_checkpoint`] with bounded retry on I/O errors
-    /// (atomic per attempt — see `miss_codec::save_to_path_retrying`).
-    pub fn save_checkpoint_retrying(
-        &self,
-        store: &ParamStore,
-        path: &Path,
-        policy: &miss_codec::RetryPolicy,
-    ) -> Result<(), MissError> {
-        miss_codec::save_to_path_retrying(path, store, Some(&self.progress()), policy)
-    }
-
-    /// Checkpoint into `ring`'s slot for the current epoch (atomic + retry),
-    /// pruning the ring afterwards. Returns the slot path written.
-    pub fn save_to_ring(
-        &self,
-        store: &ParamStore,
-        ring: &crate::ring::CheckpointRing,
-        policy: &miss_codec::RetryPolicy,
-    ) -> Result<std::path::PathBuf, MissError> {
-        ring.save(store, &self.progress(), policy)
-    }
-
-    fn from_progress(cfg: TrainConfig, progress: Option<TrainProgress>) -> Result<Trainer, MissError> {
-        let Some(p) = progress else {
-            return Err(MissError::corrupt(
-                "progress",
-                "checkpoint has no progress section; it is a parameter export, not a resumable checkpoint",
-            ));
+    ) -> Result<EpochOutcome, MissError> {
+        let pretraining = self.in_pretraining();
+        let p = &mut self.progress;
+        let (ssl, ctr_loss) = match (p.pretrain_epochs, pretraining) {
+            (None, _) => (ssl, true),
+            (Some(_), true) => (ssl, false),
+            (Some(_), false) => (None, true),
         };
-        let mut adam = Adam::new(cfg.lr, cfg.l2);
+        let mut adam = Adam::new(self.cfg.lr, self.cfg.l2);
         adam.restore_steps(p.step);
-        Ok(Trainer {
-            cfg,
-            adam,
-            rng: Rng::from_state_parts(p.rng_state, p.rng_inc),
-            epoch: p.epoch,
+        let mut rng = Rng::from_state_parts(p.rng_state, p.rng_inc);
+        let out =
+            train_epoch(model, ssl, store, &mut adam, dataset, &self.cfg, &mut rng, ctr_loss);
+        p.epoch += 1;
+        p.step = adam.steps();
+        (p.rng_state, p.rng_inc) = rng.state_parts();
+        if out.batches == 0 && out.skipped_steps > 0 {
+            return Err(MissError::non_finite(format!(
+                "epoch {}: all {} minibatch steps were skipped",
+                p.epoch, out.skipped_steps
+            )));
+        }
+        if pretraining {
+            if p.pretrain_epochs == Some(p.epoch) {
+                // Pre-training is over: the optimiser schedule restarts.
+                p.step = 0;
+                (p.rng_state, p.rng_inc) = Rng::new(self.cfg.seed ^ FIT_STREAM).state_parts();
+            }
+            return Ok(out);
+        }
+        let valid = evaluate(model, store, &dataset.valid, &dataset.schema, EVAL_BATCH);
+        if valid.auc > p.best.as_ref().map_or(f64::NEG_INFINITY, |b| b.auc) {
+            p.best = Some(Best {
+                epoch: p.epoch,
+                auc: valid.auc,
+                logloss: valid.logloss,
+                weights: store.snapshot(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// Run the protocol to its end: train epochs until it stops, calling
+    /// `after_epoch` (the checkpoint hook) after each, then restore the
+    /// best-validation weights into `store` and score the test split. A
+    /// resumed run that had already finished trains no further epoch and
+    /// reports the same outcome.
+    pub fn run(
+        &mut self,
+        model: &dyn CtrModel,
+        ssl: Option<&dyn SslMethod>,
+        store: &mut ParamStore,
+        dataset: &Dataset,
+        mut after_epoch: impl FnMut(&Trainer, &ParamStore) -> Result<(), MissError>,
+    ) -> Result<FitOutcome, MissError> {
+        let mut skipped_steps = 0;
+        while !self.finished() {
+            skipped_steps += self.train_epoch(model, ssl, store, dataset)?.skipped_steps;
+            after_epoch(self, store)?;
+        }
+        let (auc, logloss) = match &self.progress.best {
+            Some(best) => {
+                store.restore(&best.weights);
+                (best.auc, best.logloss)
+            }
+            None => (f64::NEG_INFINITY, f64::INFINITY),
+        };
+        Ok(FitOutcome {
+            test: evaluate(model, store, &dataset.test, &dataset.schema, EVAL_BATCH),
+            valid: EvalResult { auc, logloss },
+            epochs: self.progress.epoch as usize,
+            skipped_steps,
         })
     }
 
-    /// Resume from a checkpoint file: loads parameters and moments into
-    /// `store` (which must already hold the matching architecture) and
-    /// rebuilds the trainer mid-stream. Fails with a typed error if the
-    /// artifact is corrupt, mismatched, or carries no progress section.
-    pub fn resume_from(
-        cfg: TrainConfig,
-        store: &mut ParamStore,
-        path: &Path,
-    ) -> Result<Trainer, MissError> {
-        let progress = miss_codec::load_from_path(path, store)?;
-        Trainer::from_progress(cfg, progress)
-    }
-
-    /// [`Trainer::resume_from`] over an in-memory buffer.
-    pub fn resume_from_bytes(
-        cfg: TrainConfig,
-        store: &mut ParamStore,
-        bytes: &[u8],
-    ) -> Result<Trainer, MissError> {
-        let progress = miss_codec::load_from_slice(bytes, store)?;
-        Trainer::from_progress(cfg, progress)
+    /// Continue a checkpointed run from the progress a `miss_codec` load
+    /// returned; the load has put the latest weights and moments in the
+    /// store. A parameter export carries no progress: typed corruption.
+    pub fn resume(cfg: TrainConfig, progress: Option<TrainProgress>) -> Result<Trainer, MissError> {
+        match progress {
+            Some(progress) => Ok(Trainer { cfg, progress }),
+            None => Err(MissError::corrupt(
+                "progress",
+                "checkpoint has no progress section; it is a parameter export, not a resumable checkpoint",
+            )),
+        }
     }
 }
 
@@ -204,7 +232,7 @@ mod tests {
         let m2 = Din::new(&mut s2, &dataset.schema, &ModelConfig::default(), &mut r2);
         let mut trainer = Trainer::new(cfg);
         while trainer.epoch() < 2 {
-            trainer.train_epoch(&m2, None, &mut s2, &dataset);
+            trainer.train_epoch(&m2, None, &mut s2, &dataset).unwrap();
         }
         assert_eq!(s1.params_fingerprint(), s2.params_fingerprint());
     }
@@ -217,7 +245,8 @@ mod tests {
         let _m = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
         // A params-only artifact (no trainer progress).
         let bytes = miss_codec::save_to_vec(&store, None).unwrap();
-        match Trainer::resume_from_bytes(quick_cfg(3), &mut store, &bytes) {
+        let progress = miss_codec::load_from_slice(&bytes, &mut store).unwrap();
+        match Trainer::resume(quick_cfg(3), progress) {
             Ok(_) => panic!("resume from a params-only artifact must fail"),
             Err(err) => assert!(
                 matches!(err, MissError::Corrupt { section: "progress", .. }),

@@ -1,8 +1,8 @@
-//! Fitting loops: joint multi-task training (Eq. 17) and the two-stage
-//! pre-training alternative compared in Table IX.
+//! The training epoch (Eq. 17's losses over one shuffled pass, sharded and
+//! self-healing) and [`fit`], the protocol without checkpoints.
 
 use crate::checkpoint::Trainer;
-use crate::evaluate::{evaluate, EvalResult};
+use crate::evaluate::EvalResult;
 use miss_autograd::{Grads, Var};
 use miss_core::SslMethod;
 use miss_data::{Batch, Dataset, Sample};
@@ -88,10 +88,11 @@ pub struct FitOutcome {
     pub test: EvalResult,
     /// Validation metrics at the early-stopping point.
     pub valid: EvalResult,
-    /// Epochs actually run.
+    /// Epochs the run has trained, pre-training and a resumed run's earlier
+    /// epochs included.
     pub epochs: usize,
-    /// Minibatch steps skipped across all epochs because both the parallel
-    /// and the serial attempt produced a non-finite or panicking step
+    /// Minibatch steps this call skipped because both the parallel and the
+    /// serial attempt produced a non-finite or panicking step
     /// (DESIGN.md §9.4). Zero on a healthy run; a non-zero value means the
     /// metrics were fitted on fewer steps than the schedule prescribed.
     pub skipped_steps: usize,
@@ -482,78 +483,16 @@ fn check_step_finite(batch_loss: f64, merged: &MicroOut) -> Result<(), String> {
 
 /// Joint multi-task fit (the paper's default, "MISS-Joint"): minimise
 /// `L_ll + α₁·L_ssl + α₂·L_ssl'` end to end with early stopping on
-/// validation AUC; test metrics are reported at the best-validation epoch.
+/// validation AUC; test metrics are reported at the best-validation epoch,
+/// whose weights are left in `store`. A fresh [`Trainer::run`].
 pub fn fit(
     model: &dyn CtrModel,
     ssl: Option<&dyn SslMethod>,
     store: &mut ParamStore,
     dataset: &Dataset,
     cfg: &TrainConfig,
-) -> FitOutcome {
-    let mut trainer = Trainer::new(cfg.clone());
-    let mut best_valid = EvalResult {
-        auc: f64::NEG_INFINITY,
-        logloss: f64::INFINITY,
-    };
-    let mut best_snap = store.snapshot();
-    let mut bad_epochs = 0usize;
-    let mut skipped_steps = 0usize;
-    for _ in 0..cfg.max_epochs {
-        skipped_steps += trainer.train_epoch(model, ssl, store, dataset).skipped_steps;
-        let valid = evaluate(model, store, &dataset.valid, &dataset.schema, 256);
-        if valid.auc > best_valid.auc {
-            best_valid = valid;
-            best_snap = store.snapshot();
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs > cfg.patience {
-                break;
-            }
-        }
-    }
-    store.restore(&best_snap);
-    let test = evaluate(model, store, &dataset.test, &dataset.schema, 256);
-    FitOutcome {
-        test,
-        valid: best_valid,
-        epochs: trainer.epoch() as usize,
-        skipped_steps,
-    }
-}
-
-/// Two-stage strategy ("MISS-Pre", Table IX): first optimise only the SSL
-/// losses for `pretrain_epochs`, then fine-tune with the CTR loss alone.
-pub fn fit_pretrain(
-    model: &dyn CtrModel,
-    ssl: &dyn SslMethod,
-    store: &mut ParamStore,
-    dataset: &Dataset,
-    cfg: &TrainConfig,
-    pretrain_epochs: usize,
-) -> FitOutcome {
-    let mut adam = Adam::new(cfg.lr, cfg.l2);
-    let mut rng = Rng::new(cfg.seed ^ 0x9E7);
-    let mut skipped_steps = 0usize;
-    for _ in 0..pretrain_epochs {
-        skipped_steps += train_epoch(
-            model,
-            Some(ssl),
-            store,
-            &mut adam,
-            dataset,
-            cfg,
-            &mut rng,
-            false,
-        )
-        .skipped_steps;
-    }
-    // Fine-tune with the main loss only. Adam's m/v moments live in the
-    // store and carry over from pre-training; only the step counter (and
-    // so the bias correction) restarts with the new optimiser.
-    let mut out = fit(model, None, store, dataset, cfg);
-    out.skipped_steps += skipped_steps;
-    out
+) -> Result<FitOutcome, MissError> {
+    Trainer::new(cfg.clone()).run(model, ssl, store, dataset, |_, _| Ok(()))
 }
 
 #[cfg(test)]
@@ -579,8 +518,8 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(5);
         let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-        let before = evaluate(&model, &store, &dataset.test, &dataset.schema, 128);
-        let out = fit(&model, None, &mut store, &dataset, &quick_cfg(5));
+        let before = crate::evaluate(&model, &store, &dataset.test, &dataset.schema, 128);
+        let out = fit(&model, None, &mut store, &dataset, &quick_cfg(5)).unwrap();
         assert!(
             out.test.auc > before.auc + 0.05,
             "training did not help: {} -> {}",
@@ -597,7 +536,7 @@ mod tests {
         let mut rng = Rng::new(6);
         let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
         let miss = Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng);
-        let out = fit(&model, Some(&miss), &mut store, &dataset, &quick_cfg(6));
+        let out = fit(&model, Some(&miss), &mut store, &dataset, &quick_cfg(6)).unwrap();
         assert!(out.test.auc > 0.55, "DIN-MISS AUC {}", out.test.auc);
         assert!(out.test.logloss.is_finite());
     }
@@ -609,7 +548,9 @@ mod tests {
         let mut rng = Rng::new(8);
         let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
         let miss = Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng);
-        let out = fit_pretrain(&model, &miss, &mut store, &dataset, &quick_cfg(8), 2);
+        let out = Trainer::pretraining(quick_cfg(8), 2)
+            .run(&model, Some(&miss), &mut store, &dataset, |_, _| Ok(()))
+            .unwrap();
         assert!(out.test.auc > 0.55, "MISS-Pre AUC {}", out.test.auc);
     }
 
@@ -670,7 +611,7 @@ mod tests {
             let mut rng = Rng::new(seed);
             let model =
                 Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-            fit(&model, None, &mut store, &dataset, &quick_cfg(seed)).test.auc
+            fit(&model, None, &mut store, &dataset, &quick_cfg(seed)).unwrap().test.auc
         };
         assert_eq!(run(3), run(3), "same seed must reproduce exactly");
     }

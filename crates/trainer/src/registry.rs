@@ -2,8 +2,8 @@
 //! by name, plus the [`Experiment`] runner (model × SSL × dataset × seeds).
 
 use crate::checkpoint::Trainer;
-use crate::evaluate::{evaluate, EvalResult};
-use crate::fit::{fit, fit_pretrain, FitOutcome, TrainConfig};
+use crate::evaluate::EvalResult;
+use crate::fit::{FitOutcome, TrainConfig};
 use crate::ring::CheckpointRing;
 use miss_codec::RetryPolicy;
 use miss_core::{Cl4SRec, Irssl, Miss, MissConfig, RuleSsl, S3Rec, SslMethod};
@@ -177,24 +177,26 @@ pub struct Experiment {
     pub model_cfg: ModelConfig,
     /// Training hyper-parameters.
     pub train_cfg: TrainConfig,
-    /// When true, use the two-stage pre-training strategy (Table IX) with
-    /// this many SSL-only epochs; joint training otherwise.
+    /// With an SSL method attached, use the two-stage strategy (Table IX)
+    /// with this many SSL-only epochs; joint training otherwise. A resumed
+    /// run keeps the schedule its checkpoint records.
     pub pretrain_epochs: Option<usize>,
-    /// Resume [`Experiment::run_checkpointed`] from this checkpoint instead
-    /// of starting fresh.
+    /// Resume [`Experiment::run`] from this checkpoint instead of starting
+    /// fresh.
     pub resume_from: Option<PathBuf>,
-    /// Where [`Experiment::run_checkpointed`] writes its checkpoint after
-    /// every epoch.
+    /// Where [`Experiment::run`] writes its checkpoint after every epoch.
     pub checkpoint_out: Option<PathBuf>,
     /// Maintain a [`CheckpointRing`] in this directory: one slot per epoch,
     /// pruned to [`Experiment::ring_keep`], resumed from the newest *valid*
-    /// slot on start (corrupt slots are logged and skipped). Takes effect in
-    /// [`Experiment::run_checkpointed`]; ignored when
+    /// slot on start (corrupt slots are logged and skipped). Ignored when
     /// [`Experiment::resume_from`] names an explicit checkpoint.
     pub ring_dir: Option<PathBuf>,
     /// Ring retention (newest slots kept); clamped to ≥ 1.
     pub ring_keep: usize,
 }
+
+/// A built experiment's model and SSL plug-in.
+type ModelAndSsl = (Box<dyn CtrModel>, Option<Box<dyn SslMethod>>);
 
 /// Default [`Experiment::ring_keep`]: survive a corrupt newest slot with
 /// slack to spare, without hoarding disk.
@@ -229,53 +231,25 @@ impl Experiment {
     /// architecture a checkpoint expects (including the SSL parameters a
     /// `--miss` run registers, which a base-only rebuild would miscount).
     pub fn build_model(&self, schema: &Schema, seed: u64) -> (ParamStore, Box<dyn CtrModel>) {
-        let (store, model, _ssl) = self.build_with_ssl(schema, seed);
+        let (store, (model, _ssl)) = self.build_with_ssl(schema, seed);
         (store, model)
     }
 
     /// The one registration site: a fresh store, the init RNG stream for
     /// `seed`, the base model, then the SSL plug-in on the same stream.
-    fn build_with_ssl(
-        &self,
-        schema: &Schema,
-        seed: u64,
-    ) -> (ParamStore, Box<dyn CtrModel>, Option<Box<dyn SslMethod>>) {
+    fn build_with_ssl(&self, schema: &Schema, seed: u64) -> (ParamStore, ModelAndSsl) {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(seed ^ 0xE9);
         let model = self.base.build(&mut store, schema, &self.model_cfg, &mut rng);
         let ssl = self.ssl.build(&mut store, model.embedding(), &mut rng);
-        (store, model, ssl)
+        (store, (model, ssl))
     }
 
-    /// Run once with the given seed; returns best-validation test metrics.
-    pub fn run(&self, dataset: &Dataset, seed: u64) -> FitOutcome {
-        let (mut store, model, ssl) = self.build_with_ssl(&dataset.schema, seed);
-        let mut cfg = self.train_cfg.clone();
-        cfg.seed = seed;
-        match (&ssl, self.pretrain_epochs) {
-            (Some(method), Some(pe)) => {
-                fit_pretrain(model.as_ref(), method.as_ref(), &mut store, dataset, &cfg, pe)
-            }
-            (Some(method), None) => {
-                fit(model.as_ref(), Some(method.as_ref()), &mut store, dataset, &cfg)
-            }
-            (None, _) => fit(model.as_ref(), None, &mut store, dataset, &cfg),
-        }
-    }
-
-    /// Run `reps` seeds and return the test metrics of each.
-    pub fn run_reps(&self, dataset: &Dataset, reps: usize) -> Vec<EvalResult> {
-        (0..reps as u64).map(|s| self.run(dataset, s).test).collect()
-    }
-
-    /// Like [`Experiment::run`], but driven by a [`Trainer`] so the run can
-    /// be checkpointed after every epoch ([`Experiment::checkpoint_out`]) and
-    /// resumed mid-run ([`Experiment::resume_from`]) with bitwise-identical
-    /// weights. Trades `fit`'s early stopping for a plain
-    /// `max_epochs`-bounded loop (metrics are of the final epoch, not the
-    /// best-validation one), and surfaces checkpoint problems as typed
-    /// [`MissError`]s instead of aborting.
-    pub fn run_checkpointed(&self, dataset: &Dataset, seed: u64) -> Result<FitOutcome, MissError> {
+    /// Run once with the given seed through [`Trainer::run`], starting from
+    /// [`Experiment::resume_from`], the ring's newest valid slot, or scratch,
+    /// and checkpointing after every epoch to [`Experiment::checkpoint_out`]
+    /// and the ring when set, which changes nothing about the run itself.
+    pub fn run(&self, dataset: &Dataset, seed: u64) -> Result<FitOutcome, MissError> {
         // Model/SSL construction is deterministic given the seed, so a fresh
         // build per ring-resume candidate rebuilds identical param ids — a
         // half-loaded store from a corrupt slot is simply thrown away.
@@ -286,66 +260,38 @@ impl Experiment {
             .ring_dir
             .as_ref()
             .map(|dir| CheckpointRing::new(dir, "ckpt", self.ring_keep));
-        let (mut store, model, ssl);
-        let mut trainer = match (&self.resume_from, &ring) {
+        let (mut store, (mut model, mut ssl)) = build();
+        let resumed = match (&self.resume_from, &ring) {
             (Some(path), _) => {
-                (store, model, ssl) = build();
-                Trainer::resume_from(cfg.clone(), &mut store, path)?
+                Some(Trainer::resume(cfg.clone(), miss_codec::load_from_path(path, &mut store)?)?)
             }
-            (None, Some(ring)) => {
-                let resumed = ring.resume_newest_valid(&cfg, || {
-                    let (store, model, ssl) = build();
-                    (store, (model, ssl))
-                })?;
-                match resumed {
-                    Some(r) => {
-                        store = r.store;
-                        (model, ssl) = r.extra;
-                        r.trainer
-                    }
-                    None => {
-                        (store, model, ssl) = build();
-                        Trainer::new(cfg.clone())
-                    }
-                }
-            }
-            (None, None) => {
-                (store, model, ssl) = build();
-                Trainer::new(cfg.clone())
-            }
+            (None, Some(ring)) => ring
+                .resume_newest_valid(&cfg, build)?
+                .map(|r| {
+                    (store, (model, ssl)) = (r.store, r.extra);
+                    r.trainer
+                }),
+            (None, None) => None,
         };
+        let mut trainer = resumed.unwrap_or_else(|| match (&ssl, self.pretrain_epochs) {
+            (Some(_), Some(epochs)) => Trainer::pretraining(cfg, epochs),
+            _ => Trainer::new(cfg),
+        });
         let retry = RetryPolicy::default();
-        let mut epochs = 0usize;
-        let mut skipped_steps = 0usize;
-        while trainer.epoch() < cfg.max_epochs as u64 {
-            let out = trainer.train_epoch(model.as_ref(), ssl.as_deref(), &mut store, dataset);
-            epochs += 1;
-            skipped_steps += out.skipped_steps;
-            if out.batches == 0 && out.skipped_steps > 0 {
-                // Every step of the epoch was rejected by the non-finite
-                // guard: the run is poisoned, not merely unlucky. Abort with
-                // the typed error instead of looping over no-op epochs.
-                return Err(MissError::non_finite(format!(
-                    "epoch {}: all {} minibatch steps were skipped",
-                    trainer.epoch(),
-                    out.skipped_steps
-                )));
-            }
+        trainer.run(model.as_ref(), ssl.as_deref(), &mut store, dataset, |t, store| {
             if let Some(path) = &self.checkpoint_out {
-                trainer.save_checkpoint_retrying(&store, path, &retry)?;
+                miss_codec::save_to_path_retrying(path, store, Some(t.progress()), &retry)?;
             }
             if let Some(ring) = &ring {
-                trainer.save_to_ring(&store, ring, &retry)?;
+                ring.save(store, t.progress(), &retry)?;
             }
-        }
-        let valid = evaluate(model.as_ref(), &store, &dataset.valid, &dataset.schema, 256);
-        let test = evaluate(model.as_ref(), &store, &dataset.test, &dataset.schema, 256);
-        Ok(FitOutcome {
-            test,
-            valid,
-            epochs,
-            skipped_steps,
+            Ok(())
         })
+    }
+
+    /// Run `reps` seeds and return the test metrics of each.
+    pub fn run_reps(&self, dataset: &Dataset, reps: usize) -> Result<Vec<EvalResult>, MissError> {
+        (0..reps as u64).map(|s| Ok(self.run(dataset, s)?.test)).collect()
     }
 }
 
@@ -381,7 +327,7 @@ mod tests {
             let mut e = Experiment::new(base, SslKind::None);
             e.train_cfg.max_epochs = 1;
             e.train_cfg.patience = 0;
-            let out = e.run(&dataset, 0);
+            let out = e.run(&dataset, 0).unwrap();
             assert!(
                 out.test.auc.is_finite() && out.test.logloss.is_finite(),
                 "{} produced non-finite metrics",
@@ -403,7 +349,7 @@ mod tests {
             let mut e = Experiment::new(BaseModel::Ipnn, ssl);
             e.train_cfg.max_epochs = 1;
             e.train_cfg.patience = 0;
-            let out = e.run(&dataset, 0);
+            let out = e.run(&dataset, 0).unwrap();
             assert!(out.test.auc.is_finite(), "{} failed", e.label());
         }
     }
@@ -441,7 +387,7 @@ mod more_tests {
         let mut e = Experiment::new(BaseModel::Fm, SslKind::None);
         e.train_cfg.max_epochs = 2;
         e.train_cfg.patience = 0;
-        let runs = e.run_reps(&dataset, 3);
+        let runs = e.run_reps(&dataset, 3).unwrap();
         assert_eq!(runs.len(), 3);
         // different seeds must not be bit-identical
         assert!(
@@ -461,7 +407,7 @@ mod more_tests {
         e.pretrain_epochs = Some(1);
         e.train_cfg.max_epochs = 1;
         e.train_cfg.patience = 0;
-        let out = e.run(&dataset, 0);
+        let out = e.run(&dataset, 0).unwrap();
         assert!(out.test.auc.is_finite());
     }
 }

@@ -35,8 +35,6 @@ pub struct RingResume<T> {
     pub store: ParamStore,
     /// The builder's companion value for `store`.
     pub extra: T,
-    /// Slot file the resume came from.
-    pub path: PathBuf,
 }
 
 impl CheckpointRing {
@@ -120,15 +118,9 @@ impl CheckpointRing {
     ) -> Result<Option<RingResume<T>>, MissError> {
         for (_, path) in self.entries()? {
             let (mut store, extra) = fresh();
-            match Trainer::resume_from(cfg.clone(), &mut store, &path) {
-                Ok(trainer) => {
-                    return Ok(Some(RingResume {
-                        trainer,
-                        store,
-                        extra,
-                        path,
-                    }))
-                }
+            let progress = miss_codec::load_from_path(&path, &mut store);
+            match progress.and_then(|p| Trainer::resume(cfg.clone(), p)) {
+                Ok(trainer) => return Ok(Some(RingResume { trainer, store, extra })),
                 Err(e) => eprintln!(
                     "miss-trainer: ring checkpoint {} is unusable ({e}); \
                      falling back to the previous slot",

@@ -7,16 +7,20 @@
 //! (which defeat the retry too) must skip the step without touching the
 //! optimiser. The ring half of the matrix kills a run at every epoch
 //! boundary — optionally corrupting the newest slot — and resumes, again to
-//! bitwise-identical final weights.
+//! bitwise-identical final weights. The protocol half kills whole runs —
+//! joint, inside the early-stopping patience window, and two-stage, inside
+//! pre-training and at the phase switch — and resumes them to the same
+//! selected weights and the same reported metrics.
 
+use miss_core::{Miss, MissConfig, SslMethod};
 use miss_data::{Dataset, WorldConfig};
 use miss_fault::{with_plan, FaultPlan};
-use miss_models::{Din, ModelConfig};
+use miss_models::{CtrModel, Din, ModelConfig};
 use miss_nn::{Adam, ParamStore};
 use miss_parallel::{with_threads, SITE_WORKER_PANIC};
 use miss_trainer::{
-    train_epoch, CheckpointRing, EpochOutcome, MissError, RetryPolicy, TrainConfig, Trainer,
-    SITE_BATCH_CORRUPT, SITE_NAN_GRAD, SITE_NAN_LOSS,
+    train_epoch, CheckpointRing, EpochOutcome, FitOutcome, MissError, RetryPolicy, TrainConfig,
+    Trainer, SITE_BATCH_CORRUPT, SITE_NAN_GRAD, SITE_NAN_LOSS,
 };
 use miss_util::Rng;
 use std::path::PathBuf;
@@ -137,19 +141,25 @@ fn sticky_nan_skips_every_step_and_never_touches_the_optimiser() {
     }
 }
 
+/// One rule for every path: checkpointed or not, an epoch whose every
+/// step was skipped aborts the run with `NonFinite`.
 #[test]
 fn fully_poisoned_checkpointed_run_aborts_with_non_finite() {
     use miss_trainer::{BaseModel, Experiment, SslKind};
-    let mut e = Experiment::new(BaseModel::Din, SslKind::None);
-    e.train_cfg = chaos_cfg();
-    e.train_cfg.max_epochs = 1;
-    let err = with_plan(FaultPlan::empty().arm_sticky(SITE_NAN_LOSS, 1), || {
-        e.run_checkpointed(world(), 0).expect_err("poisoned run must abort")
-    });
-    assert!(
-        matches!(err, MissError::NonFinite { .. }),
-        "expected NonFinite, got {err}"
-    );
+    let scratch = Scratch::new("poisoned");
+    for checkpoint_out in [Some(scratch.0.join("run.ckpt")), None] {
+        let mut e = Experiment::new(BaseModel::Din, SslKind::None);
+        e.train_cfg = chaos_cfg();
+        e.train_cfg.max_epochs = 1;
+        e.checkpoint_out = checkpoint_out;
+        let err = with_plan(FaultPlan::empty().arm_sticky(SITE_NAN_LOSS, 1), || {
+            e.run(world(), 0).expect_err("poisoned run must abort")
+        });
+        assert!(
+            matches!(err, MissError::NonFinite { .. }),
+            "expected NonFinite, got {err}"
+        );
+    }
 }
 
 #[test]
@@ -158,15 +168,14 @@ fn ring_save_survives_a_write_crash_via_retry() {
     let ring = CheckpointRing::new(&scratch.0, "run", 3);
     let (mut store, model) = build(5);
     let mut trainer = Trainer::new(chaos_cfg());
-    trainer.train_epoch(&model, None, &mut store, world());
+    trainer.train_epoch(&model, None, &mut store, world()).expect("epoch");
     let path = with_plan(FaultPlan::empty().arm("codec.write.err", 100), || {
-        trainer
-            .save_to_ring(&store, &ring, &RetryPolicy::default())
+        ring.save(&store, trainer.progress(), &RetryPolicy::default())
             .expect("attempt 1 crashes at byte 100, attempt 2 lands")
     });
     assert_eq!(path, ring.slot_path(1));
     let resumed = ring
-        .resume_newest_valid(trainer.config(), || build(5))
+        .resume_newest_valid(&chaos_cfg(), || build(5))
         .expect("ring scan")
         .expect("slot 1 must be valid");
     assert_eq!(resumed.trainer.epoch(), 1);
@@ -186,7 +195,7 @@ fn kill_at_every_epoch_times_corruption_resumes_bitwise_identical() {
             let (mut store, model) = build(5);
             let mut trainer = Trainer::new(chaos_cfg());
             while trainer.epoch() < EPOCHS {
-                trainer.train_epoch(&model, None, &mut store, world());
+                trainer.train_epoch(&model, None, &mut store, world()).expect("epoch");
             }
             store.params_fingerprint()
         });
@@ -205,9 +214,8 @@ fn kill_at_every_epoch_times_corruption_resumes_bitwise_identical() {
                     let (mut store, model) = build(5);
                     let mut trainer = Trainer::new(chaos_cfg());
                     while trainer.epoch() < kill_after {
-                        trainer.train_epoch(&model, None, &mut store, world());
-                        trainer
-                            .save_to_ring(&store, &ring, &RetryPolicy::default())
+                        trainer.train_epoch(&model, None, &mut store, world()).expect("epoch");
+                        ring.save(&store, trainer.progress(), &RetryPolicy::default())
                             .expect("ring save");
                     }
                 });
@@ -229,7 +237,7 @@ fn kill_at_every_epoch_times_corruption_resumes_bitwise_identical() {
                     let (mut store, model, mut trainer) =
                         (resumed.store, resumed.extra, resumed.trainer);
                     while trainer.epoch() < EPOCHS {
-                        trainer.train_epoch(&model, None, &mut store, world());
+                        trainer.train_epoch(&model, None, &mut store, world()).expect("epoch");
                     }
                     store.params_fingerprint()
                 });
@@ -239,6 +247,119 @@ fn kill_at_every_epoch_times_corruption_resumes_bitwise_identical() {
                      threads must resume bitwise identical"
                 );
             }
+        }
+    }
+}
+
+/// Everything a finished run reports and selects, as raw bits: test and
+/// validation metrics, epochs, the selected weights, the Adam step and RNG
+/// state it ended in, and its best epoch.
+type RunBits = (u64, u64, u64, u64, usize, u64, (u64, u64), Option<u64>);
+
+fn run_bits(out: &FitOutcome, store: &ParamStore, trainer: &Trainer) -> RunBits {
+    let p = trainer.progress();
+    (
+        out.test.auc.to_bits(),
+        out.test.logloss.to_bits(),
+        out.valid.auc.to_bits(),
+        out.valid.logloss.to_bits(),
+        out.epochs,
+        store.params_fingerprint(),
+        (p.step, p.rng_state),
+        p.best.as_ref().map(|b| b.epoch),
+    )
+}
+
+/// A model, optionally with MISS attached, over a fresh store.
+fn build_with(miss: bool) -> (ParamStore, Din, Option<Miss>) {
+    let (mut store, model) = build(5);
+    let ssl = miss.then(|| {
+        let mut rng = Rng::new(6);
+        Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng)
+    });
+    (store, model, ssl)
+}
+
+/// Run `fresh(cfg)` to the end; with `kill_after`, die right after that
+/// epoch's checkpoint instead, and finish the run from the checkpoint in a
+/// freshly built process image.
+fn run_killed(
+    miss: bool,
+    cfg: &TrainConfig,
+    fresh: fn(TrainConfig) -> Trainer,
+    kill_after: Option<u64>,
+) -> RunBits {
+    let (mut store, model, ssl) = build_with(miss);
+    let ssl = ssl.as_ref().map(|m| m as &dyn SslMethod);
+    let mut trainer = fresh(cfg.clone());
+    let mut ckpt = Vec::new();
+    let outcome = trainer.run(&model, ssl, &mut store, world(), |t, store| {
+        if Some(t.epoch()) != kill_after {
+            return Ok(());
+        }
+        ckpt = miss_codec::save_to_vec(store, Some(t.progress()))?;
+        Err(MissError::Io(std::io::Error::other("killed")))
+    });
+    if kill_after.is_none() {
+        let out = outcome.expect("uninterrupted run");
+        return run_bits(&out, &store, &trainer);
+    }
+    assert!(outcome.is_err(), "the run must die at the kill point");
+    let (mut store, model, ssl) = build_with(miss);
+    let ssl = ssl.as_ref().map(|m| m as &dyn SslMethod);
+    let progress = miss_codec::load_from_slice(&ckpt, &mut store).expect("load");
+    let mut trainer = Trainer::resume(cfg.clone(), progress).expect("resume");
+    let out = trainer.run(&model, ssl, &mut store, world(), |_, _| Ok(())).expect("resumed run");
+    run_bits(&out, &store, &trainer)
+}
+
+/// A joint run killed at every epoch boundary — through the patience
+/// window and at its very end, where the resumed run trains no further
+/// epoch — finishes exactly like the uninterrupted one.
+#[test]
+fn joint_run_killed_at_every_epoch_resumes_to_the_same_selection() {
+    let cfg = TrainConfig {
+        max_epochs: 8,
+        patience: 1,
+        ..chaos_cfg()
+    };
+    for threads in [1usize, 4] {
+        let baseline = with_threads(threads, || run_killed(false, &cfg, Trainer::new, None));
+        let (epochs, best_epoch) = (baseline.4 as u64, baseline.7.expect("a best epoch"));
+        assert!(
+            epochs > best_epoch && epochs < 8,
+            "the run must stop early, after a patience window (epochs {epochs}, best {best_epoch})"
+        );
+        for kill_after in 1..=epochs {
+            let resumed =
+                with_threads(threads, || run_killed(false, &cfg, Trainer::new, Some(kill_after)));
+            assert_eq!(
+                resumed, baseline,
+                "joint run killed after epoch {kill_after} at {threads} threads"
+            );
+        }
+    }
+}
+
+/// A two-stage (MISS-Pre) run killed inside pre-training, at the phase
+/// switch and in fine-tuning finishes exactly like the uninterrupted one.
+#[test]
+fn pretraining_run_killed_mid_phase_and_at_the_switch_resumes_identically() {
+    let cfg = TrainConfig {
+        max_epochs: 2,
+        ..chaos_cfg()
+    };
+    let fresh = |cfg| Trainer::pretraining(cfg, 2);
+    for threads in [1usize, 4] {
+        let baseline = with_threads(threads, || run_killed(true, &cfg, fresh, None));
+        assert_eq!(baseline.4, 4, "two pre-training plus two fine-tuning epochs");
+        for kill_after in 1..=3 {
+            let resumed =
+                with_threads(threads, || run_killed(true, &cfg, fresh, Some(kill_after)));
+            assert_eq!(
+                resumed, baseline,
+                "MISS-Pre run killed after epoch {kill_after} at {threads} threads"
+            );
         }
     }
 }

@@ -7,7 +7,10 @@ use miss_core::{Miss, MissConfig};
 use miss_data::{BatchIter, Dataset, WorldConfig};
 use miss_models::{CtrModel, Dien, Din, ModelConfig};
 use miss_nn::{Adam, ParamStore};
-use miss_trainer::{evaluate, fit, micro_batch_len, train_epoch, TrainConfig};
+use miss_trainer::{
+    evaluate, fit, micro_batch_len, train_epoch, BaseModel, Experiment, SslKind, TrainConfig,
+    ALL_BASELINES,
+};
 use miss_util::Rng;
 
 fn quick_cfg(seed: u64) -> TrainConfig {
@@ -33,7 +36,7 @@ fn fit_fingerprint(with_miss: bool) -> (u64, u64, u64, u64, usize) {
     } else {
         None
     };
-    let out = fit(&model, ssl, &mut store, &dataset, &quick_cfg(4));
+    let out = fit(&model, ssl, &mut store, &dataset, &quick_cfg(4)).expect("fit");
     (
         out.test.auc.to_bits(),
         out.test.logloss.to_bits(),
@@ -143,18 +146,18 @@ fn train_fingerprint(family: Family, threads: usize) -> (u64, u64, u64) {
         let out = match family {
             Family::Din => {
                 let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-                fit(&model, None, &mut store, &dataset, &cfg)
+                fit(&model, None, &mut store, &dataset, &cfg).expect("fit")
             }
             Family::Dien => {
                 let model =
                     Dien::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-                fit(&model, None, &mut store, &dataset, &cfg)
+                fit(&model, None, &mut store, &dataset, &cfg).expect("fit")
             }
             Family::DinMiss => {
                 let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
                 let miss =
                     Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng);
-                fit(&model, Some(&miss), &mut store, &dataset, &cfg)
+                fit(&model, Some(&miss), &mut store, &dataset, &cfg).expect("fit")
             }
         };
         (
@@ -210,6 +213,60 @@ fn train_epoch_loss_bit_identical_across_thread_counts() {
     for threads in [2, 4] {
         assert_eq!(serial, run(threads), "train_epoch differs at {threads} threads");
     }
+}
+
+/// Every model under the contract: all 13 base models with and without
+/// MISS, and DIN with each SSL baseline of Table VI — 30 cells, each two
+/// epochs of the one training loop with every minibatch sharded. The
+/// outcome, the weight fingerprint and the whole checkpoint (latest weights,
+/// moments, progress, best weights) must be equal at 1, 2 and 4 threads.
+#[test]
+fn every_model_is_bit_identical_across_thread_counts() {
+    let dataset = Dataset::generate(WorldConfig::tiny(), 21);
+    let mut cells: Vec<Experiment> = ALL_BASELINES
+        .into_iter()
+        .flat_map(|base| {
+            [SslKind::None, SslKind::Miss(MissConfig::default())]
+                .map(|ssl| Experiment::new(base, ssl))
+        })
+        .collect();
+    cells.extend(
+        [SslKind::Rule, SslKind::Irssl, SslKind::S3Rec, SslKind::Cl4SRec]
+            .map(|ssl| Experiment::new(BaseModel::Din, ssl)),
+    );
+    assert_eq!(cells.len(), 30);
+    let path = std::env::temp_dir().join(format!("miss-det-cells-{}.ckpt", std::process::id()));
+    for mut e in cells {
+        e.train_cfg = TrainConfig {
+            max_epochs: 2,
+            parallel_min_rows: 0,
+            ..TrainConfig::default()
+        };
+        e.checkpoint_out = Some(path.clone());
+        let run = |threads: usize| {
+            miss_parallel::with_threads(threads, || {
+                let out = e.run(&dataset, 4).expect("run");
+                let bytes = std::fs::read(&path).expect("checkpoint");
+                let fingerprint = miss_codec::layout(&bytes).expect("layout").fingerprint;
+                let outcome = (
+                    out.test.auc.to_bits(),
+                    out.test.logloss.to_bits(),
+                    out.valid.auc.to_bits(),
+                    out.valid.logloss.to_bits(),
+                    out.epochs,
+                    fingerprint,
+                );
+                (outcome, bytes)
+            })
+        };
+        let (serial, serial_bytes) = run(1);
+        for threads in [2, 4] {
+            let (outcome, bytes) = run(threads);
+            assert_eq!(outcome, serial, "{} differs at {threads} threads", e.label());
+            assert!(bytes == serial_bytes, "{} checkpoint differs at {threads} threads", e.label());
+        }
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -9,9 +9,9 @@
 
 use miss::core::MissConfig;
 use miss::data::{Dataset, WorldConfig, World};
-use miss::trainer::{BaseModel, Experiment, SslKind};
+use miss::trainer::{BaseModel, Experiment, MissError, SslKind};
 
-fn main() {
+fn main() -> Result<(), MissError> {
     // A bespoke world: few, very sticky interests (weekly grocery habits),
     // sellers as an extra intra-item attribute.
     let config = WorldConfig {
@@ -67,7 +67,7 @@ fn main() {
         (BaseModel::Dmr, SslKind::None),
     ] {
         let e = Experiment::new(base, ssl);
-        let out = e.run(&dataset, 0);
+        let out = e.run(&dataset, 0)?;
         println!(
             "{:<12} AUC {:.4}  Logloss {:.4}",
             e.label(),
@@ -75,4 +75,5 @@ fn main() {
             out.test.logloss
         );
     }
+    Ok(())
 }

@@ -8,15 +8,15 @@
 
 use miss::core::MissConfig;
 use miss::data::{Dataset, WorldConfig};
-use miss::trainer::{BaseModel, Experiment, SslKind};
+use miss::trainer::{BaseModel, Experiment, MissError, SslKind};
 
-fn main() {
+fn main() -> Result<(), MissError> {
     let dataset = Dataset::generate(WorldConfig::amazon_cds(0.5), 7);
     println!("{:<14} {:>10} {:>10} {:>8}", "Model", "AUC", "Logloss", "dAUC");
     for base in [BaseModel::Din, BaseModel::Ipnn, BaseModel::FiGnn] {
-        let plain = Experiment::new(base, SslKind::None).run(&dataset, 0);
+        let plain = Experiment::new(base, SslKind::None).run(&dataset, 0)?;
         let with_miss = Experiment::new(base, SslKind::Miss(MissConfig::default()))
-            .run(&dataset, 0);
+            .run(&dataset, 0)?;
         println!(
             "{:<14} {:>10.4} {:>10.4} {:>8}",
             base.label(),
@@ -32,4 +32,5 @@ fn main() {
             with_miss.test.auc - plain.test.auc
         );
     }
+    Ok(())
 }

@@ -9,10 +9,10 @@ use miss::core::{Miss, MissConfig};
 use miss::data::{Dataset, WorldConfig};
 use miss::models::{CtrModel, Din, ModelConfig};
 use miss::nn::ParamStore;
-use miss::trainer::{fit, TrainConfig};
+use miss::trainer::{fit, MissError, TrainConfig};
 use miss::util::Rng;
 
-fn main() {
+fn main() -> Result<(), MissError> {
     // 1. Simulate an Amazon-Cds-like world (multi-interest users, Zipf item
     //    popularity, interest runs) and assemble the CTR dataset with the
     //    paper's leave-last-three protocol.
@@ -29,7 +29,7 @@ fn main() {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(0);
     let din = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-    let base = fit(&din, None, &mut store, &dataset, &train_cfg);
+    let base = fit(&din, None, &mut store, &dataset, &train_cfg)?;
     println!(
         "DIN       AUC {:.4}  Logloss {:.4}  ({} epochs)",
         base.test.auc, base.test.logloss, base.epochs
@@ -40,7 +40,7 @@ fn main() {
     let mut rng = Rng::new(0);
     let din = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
     let miss = Miss::new(&mut store, din.embedding(), MissConfig::default(), &mut rng);
-    let enhanced = fit(&din, Some(&miss), &mut store, &dataset, &train_cfg);
+    let enhanced = fit(&din, Some(&miss), &mut store, &dataset, &train_cfg)?;
     println!(
         "DIN-MISS  AUC {:.4}  Logloss {:.4}  ({} epochs)",
         enhanced.test.auc, enhanced.test.logloss, enhanced.epochs
@@ -49,4 +49,5 @@ fn main() {
         "relative AUC improvement: {:+.2}%",
         (enhanced.test.auc - base.test.auc) / base.test.auc * 100.0
     );
+    Ok(())
 }

@@ -10,22 +10,17 @@
 
 use miss::core::MissConfig;
 use miss::data::{Dataset, WorldConfig};
-use miss::trainer::{BaseModel, Experiment, SslKind};
+use miss::trainer::{BaseModel, Experiment, MissError, SslKind};
 use miss::util::Rng;
 
-fn run_pair(dataset: &Dataset) -> (f64, f64) {
-    let din = Experiment::new(BaseModel::Din, SslKind::None)
-        .run(dataset, 0)
-        .test
-        .auc;
+fn run_pair(dataset: &Dataset) -> Result<(f64, f64), MissError> {
+    let din = Experiment::new(BaseModel::Din, SslKind::None).run(dataset, 0)?;
     let miss = Experiment::new(BaseModel::Din, SslKind::Miss(MissConfig::default()))
-        .run(dataset, 0)
-        .test
-        .auc;
-    (din, miss)
+        .run(dataset, 0)?;
+    Ok((din.test.auc, miss.test.auc))
 }
 
-fn main() {
+fn main() -> Result<(), MissError> {
     let world = WorldConfig::amazon_cds(0.5);
 
     println!("--- label sparsity (training set down-sampled) ---");
@@ -34,7 +29,7 @@ fn main() {
         let mut dataset = Dataset::generate(world.clone(), 42);
         let mut rng = Rng::new(1);
         dataset.downsample_train(sr, &mut rng);
-        let (d, m) = run_pair(&dataset);
+        let (d, m) = run_pair(&dataset)?;
         println!(
             "{:>4.0}% {:>10.4} {:>10.4} {:>+8.2}%",
             sr * 100.0,
@@ -50,7 +45,7 @@ fn main() {
         let mut dataset = Dataset::generate(world.clone(), 42);
         let mut rng = Rng::new(2);
         dataset.swap_train_labels(nr, &mut rng);
-        let (d, m) = run_pair(&dataset);
+        let (d, m) = run_pair(&dataset)?;
         println!(
             "{:>4.0}% {:>10.4} {:>10.4} {:>+8.2}%",
             nr * 100.0,
@@ -59,4 +54,5 @@ fn main() {
             (m - d) / d * 100.0
         );
     }
+    Ok(())
 }

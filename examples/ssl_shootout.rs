@@ -8,9 +8,9 @@
 
 use miss::core::MissConfig;
 use miss::data::{Dataset, WorldConfig};
-use miss::trainer::{BaseModel, Experiment, SslKind};
+use miss::trainer::{BaseModel, Experiment, MissError, SslKind};
 
-fn main() {
+fn main() -> Result<(), MissError> {
     let dataset = Dataset::generate(WorldConfig::amazon_cds(0.5), 11);
     let methods = [
         SslKind::None,
@@ -27,7 +27,7 @@ fn main() {
         let mut ll = 0.0;
         let reps = 2;
         for s in 0..reps {
-            let out = e.run(&dataset, s);
+            let out = e.run(&dataset, s)?;
             auc += out.test.auc;
             ll += out.test.logloss;
         }
@@ -38,4 +38,5 @@ fn main() {
             ll / reps as f64
         );
     }
+    Ok(())
 }

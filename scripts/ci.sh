@@ -67,14 +67,21 @@ cargo test -q -p miss-tensor --test parallel_determinism
 # The checkpoint gate re-runs the codec's two test batteries by name: the
 # corruption battery (every damaged artifact fails with the matching typed
 # MissError, never a panic or a hostile allocation) and the round-trip
-# properties (save → load is bitwise identity for params, Adam moments and
-# progress). Both already ran inside `cargo test` above; running them here
-# makes a checkpoint regression fail with the battery named in the log.
+# properties (save → load is bitwise identity for params, Adam moments,
+# progress and best weights). Both already ran inside `cargo test` above;
+# running them here makes a checkpoint regression fail with the battery
+# named in the log.
 echo "==> checkpoint gate: codec corruption battery"
 cargo test -q -p miss-codec --test corruption
 
 echo "==> checkpoint gate: codec round-trip properties"
 cargo test -q -p miss-codec --test roundtrip
+
+# The CLI contract of the protocol: `train` prints the same metrics with and
+# without `--out` / `--ring`, `eval` on the checkpoint prints the metrics
+# `train` printed, and resuming a finished run trains no further epoch.
+echo "==> checkpoint gate: miss-train train/eval/resume protocol"
+cargo test -q --test cli
 
 # The trainer's determinism suite is the contract the parallel training and
 # eval paths must keep: bitwise-identical weights/metrics across thread

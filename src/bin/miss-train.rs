@@ -5,20 +5,23 @@
 //! miss-train train  --dataset cds --model DIN [--miss] [--scale F]
 //!                   [--seed N] [--epochs N] [--out model.ckpt]
 //!                   [--resume model.ckpt] [--ring DIR] [--keep K]
-//! miss-train eval   --dataset cds --model DIN --ckpt model.ckpt [--miss] [--seed N]
+//! miss-train eval   --dataset cds --model DIN --ckpt model.ckpt [--miss]
 //! ```
 //!
-//! `eval` rebuilds the exact parameter registration of the training run —
-//! pass the same `--model`/`--miss`/`--seed` — so MISS checkpoints load
-//! bit-for-bit; every model then scores through the serving engine's
-//! inference forward (identical bits, pre-packed GEMM panels).
+//! `train` runs the paper's protocol: early stopping on validation AUC,
+//! test metrics of the best-validation epoch. With `--out`, it also
+//! checkpoints to FILE after every epoch; with `--resume`, it continues from
+//! FILE (bitwise identical to the run that wrote it). With `--ring DIR`,
+//! every epoch lands in its own slot in DIR (the newest `--keep` slots are
+//! retained, default 3) and a restarted run resumes from the newest slot
+//! that still loads — a corrupt file costs one epoch, not the run. None of
+//! these changes the run: the printed metrics are the same with or without
+//! them.
 //!
-//! With `--out`, training checkpoints to FILE after every epoch; with
-//! `--resume`, it continues from FILE (bitwise identical to the run that
-//! wrote it). With `--ring DIR`, every epoch lands in its own slot in DIR
-//! (the newest `--keep` slots are retained, default 3) and a restarted run
-//! resumes from the newest slot that still loads — a corrupt file costs one
-//! epoch, not the run.
+//! `eval` rebuilds the parameter registration of the training run — pass
+//! the same `--model`/`--miss` — and scores the checkpoint's best-validation
+//! weights through the serving engine's inference forward (identical bits,
+//! pre-packed GEMM panels), so it prints the test metrics `train` printed.
 //!
 //! Exit codes tell scripts *why* a run died (see `MissError::exit_code`):
 //! `0` success, `2` usage error, `3` bad artifact (corrupt bytes,
@@ -65,7 +68,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  miss-train stats --dataset <cds|books|alipay|tiny> [--scale F]\n  \
          miss-train train --dataset <ds> --model <name> [--miss] [--seed N] [--epochs N] [--out FILE] [--resume FILE] [--ring DIR] [--keep K]\n  \
-         miss-train eval  --dataset <ds> --model <name> --ckpt FILE [--miss] [--seed N]\n\nmodels: {}\n\n\
+         miss-train eval  --dataset <ds> --model <name> --ckpt FILE [--miss]\n\nmodels: {}\n\n\
          --ring DIR keeps the newest K (--keep, default {}) per-epoch checkpoints in DIR\n\
          and resumes a restarted run from the newest slot that loads.\n\n\
          exit codes: 0 ok, 2 usage, 3 bad checkpoint (corrupt/version/architecture),\n\
@@ -94,12 +97,20 @@ fn world(args: &Args) -> WorldConfig {
     }
 }
 
-fn model(args: &Args) -> BaseModel {
+/// The `--model` / `--miss` experiment, as `train` runs it and `eval`
+/// rebuilds it.
+fn experiment(args: &Args) -> Experiment {
     let name = args.get("--model").unwrap_or("DIN");
-    BaseModel::from_label(name).unwrap_or_else(|| {
+    let base = BaseModel::from_label(name).unwrap_or_else(|| {
         eprintln!("unknown model {name}");
         usage()
-    })
+    });
+    let ssl = if args.has("--miss") {
+        SslKind::Miss(MissConfig::default())
+    } else {
+        SslKind::None
+    };
+    Experiment::new(base, ssl)
 }
 
 fn main() {
@@ -120,33 +131,18 @@ fn main() {
         }
         "train" => {
             let dataset = Dataset::generate(world(&args), 0xDA7A);
-            let base = model(&args);
-            let ssl = if args.has("--miss") {
-                SslKind::Miss(MissConfig::default())
-            } else {
-                SslKind::None
-            };
             let seed: u64 = args.parsed("--seed", 0);
-            let mut e = Experiment::new(base, ssl);
+            let mut e = experiment(&args);
             e.train_cfg.max_epochs = args.parsed("--epochs", e.train_cfg.max_epochs);
             e.checkpoint_out = args.get("--out").map(PathBuf::from);
             e.resume_from = args.get("--resume").map(PathBuf::from);
             e.ring_dir = args.get("--ring").map(PathBuf::from);
             e.ring_keep = args.parsed("--keep", e.ring_keep);
             println!("training {} on {} (seed {seed})...", e.label(), dataset.name);
-            let checkpointed =
-                e.checkpoint_out.is_some() || e.resume_from.is_some() || e.ring_dir.is_some();
-            let out = if checkpointed {
-                match e.run_checkpointed(&dataset, seed) {
-                    Ok(out) => out,
-                    Err(err) => {
-                        eprintln!("miss-train: {err}");
-                        exit(err.exit_code())
-                    }
-                }
-            } else {
-                e.run(&dataset, seed)
-            };
+            let out = e.run(&dataset, seed).unwrap_or_else(|err| {
+                eprintln!("miss-train: {err}");
+                exit(err.exit_code())
+            });
             if out.skipped_steps > 0 {
                 eprintln!(
                     "miss-train: warning: {} minibatch step(s) skipped by the non-finite \
@@ -164,19 +160,12 @@ fn main() {
         }
         "eval" => {
             let dataset = Dataset::generate(world(&args), 0xDA7A);
-            let base = model(&args);
-            let ssl = if args.has("--miss") {
-                SslKind::Miss(MissConfig::default())
-            } else {
-                SslKind::None
-            };
-            let seed: u64 = args.parsed("--seed", 0);
-            let exp = Experiment::new(base, ssl);
+            let exp = experiment(&args);
             let ckpt = PathBuf::from(args.get("--ckpt").unwrap_or_else(|| usage()));
             // Every base model evaluates through the serving engine's
             // inference forward: the training-graph eval's bits without its
             // per-batch panel packing and backward state.
-            let scored = miss::serve::load_frozen(&ckpt, &exp, &dataset.schema, seed).and_then(
+            let scored = miss::serve::load_frozen(&ckpt, &exp, &dataset.schema).and_then(
                 |(frozen, progress)| {
                     if let Some(p) = progress {
                         println!("checkpoint at epoch {} (adam step {})", p.epoch, p.step);

@@ -19,7 +19,8 @@
 //! - [`metrics`] — AUC / Logloss;
 //! - [`models`] — the thirteen baseline CTR models (LR … FiGNN);
 //! - [`core`] — the MISS framework itself plus the SSL comparison methods;
-//! - [`trainer`] — training loops, early stopping, multi-seed evaluation;
+//! - [`trainer`] — the training loop (early stopping, pre-training,
+//!   checkpoints), multi-seed evaluation;
 //! - [`serve`] — frozen-graph inference engine with request micro-batching.
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough.

@@ -26,7 +26,7 @@ fn checkpoint_roundtrip_preserves_metrics() {
         patience: 0,
         ..TrainConfig::default()
     };
-    let out = fit(&model, None, &mut store, &dataset, &cfg);
+    let out = fit(&model, None, &mut store, &dataset, &cfg).expect("fit");
 
     let buf = miss::codec::save_to_vec(&store, None).unwrap();
 
@@ -123,7 +123,7 @@ fn early_stopping_restores_best_weights() {
             seed: 5,
             ..TrainConfig::default()
         };
-        fit(&model, None, &mut store, &dataset, &cfg)
+        fit(&model, None, &mut store, &dataset, &cfg).expect("fit")
     };
     let short = run(4);
     let long = run(30);
@@ -182,7 +182,7 @@ fn evaluation_is_deterministic() {
         patience: 0,
         ..TrainConfig::default()
     };
-    fit(&model, None, &mut store, &dataset, &cfg);
+    fit(&model, None, &mut store, &dataset, &cfg).expect("fit");
     let a = evaluate(&model, &store, &dataset.test, &dataset.schema, 64);
     let b = evaluate(&model, &store, &dataset.test, &dataset.schema, 64);
     assert_eq!(a.auc, b.auc);

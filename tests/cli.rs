@@ -48,3 +48,58 @@ fn miss_faults_in_the_environment_changes_nothing() {
     let with_var = run("cli-ring-faults", Some("trainer.nan.loss@1+"));
     assert_eq!(with_var, clean);
 }
+
+/// `miss-train` run to completion with `args`; its stdout.
+fn miss_train(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_miss-train"))
+        .args(args)
+        .output()
+        .expect("miss-train starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+fn metrics_line(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|l| l.starts_with("test AUC"))
+        .unwrap_or_else(|| panic!("no metrics line in {stdout:?}"))
+}
+
+/// Checkpointing never changes the run: `train` prints the same metrics
+/// with and without `--out` / `--ring`; `eval` on the checkpoint scores the
+/// weights `train` selected; and resuming a finished run trains no further
+/// epoch and prints the same line.
+#[test]
+fn checkpointed_training_reports_and_saves_the_selected_model() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-protocol");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let ckpt = dir.join("din.ckpt");
+    let ckpt = ckpt.to_str().expect("utf-8 path");
+    let ring = dir.join("ring");
+    let ring = ring.to_str().expect("utf-8 path");
+    let train = |extra: &[&str]| {
+        let args = [&["train", "--dataset", "tiny", "--model", "DIN", "--seed", "3"], extra];
+        miss_train(&args.concat())
+    };
+
+    let plain = train(&[]);
+    let line = metrics_line(&plain);
+    assert_eq!(metrics_line(&train(&["--out", ckpt])), line, "--out changed the run");
+    assert_eq!(metrics_line(&train(&["--ring", ring])), line, "--ring changed the run");
+
+    let scored = miss_train(&["eval", "--dataset", "tiny", "--model", "DIN", "--ckpt", ckpt]);
+    let (metrics, _epochs) = line.split_once("  (").expect("epochs suffix");
+    assert_eq!(metrics_line(&scored), metrics, "eval scored other weights than train selected");
+
+    let before = std::fs::read(ckpt).expect("checkpoint");
+    let resumed = train(&["--resume", ckpt, "--out", ckpt]);
+    assert_eq!(metrics_line(&resumed), line, "resuming a finished run changed its report");
+    assert!(
+        std::fs::read(ckpt).expect("checkpoint") == before,
+        "resuming a finished run trained another epoch"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -25,7 +25,7 @@ fn din_beats_chance_end_to_end() {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(0);
     let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-    let out = fit(&model, None, &mut store, &dataset, &quick_cfg(0));
+    let out = fit(&model, None, &mut store, &dataset, &quick_cfg(0)).expect("fit");
     assert!(out.test.auc > 0.62, "DIN end-to-end AUC {}", out.test.auc);
 }
 
@@ -43,7 +43,8 @@ fn miss_improves_din() {
             let mut rng = Rng::new(seed);
             let model =
                 Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-            base += fit(&model, None, &mut store, &dataset, &quick_cfg(seed)).test.auc;
+            let out = fit(&model, None, &mut store, &dataset, &quick_cfg(seed)).expect("fit");
+            base += out.test.auc;
         }
         {
             let mut store = ParamStore::new();
@@ -52,8 +53,8 @@ fn miss_improves_din() {
                 Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
             let miss =
                 Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng);
-            enhanced +=
-                fit(&model, Some(&miss), &mut store, &dataset, &quick_cfg(seed)).test.auc;
+            let out = fit(&model, Some(&miss), &mut store, &dataset, &quick_cfg(seed));
+            enhanced += out.expect("fit").test.auc;
         }
     }
     assert!(
@@ -72,14 +73,14 @@ fn miss_improves_ipnn() {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(2);
         let model = Ipnn::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-        fit(&model, None, &mut store, &dataset, &quick_cfg(2)).test.auc
+        fit(&model, None, &mut store, &dataset, &quick_cfg(2)).expect("fit").test.auc
     };
     let enhanced = {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(2);
         let model = Ipnn::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
         let miss = Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng);
-        fit(&model, Some(&miss), &mut store, &dataset, &quick_cfg(2)).test.auc
+        fit(&model, Some(&miss), &mut store, &dataset, &quick_cfg(2)).expect("fit").test.auc
     };
     assert!(
         enhanced > base - 0.01,
@@ -97,7 +98,7 @@ fn registry_runs_variant_experiment() {
     );
     e.train_cfg.max_epochs = 2;
     e.train_cfg.patience = 0;
-    let out = e.run(&dataset, 0);
+    let out = e.run(&dataset, 0).expect("run");
     assert!(out.test.auc.is_finite());
     assert!(out.test.logloss > 0.0);
 }
@@ -151,7 +152,7 @@ fn sparsity_transform_degrades_base_model() {
         let mut store = ParamStore::new();
         let mut r = Rng::new(6);
         let model = Din::new(&mut store, &d.schema, &ModelConfig::default(), &mut r);
-        fit(&model, None, &mut store, d, &quick_cfg(6)).test.auc
+        fit(&model, None, &mut store, d, &quick_cfg(6)).expect("fit").test.auc
     };
     let a = run(&full);
     let b = run(&sparse);
@@ -179,8 +180,8 @@ fn resume_is_bitwise_identical_to_uninterrupted_training() {
             let model =
                 Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
             let mut trainer = Trainer::new(cfg.clone());
-            trainer.train_epoch(&model, None, &mut store, &dataset);
-            trainer.train_epoch(&model, None, &mut store, &dataset);
+            trainer.train_epoch(&model, None, &mut store, &dataset).expect("epoch");
+            trainer.train_epoch(&model, None, &mut store, &dataset).expect("epoch");
             let straight = store.params_fingerprint();
 
             // Interrupted run: 1 epoch, save, resume elsewhere, 1 more.
@@ -188,16 +189,16 @@ fn resume_is_bitwise_identical_to_uninterrupted_training() {
             let mut r1 = Rng::new(9);
             let m1 = Din::new(&mut s1, &dataset.schema, &ModelConfig::default(), &mut r1);
             let mut t1 = Trainer::new(cfg.clone());
-            t1.train_epoch(&m1, None, &mut s1, &dataset);
-            let ckpt = t1.save_checkpoint_bytes(&s1).expect("save checkpoint");
+            t1.train_epoch(&m1, None, &mut s1, &dataset).expect("epoch");
+            let ckpt = miss::codec::save_to_vec(&s1, Some(t1.progress())).expect("save checkpoint");
 
             let mut s2 = ParamStore::new();
             let mut r2 = Rng::new(1234); // different init, overwritten by resume
             let m2 = Din::new(&mut s2, &dataset.schema, &ModelConfig::default(), &mut r2);
-            let mut t2 =
-                Trainer::resume_from_bytes(cfg.clone(), &mut s2, &ckpt).expect("resume");
+            let progress = miss::codec::load_from_slice(&ckpt, &mut s2).expect("load checkpoint");
+            let mut t2 = Trainer::resume(cfg.clone(), progress).expect("resume");
             assert_eq!(t2.epoch(), 1);
-            t2.train_epoch(&m2, None, &mut s2, &dataset);
+            t2.train_epoch(&m2, None, &mut s2, &dataset).expect("epoch");
 
             assert_eq!(
                 straight,
@@ -219,7 +220,7 @@ fn noise_transform_degrades_base_model() {
         let mut store = ParamStore::new();
         let mut r = Rng::new(8);
         let model = Din::new(&mut store, &d.schema, &ModelConfig::default(), &mut r);
-        fit(&model, None, &mut store, d, &quick_cfg(8)).test.auc
+        fit(&model, None, &mut store, d, &quick_cfg(8)).expect("fit").test.auc
     };
     let a = run(&clean);
     let b = run(&noisy);
