@@ -1,7 +1,7 @@
 //! Pointwise nonlinearities.
 
 use crate::tape::{Tape, Var};
-use miss_tensor::Tensor;
+use miss_tensor::{math, Tensor};
 
 impl Tape {
     /// Rectified linear unit.
@@ -49,7 +49,8 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, x: Var) -> Var {
-        let value = self.value(x).map(miss_util::sigmoid);
+        let mut value = self.value(x).clone();
+        math::sigmoid_in_place(value.as_mut_slice());
         let out_slot = self.len();
         self.push_op(&[x], value, move |g, vals, ctx| {
             let y = &vals[out_slot];
@@ -68,7 +69,8 @@ impl Tape {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: Var) -> Var {
-        let value = self.value(x).map(f32::tanh);
+        let mut value = self.value(x).clone();
+        math::tanh_in_place(value.as_mut_slice());
         let out_slot = self.len();
         self.push_op(&[x], value, move |g, vals, ctx| {
             let y = &vals[out_slot];
@@ -82,15 +84,6 @@ impl Tape {
                     .collect(),
             );
             ctx.accum(x, dx);
-        })
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, x: Var) -> Var {
-        let value = self.value(x).map(f32::exp);
-        let out_slot = self.len();
-        self.push_op(&[x], value, move |g, vals, ctx| {
-            ctx.accum(x, g.mul(&vals[out_slot]));
         })
     }
 
@@ -165,18 +158,6 @@ mod tests {
             |t, vs| {
                 let y = t.tanh(vs[0]);
                 t.sum_all(y)
-            },
-            5e-2,
-        );
-    }
-
-    #[test]
-    fn grad_exp() {
-        check(
-            &[smooth_input()],
-            |t, vs| {
-                let y = t.exp(vs[0]);
-                t.mean_all(y)
             },
             5e-2,
         );

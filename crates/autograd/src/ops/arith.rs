@@ -6,27 +6,42 @@ impl Tape {
     /// Elementwise `a + b`.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).add(self.value(b));
+        let (ga, gb) = (self.requires_grad(a), self.requires_grad(b));
         self.push_op(&[a, b], value, move |g, _vals, ctx| {
-            ctx.accum(a, g.clone());
-            ctx.accum(b, g.clone());
+            if ga {
+                ctx.accum(a, g.clone());
+            }
+            if gb {
+                ctx.accum(b, g.clone());
+            }
         })
     }
 
     /// Elementwise `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).sub(self.value(b));
+        let (ga, gb) = (self.requires_grad(a), self.requires_grad(b));
         self.push_op(&[a, b], value, move |g, _vals, ctx| {
-            ctx.accum(a, g.clone());
-            ctx.accum(b, g.scale(-1.0));
+            if ga {
+                ctx.accum(a, g.clone());
+            }
+            if gb {
+                ctx.accum(b, g.scale(-1.0));
+            }
         })
     }
 
     /// Elementwise (Hadamard) `a * b`.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).mul(self.value(b));
+        let (ga, gb) = (self.requires_grad(a), self.requires_grad(b));
         self.push_op(&[a, b], value, move |g, vals, ctx| {
-            ctx.accum(a, g.mul(&vals[b.0]));
-            ctx.accum(b, g.mul(&vals[a.0]));
+            if ga {
+                ctx.accum(a, g.mul(&vals[b.0]));
+            }
+            if gb {
+                ctx.accum(b, g.mul(&vals[a.0]));
+            }
         })
     }
 
@@ -58,9 +73,14 @@ impl Tape {
     /// Scale each row of `x` by the matching entry of the `R×1` column `col`.
     pub fn mul_col(&mut self, x: Var, col: Var) -> Var {
         let value = self.value(x).mul_col_broadcast(self.value(col));
+        let (gx, gcol) = (self.requires_grad(x), self.requires_grad(col));
         self.push_op(&[x, col], value, move |g, vals, ctx| {
-            ctx.accum(x, g.mul_col_broadcast(&vals[col.0]));
-            ctx.accum(col, g.mul(&vals[x.0]).row_sum());
+            if gx {
+                ctx.accum(x, g.mul_col_broadcast(&vals[col.0]));
+            }
+            if gcol {
+                ctx.accum(col, g.mul(&vals[x.0]).row_sum());
+            }
         })
     }
 }

@@ -11,10 +11,15 @@ impl Tape {
     /// `b` is `(blocks·q)×k`, output `(blocks·p)×q`.
     pub fn bmm_nt(&mut self, a: Var, b: Var, blocks: usize) -> Var {
         let value = self.value(a).bmm_nt(self.value(b), blocks);
+        let (ga, gb) = (self.requires_grad(a), self.requires_grad(b));
         self.push_op(&[a, b], value, move |g, vals, ctx| {
             // C_i = A_i B_i^T  =>  dA_i = G_i B_i ; dB_i = G_i^T A_i.
-            ctx.accum(a, g.bmm_nn(&vals[b.0], blocks));
-            ctx.accum(b, g.bmm_tn(&vals[a.0], blocks));
+            if ga {
+                ctx.accum(a, g.bmm_nn(&vals[b.0], blocks));
+            }
+            if gb {
+                ctx.accum(b, g.bmm_tn(&vals[a.0], blocks));
+            }
         })
     }
 
@@ -22,10 +27,15 @@ impl Tape {
     /// `b` is `(blocks·q)×k`, output `(blocks·p)×k`.
     pub fn bmm_nn(&mut self, a: Var, b: Var, blocks: usize) -> Var {
         let value = self.value(a).bmm_nn(self.value(b), blocks);
+        let (ga, gb) = (self.requires_grad(a), self.requires_grad(b));
         self.push_op(&[a, b], value, move |g, vals, ctx| {
             // C_i = A_i B_i  =>  dA_i = G_i B_i^T ; dB_i = A_i^T G_i.
-            ctx.accum(a, g.bmm_nt(&vals[b.0], blocks));
-            ctx.accum(b, vals[a.0].bmm_tn(g, blocks));
+            if ga {
+                ctx.accum(a, g.bmm_nt(&vals[b.0], blocks));
+            }
+            if gb {
+                ctx.accum(b, vals[a.0].bmm_tn(g, blocks));
+            }
         })
     }
 

@@ -3,7 +3,7 @@
 
 use crate::ops::reduce::{l2_normalize, l2_normalize_backward};
 use crate::tape::{Tape, Var};
-use miss_tensor::Tensor;
+use miss_tensor::{math, Tensor};
 
 impl Tape {
     /// Mean binary cross-entropy over logits (Eq. 7 of the paper, fused with
@@ -13,24 +13,21 @@ impl Tape {
         let (b, c) = self.shape(logits);
         assert_eq!(c, 1, "logits must be B×1");
         assert_eq!(labels.shape(), (b, 1), "labels must match logits");
-        let z = self.value(logits);
+        let z = self.value(logits).as_slice();
+        let mut e: Vec<f32> = z.iter().map(|zv| -zv.abs()).collect();
+        math::exp_in_place(&mut e);
         let mut total = 0.0f32;
-        for (&zv, &yv) in z.as_slice().iter().zip(labels.as_slice()) {
-            total += zv.max(0.0) - yv * zv + (-zv.abs()).exp().ln_1p();
+        for ((&zv, &yv), ev) in z.iter().zip(labels.as_slice()).zip(e) {
+            total += zv.max(0.0) - yv * zv + ev.ln_1p();
         }
         let value = Tensor::scalar(total / b as f32);
         self.push_op(&[logits], value, move |g, vals, ctx| {
-            let z = &vals[logits.0];
             let scale = g.item() / b as f32;
-            let dz = Tensor::from_vec(
-                b,
-                1,
-                z.as_slice()
-                    .iter()
-                    .zip(labels.as_slice())
-                    .map(|(&zv, &yv)| (miss_util::sigmoid(zv) - yv) * scale)
-                    .collect(),
-            );
+            let mut dz = vals[logits.0].clone();
+            math::sigmoid_in_place(dz.as_mut_slice());
+            for (d, &yv) in dz.as_mut_slice().iter_mut().zip(labels.as_slice()) {
+                *d = (*d - yv) * scale;
+            }
             ctx.accum(logits, dz);
         })
     }

@@ -6,19 +6,29 @@ impl Tape {
     /// `a (m×k) @ b (k×n)`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).matmul_nn(self.value(b));
+        let (ga, gb) = (self.requires_grad(a), self.requires_grad(b));
         self.push_op(&[a, b], value, move |g, vals, ctx| {
-            ctx.accum(a, g.matmul_nt(&vals[b.0]));
-            ctx.accum(b, vals[a.0].matmul_tn(g));
+            if ga {
+                ctx.accum(a, g.matmul_nt(&vals[b.0]));
+            }
+            if gb {
+                ctx.accum(b, vals[a.0].matmul_tn(g));
+            }
         })
     }
 
     /// `a (m×k) @ b^T (n×k) -> m×n`.
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).matmul_nt(self.value(b));
+        let (ga, gb) = (self.requires_grad(a), self.requires_grad(b));
         self.push_op(&[a, b], value, move |g, vals, ctx| {
             // C = A B^T  =>  dA = G B, dB = G^T A.
-            ctx.accum(a, g.matmul_nn(&vals[b.0]));
-            ctx.accum(b, g.matmul_tn(&vals[a.0]));
+            if ga {
+                ctx.accum(a, g.matmul_nn(&vals[b.0]));
+            }
+            if gb {
+                ctx.accum(b, g.matmul_tn(&vals[a.0]));
+            }
         })
     }
 }

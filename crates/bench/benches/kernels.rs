@@ -76,6 +76,48 @@ fn main() {
         bch.iter(|| black_box(scores.row_logsumexp()))
     });
 
+    // The vectorised transcendentals against a libm call per element, in
+    // one run. exp: the 128×128 InfoNCE similarity rows (logits / τ).
+    // tanh: DIEN's GRU candidate state at batch 64, 640 values per row.
+    let logits = Tensor::from_fn(128, 128, |i, j| ((i * 7 + j * 3) % 41) as f32 * 0.5 - 20.0);
+    let mut rows = logits.as_slice().to_vec();
+    group.bench_function("exp_rows_128x128", |bch| {
+        bch.iter(|| {
+            rows.copy_from_slice(logits.as_slice());
+            for row in rows.chunks_exact_mut(128) {
+                miss_tensor::math::exp_in_place(row);
+            }
+            black_box(rows[0])
+        })
+    });
+    group.bench_function("exp_rows_128x128_libm", |bch| {
+        bch.iter(|| {
+            rows.copy_from_slice(logits.as_slice());
+            for v in rows.iter_mut() {
+                *v = v.exp();
+            }
+            black_box(rows[0])
+        })
+    });
+    let gates = Tensor::from_fn(64, 640, |i, j| ((i * 13 + j * 5) % 37) as f32 * 0.2 - 3.6);
+    let mut state = gates.as_slice().to_vec();
+    group.bench_function("tanh_64x640", |bch| {
+        bch.iter(|| {
+            state.copy_from_slice(gates.as_slice());
+            miss_tensor::math::tanh_in_place(&mut state);
+            black_box(state[0])
+        })
+    });
+    group.bench_function("tanh_64x640_libm", |bch| {
+        bch.iter(|| {
+            state.copy_from_slice(gates.as_slice());
+            for v in state.iter_mut() {
+                *v = v.tanh();
+            }
+            black_box(state[0])
+        })
+    });
+
     let idx: Vec<usize> = (0..128 * 28).map(|i| (i * 13) % (128 * 30)).collect();
     group.bench_function("gather_rows_conv_shift", |bch| {
         bch.iter(|| black_box(seq.gather_rows(&idx)))

@@ -98,7 +98,7 @@ fn score_samples(
 ) -> MissResult<Vec<f32>> {
     let logits = model.forward(&assemble(samples, schema)?)?;
     let mut out = Vec::with_capacity(samples.len());
-    miss_util::sigmoid_extend(logits.as_slice(), &mut out);
+    miss_tensor::math::sigmoid_extend(logits.as_slice(), &mut out);
     Ok(out)
 }
 

@@ -88,8 +88,9 @@ pub(crate) const TILE_M: usize = 12;
 
 /// Post-GEMM transform fused into the accumulator-store tail of both panel
 /// bodies. The bias slice is one value per output column; ReLU and sigmoid
-/// match the autograd ops (`max(0)` / `miss_util::sigmoid`) exactly, so
-/// fusing changes only where the work happens, not the math applied.
+/// match the autograd ops (`max(0)` / [`crate::math::sigmoid_in_place`])
+/// exactly, so fusing changes only where the work happens, not the math
+/// applied.
 #[derive(Clone, Copy, Debug)]
 pub enum GemmEpilogue<'a> {
     /// Plain product.
@@ -119,15 +120,24 @@ impl GemmEpilogue<'_> {
 /// `j`, with the variant selected at compile time (`EP` 0–3 in declaration
 /// order). Both panel bodies are monomorphised per epilogue so the common
 /// `None` GEMM contains no bias loads, no branch, and — critically — no
-/// inlined `exp` call whose register clobbers would force the accumulator
-/// tile to spill.
+/// sigmoid call whose register clobbers would force the accumulator tile to
+/// spill. `AddBiasSigmoid` adds the bias here; [`ep_finish`] then takes the
+/// sigmoid of the stored lanes in one vector pass.
 #[inline(always)]
 fn ep_apply<const EP: u8>(bias: &[f32], j: usize, acc: f32) -> f32 {
     match EP {
         0 => acc,
-        1 => acc + bias[j],
         2 => (acc + bias[j]).max(0.0),
-        _ => miss_util::sigmoid(acc + bias[j]),
+        _ => acc + bias[j],
+    }
+}
+
+/// The rest of epilogue `EP` over lanes [`ep_apply`] has written: the
+/// sigmoid of `AddBiasSigmoid`, nothing for the others.
+#[inline(always)]
+fn ep_finish<const EP: u8>(lanes: &mut [f32]) {
+    if EP == 3 {
+        crate::math::sigmoid_in_place(lanes);
     }
 }
 
@@ -279,6 +289,7 @@ unsafe fn store_ep<const NV: usize, const EP: u8>(
         for t in 0..NV * 8 {
             dst[t] = ep_apply::<EP>(bias, j0 + t, tmp[t]);
         }
+        ep_finish::<EP>(dst);
         return;
     }
     // A tail panel (NV = 1): epilogue on the valid lanes, then one masked
@@ -288,6 +299,7 @@ unsafe fn store_ep<const NV: usize, const EP: u8>(
     for t in 0..cols {
         tmp[t] = ep_apply::<EP>(bias, j0 + t, tmp[t]);
     }
+    ep_finish::<EP>(&mut tmp[..cols]);
     let dst = &mut c[off..off + cols];
     let mask: [i32; 8] = core::array::from_fn(|t| if t < cols { -1 } else { 0 });
     // SAFETY: `mask` enables lanes `0..cols` only and `dst` holds `cols`
@@ -482,10 +494,11 @@ fn plain_rows<const MR: usize, const W: usize, const COL: bool, const EP: u8>(
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        let off = (i - i0 + r) * n + j0;
-        for (t, (dst, &v)) in c[off..off + cols].iter_mut().zip(row).enumerate() {
-            *dst = ep_apply::<EP>(bias, j0 + t, v);
+        let dst = &mut c[(i - i0 + r) * n + j0..][..cols];
+        for (t, (d, &v)) in dst.iter_mut().zip(row).enumerate() {
+            *d = ep_apply::<EP>(bias, j0 + t, v);
         }
+        ep_finish::<EP>(dst);
     }
 }
 
@@ -625,7 +638,7 @@ mod tests {
                     GemmEpilogue::None => acc,
                     GemmEpilogue::AddBias(bias) => acc + bias[j],
                     GemmEpilogue::AddBiasRelu(bias) => (acc + bias[j]).max(0.0),
-                    GemmEpilogue::AddBiasSigmoid(bias) => miss_util::sigmoid(acc + bias[j]),
+                    GemmEpilogue::AddBiasSigmoid(bias) => crate::math::sigmoid(acc + bias[j]),
                 };
             }
         }

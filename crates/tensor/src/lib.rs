@@ -32,6 +32,7 @@
 )]
 
 mod kernels;
+pub mod math;
 mod ops;
 mod tensor;
 

@@ -378,6 +378,7 @@ impl Tensor {
 
     /// Numerically stable row-wise log-sum-exp as a `rows×1` vector.
     pub fn row_logsumexp(&self) -> Tensor {
+        let mut shifted = Vec::with_capacity(self.cols());
         let data = self
             .as_slice()
             .chunks_exact(self.cols())
@@ -386,7 +387,10 @@ impl Tensor {
                 if max.is_infinite() {
                     return max;
                 }
-                let s: f32 = row.iter().map(|&v| (v - max).exp()).sum();
+                shifted.clear();
+                shifted.extend(row.iter().map(|&v| v - max));
+                crate::math::exp_in_place(&mut shifted);
+                let s: f32 = shifted.iter().sum();
                 max + s.ln()
             })
             .collect();
@@ -528,11 +532,11 @@ impl Tensor {
 /// `exp(v - max)` the softmax was divided by.
 fn softmax_in_place(row: &mut [f32]) -> (f32, f32) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
     for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+        *v -= max;
     }
+    crate::math::exp_in_place(row);
+    let sum = row.iter().fold(0.0, |s, &v| s + v);
     for v in row.iter_mut() {
         *v /= sum;
     }

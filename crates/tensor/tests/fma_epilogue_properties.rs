@@ -131,7 +131,7 @@ fn fused_epilogues_match_unfused_within_four_ulp() {
         let cases: [(GemmEpilogue, Act); 3] = [
             (GemmEpilogue::AddBias(&bias), |x| x),
             (GemmEpilogue::AddBiasRelu(&bias), |x| x.max(0.0)),
-            (GemmEpilogue::AddBiasSigmoid(&bias), miss_util::sigmoid),
+            (GemmEpilogue::AddBiasSigmoid(&bias), miss_tensor::math::sigmoid),
         ];
         for (ep, act) in cases {
             let got = a.matmul_nn_ep(&b, ep);

@@ -59,7 +59,7 @@ fn scores(
                 rng: &mut rng,
             };
             let logits = model.forward(&mut g, store, &batch, &mut opts);
-            miss_util::sigmoid_extend(g.tape.value(logits).as_slice(), &mut out);
+            miss_tensor::math::sigmoid_extend(g.tape.value(logits).as_slice(), &mut out);
         }
         out
     });

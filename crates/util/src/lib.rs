@@ -21,14 +21,12 @@
 )]
 
 mod error;
-mod math;
 mod order;
 mod rng;
 mod sample;
 mod stats;
 
 pub use error::{MissError, MissResult};
-pub use math::{sigmoid, sigmoid_extend};
 pub use order::{argsort_desc, top_k_desc, top_k_desc_into};
 pub use rng::Rng;
 pub use sample::{Categorical, Zipf};

@@ -58,6 +58,15 @@ MISS_THREADS=1 cargo test -q -p miss-tensor --lib kernels
 echo "==> GEMM gate: kernel bitwise battery (default MISS_THREADS)"
 cargo test -q -p miss-tensor --lib kernels
 
+# The transcendental kernels (tensor/src/math.rs) transcribe glibc 2.36's
+# expf and tanhf. This test runs every f32 bit pattern through both bodies
+# of exp and tanh and compares them with the host's libm: it needs an
+# x86_64 glibc host with AVX2+FMA (it passes trivially elsewhere) and takes
+# a few minutes on two threads, so it is #[ignore]d in the suites above and
+# run here by name, in release.
+echo "==> transcendentals gate: exp/tanh equal glibc on all 2^32 inputs"
+cargo test -q --release -p miss-tensor --lib math::tests::exhaustive_match_with_glibc -- --ignored
+
 echo "==> GEMM gate: parallel determinism (MISS_THREADS=1)"
 MISS_THREADS=1 cargo test -q -p miss-tensor --test parallel_determinism
 
@@ -159,10 +168,15 @@ failed_gates=()
 # --require-ratio clause keeps the n % 8 remainder columns on the vector
 # path: a 20-wide GEMM may cost at most 2.5x the 16-wide one (~1.7x with
 # the zero-padded tail panel, ~10x when the tail ran one column at a time).
+# The last two clauses keep exp and tanh on the vector path: each must take
+# at most 0.6x the time of a libm call per element on the same data, in the
+# same run.
 echo "==> bench gate: kernels medians vs bench_baseline.json"
 python3 scripts/check_bench.py BENCH_kernels.json bench_baseline.json 0.25 \
     --max-ratio matmul_512x256x256 0.75 \
     --require-ratio matmul_tn_128x128x20 matmul_tn_128x128x16 2.5 \
+    --require-ratio exp_rows_128x128 exp_rows_128x128_libm 0.6 \
+    --require-ratio tanh_64x640 tanh_64x640_libm 0.6 \
     || failed_gates+=(kernels)
 
 # The training sweep gate: the adaptive sharded path must beat the forced

@@ -6,7 +6,11 @@
 //!                   [--seed N] [--epochs N] [--out model.ckpt]
 //!                   [--resume model.ckpt] [--ring DIR] [--keep K]
 //! miss-train eval   --dataset cds --model DIN --ckpt model.ckpt [--miss]
+//!                   [--scale F]
 //! ```
+//!
+//! Each subcommand accepts only its own flags: any other argument (a typo
+//! such as `--epoch`) is a usage error, so it can never be silently ignored.
 //!
 //! `train` runs the paper's protocol: early stopping on validation AUC,
 //! test metrics of the best-validation epoch. With `--out`, it also
@@ -34,21 +38,45 @@ use miss::trainer::{BaseModel, Experiment, SslKind, ALL_BASELINES};
 use std::path::PathBuf;
 use std::process::exit;
 
+/// The arguments of one subcommand, checked against the flags it accepts.
 struct Args {
-    values: Vec<String>,
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
 }
 
 impl Args {
+    /// Parse `raw` against `cmd`'s flags that take a value and its switches.
+    /// Any other argument, or a value flag without its value, is a usage
+    /// error (exit 2) that names it.
+    fn parse(cmd: &str, raw: &[String], value_flags: &[&str], switches: &[&str]) -> Args {
+        let mut args = Args {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = raw.iter();
+        while let Some(a) = it.next() {
+            if value_flags.contains(&a.as_str()) {
+                let Some(v) = it.next() else {
+                    eprintln!("{a} needs a value");
+                    usage()
+                };
+                args.values.push((a.clone(), v.clone()));
+            } else if switches.contains(&a.as_str()) {
+                args.switches.push(a.clone());
+            } else {
+                eprintln!("unknown argument for {cmd}: {a}");
+                usage()
+            }
+        }
+        args
+    }
+
     fn get(&self, flag: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.values.get(i + 1))
-            .map(String::as_str)
+        self.values.iter().find(|(f, _)| f == flag).map(|(_, v)| v.as_str())
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.values.iter().any(|a| a == flag)
+        self.switches.iter().any(|a| a == flag)
     }
 
     /// `flag`'s value parsed as `T`, or `default` when absent; a malformed
@@ -67,8 +95,8 @@ impl Args {
 fn usage() -> ! {
     eprintln!(
         "usage:\n  miss-train stats --dataset <cds|books|alipay|tiny> [--scale F]\n  \
-         miss-train train --dataset <ds> --model <name> [--miss] [--seed N] [--epochs N] [--out FILE] [--resume FILE] [--ring DIR] [--keep K]\n  \
-         miss-train eval  --dataset <ds> --model <name> --ckpt FILE [--miss]\n\nmodels: {}\n\n\
+         miss-train train --dataset <ds> --model <name> [--miss] [--scale F] [--seed N] [--epochs N] [--out FILE] [--resume FILE] [--ring DIR] [--keep K]\n  \
+         miss-train eval  --dataset <ds> --model <name> --ckpt FILE [--miss] [--scale F]\n\nmodels: {}\n\n\
          --ring DIR keeps the newest K (--keep, default {}) per-epoch checkpoints in DIR\n\
          and resumes a restarted run from the newest slot that loads.\n\n\
          exit codes: 0 ok, 2 usage, 3 bad checkpoint (corrupt/version/architecture),\n\
@@ -115,11 +143,12 @@ fn experiment(args: &Args) -> Experiment {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else { usage() };
-    let args = Args { values: raw };
+    let Some((cmd, rest)) = raw.split_first() else { usage() };
+    let args = |value_flags: &[&str], switches: &[&str]| Args::parse(cmd, rest, value_flags, switches);
 
     match cmd.as_str() {
         "stats" => {
+            let args = args(&["--dataset", "--scale"], &[]);
             let dataset = Dataset::generate(world(&args), 0xDA7A);
             let s = dataset.stats();
             println!("dataset    : {}", s.name);
@@ -130,6 +159,10 @@ fn main() {
             println!("fields     : {}", s.fields);
         }
         "train" => {
+            let args = args(
+                &["--dataset", "--scale", "--model", "--seed", "--epochs", "--out", "--resume", "--ring", "--keep"],
+                &["--miss"],
+            );
             let dataset = Dataset::generate(world(&args), 0xDA7A);
             let seed: u64 = args.parsed("--seed", 0);
             let mut e = experiment(&args);
@@ -159,6 +192,7 @@ fn main() {
             }
         }
         "eval" => {
+            let args = args(&["--dataset", "--scale", "--model", "--ckpt"], &["--miss"]);
             let dataset = Dataset::generate(world(&args), 0xDA7A);
             let exp = experiment(&args);
             let ckpt = PathBuf::from(args.get("--ckpt").unwrap_or_else(|| usage()));

@@ -37,4 +37,10 @@ pub use miss_parallel as parallel;
 pub use miss_serve as serve;
 pub use miss_tensor as tensor;
 pub use miss_trainer as trainer;
-pub use miss_util as util;
+/// [`miss_util`]'s items, plus [`sigmoid_extend`](util::sigmoid_extend),
+/// which moved to [`tensor::math`] with the other transcendentals and keeps
+/// its old path here.
+pub mod util {
+    pub use miss_tensor::math::sigmoid_extend;
+    pub use miss_util::*;
+}

@@ -25,6 +25,29 @@ fn malformed_numeric_flags_exit_with_usage_code() {
     }
 }
 
+/// Each subcommand accepts only its own flags: a typo for one of them, or a
+/// flag another subcommand (or an older version) takes, exits 2 naming it
+/// instead of being ignored.
+#[test]
+fn unknown_flags_exit_with_usage_code() {
+    for args in [
+        &["train", "--dataset", "tiny", "--model", "DIN", "--epoch", "1", "--seed", "3"][..],
+        &["eval", "--dataset", "tiny", "--model", "DIN", "--ckpt", "none.ckpt", "--seed", "5"],
+        &["stats", "--dataset", "tiny", "--miss"],
+        &["train", "--dataset", "tiny", "stray"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_miss-train"))
+            .args(args)
+            .output()
+            .expect("miss-train starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| ["--epoch", "--seed", "--miss", "stray"].contains(a));
+        let flag = flag.expect("each case has one unknown argument");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown argument for {}: {flag}", args[0])), "{stderr}");
+    }
+}
+
 /// Fault plans are installed by tests only: a run with a `MISS_FAULTS`
 /// spec in the environment trains exactly like one without it.
 #[test]
