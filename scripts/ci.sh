@@ -62,7 +62,7 @@ cargo test -q -p miss-tensor --lib kernels
 # expf and tanhf. This test runs every f32 bit pattern through both bodies
 # of exp and tanh and compares them with the host's libm: it needs an
 # x86_64 glibc host with AVX2+FMA (it passes trivially elsewhere) and takes
-# a few minutes on two threads, so it is #[ignore]d in the suites above and
+# about 70 s on two threads, so it is #[ignore]d in the suites above and
 # run here by name, in release.
 echo "==> transcendentals gate: exp/tanh equal glibc on all 2^32 inputs"
 cargo test -q --release -p miss-tensor --lib math::tests::exhaustive_match_with_glibc -- --ignored
