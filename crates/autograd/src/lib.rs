@@ -33,5 +33,5 @@ pub mod gradcheck;
 mod ops;
 mod tape;
 
-pub use ops::{ConvTap, LinearAct};
+pub use ops::{ConvTap, LinearAct, UnitTower};
 pub use tape::{Grads, SparseGrad, Tape, Var};

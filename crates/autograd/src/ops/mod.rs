@@ -8,6 +8,7 @@
 //! gradient slot is never read, so skipping it changes no bit.
 
 mod activation;
+mod activation_unit;
 mod arith;
 mod block;
 mod conv;
@@ -17,6 +18,7 @@ mod matmul;
 mod reduce;
 mod shape;
 
+pub use activation_unit::UnitTower;
 pub use conv::ConvTap;
 pub use linear::LinearAct;
 

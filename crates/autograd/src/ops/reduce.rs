@@ -39,23 +39,29 @@ impl Tape {
         })
     }
 
+    /// Sum of every run of `len` consecutive rows, `(rows/len)×cols`, each a
+    /// chain from 0.0 in row order. Value and gradient are bitwise those of
+    /// the block product `ones(1×len) @ run`: the gradient is `g + 0.0`
+    /// added to each row of the run.
+    pub fn segment_sum(&mut self, x: Var, len: usize) -> Var {
+        let (r, c) = self.shape(x);
+        let value = self.value(x).segment_sum(len);
+        self.push_op(&[x], value, move |g, _vals, ctx| {
+            let dx = ctx.slot(x, (r, c));
+            for i in 0..r {
+                for (d, &gv) in dx.row_mut(i).iter_mut().zip(g.row(i / len)) {
+                    *d += gv + 0.0;
+                }
+            }
+        })
+    }
+
     /// Numerically stable row-wise softmax.
     pub fn softmax_rows(&mut self, x: Var) -> Var {
         let value = self.value(x).row_softmax();
         let out_slot = self.len();
         self.push_op(&[x], value, move |g, vals, ctx| {
-            let y = &vals[out_slot];
-            let (r, c) = y.shape();
-            let mut dx = Tensor::zeros(r, c);
-            for i in 0..r {
-                let yrow = y.row(i);
-                let grow = g.row(i);
-                let dot: f32 = yrow.iter().zip(grow).map(|(&a, &b)| a * b).sum();
-                for ((d, &yv), &gv) in dx.row_mut(i).iter_mut().zip(yrow).zip(grow) {
-                    *d = (gv - dot) * yv;
-                }
-            }
-            ctx.accum(x, dx);
+            ctx.accum(x, softmax_rows_backward(&vals[out_slot], g));
         })
     }
 
@@ -98,6 +104,22 @@ impl Tape {
             ctx.accum(x, dx);
         })
     }
+}
+
+/// The gradient at the input of a row softmax with output `y`, given the
+/// output gradient `g`: `(g − dot(y, g))·y` row by row, the dot sequential.
+pub(crate) fn softmax_rows_backward(y: &Tensor, g: &Tensor) -> Tensor {
+    let (r, c) = y.shape();
+    let mut dx = Tensor::zeros(r, c);
+    for i in 0..r {
+        let yrow = y.row(i);
+        let grow = g.row(i);
+        let dot: f32 = yrow.iter().zip(grow).map(|(&a, &b)| a * b).sum();
+        for ((d, &yv), &gv) in dx.row_mut(i).iter_mut().zip(yrow).zip(grow) {
+            *d = (gv - dot) * yv;
+        }
+    }
+    dx
 }
 
 /// `x / max(‖x‖, eps)` row by row, and the inverse norms it scaled by.
@@ -147,6 +169,59 @@ mod tests {
             |t, vs| t.mean_all(vs[0]),
             5e-2,
         );
+    }
+
+    #[test]
+    fn grad_segment_sum() {
+        check(
+            &[input(6, 3)],
+            |t, vs| {
+                let s = t.segment_sum(vs[0], 3);
+                let sq = t.mul(s, s);
+                t.sum_all(sq)
+            },
+            5e-2,
+        );
+    }
+
+    #[test]
+    fn segment_sum_is_bitwise_the_ones_block_product() {
+        // Signed zeros in the input and in the upstream gradient; `prefill`
+        // records a later use of `x`, so its gradient slot holds `-0.0`s
+        // before the sum's backward adds into it.
+        let signed = |r: usize, c: usize, f: fn(usize, usize) -> f32| {
+            Tensor::from_fn(
+                r,
+                c,
+                move |i, j| if (i + j) % 3 == 0 { -0.0 } else { f(i, j) },
+            )
+        };
+        let x = signed(12, 5, |i, j| ((i * 7 + j * 3) as f32 * 0.37).sin());
+        let w = signed(3, 5, |i, j| 0.3 * i as f32 - 0.2 * j as f32 + 0.05);
+        let bits = |x: &Tensor| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for prefill in [false, true] {
+            let run = |fused: bool| {
+                let mut t = crate::Tape::new();
+                let xv = t.leaf(x.clone());
+                let y = if fused {
+                    t.segment_sum(xv, 4)
+                } else {
+                    let ones = t.constant(Tensor::full(3, 4, 1.0));
+                    t.bmm_nn(ones, xv, 3)
+                };
+                let wv = t.constant(w.clone());
+                let p = t.mul(y, wv);
+                let mut loss = t.sum_all(p);
+                if prefill {
+                    let q = t.mul(xv, xv);
+                    let q = t.sum_all(q);
+                    loss = t.add(loss, q);
+                }
+                let value = bits(t.value(y));
+                (value, bits(t.backward(loss).expect(xv)))
+            };
+            assert_eq!(run(true), run(false), "prefill={prefill}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the dense kernels every model is built from.
 
-use miss_tensor::Tensor;
+use miss_nn::{Graph, Mlp, ParamStore};
+use miss_tensor::{GemmEpilogue, PackedB, Tensor};
 use miss_testkit::bench::{black_box, BenchGroup};
+use miss_util::Rng;
 
 /// The pre-tiling `ikj` triple loop, kept as the fixed baseline the CI
 /// regression gate compares the tiled `matmul_512x256x256` case against.
@@ -115,6 +117,49 @@ fn main() {
                 *v = v.tanh();
             }
             black_box(state[0])
+        })
+    });
+
+    // DIN's activation unit on a serving batch (256 candidates × 30
+    // positions, K = 10, the 40 → 16 → 1 tower) on an inference graph,
+    // against its first-layer GEMM alone on a stored 7680×40 input. Their
+    // ratio is the cost of everything around that GEMM: interaction
+    // input, second layer, masked softmax and weighted sum. One thread, as
+    // the serving engine runs.
+    let (b, l, k) = (256, 30, 10);
+    let mut store = ParamStore::new();
+    let tower = Mlp::relu_tower(&mut store, "att", 4 * k, &[16, 1], &mut Rng::new(5));
+    let seq_v = Tensor::from_fn(b * l, k, |i, j| ((i * 7 + j * 3) % 17) as f32 * 0.06 - 0.5);
+    let cand_v = Tensor::from_fn(b, k, |i, j| ((i + j * 5) % 11) as f32 * 0.09 - 0.45);
+    let mask: Vec<f32> = (0..b * l)
+        .map(|r| if r % l < 5 + r / l % 26 { 1.0 } else { 0.0 })
+        .collect();
+    let mut g = Graph::inference(&store);
+    let (sv, cv) = (g.input(seq_v), g.input(cand_v));
+    let start = g.tape.len();
+    group.bench_function("din_activation_unit_b256", |bch| {
+        bch.iter(|| {
+            miss_parallel::with_threads(1, || {
+                let y =
+                    miss_models::attention_pool_masked(&mut g, &store, sv, cv, b, l, &mask, &tower);
+                let v = g.tape.value(y).get(0, 0);
+                g.tape.truncate(start);
+                black_box(v)
+            })
+        })
+    });
+    let att_in = Tensor::from_fn(b * l, 4 * k, |i, j| {
+        ((i * 7 + j * 3) % 17) as f32 * 0.06 - 0.5
+    });
+    let w1 = PackedB::pack(&Tensor::from_fn(4 * k, 16, |i, j| {
+        ((i * 3 + j) % 7) as f32 * 0.05 - 0.15
+    }));
+    let b1: Vec<f32> = (0..16).map(|j| j as f32 * 0.01).collect();
+    group.bench_function("linear_relu_7680x40x16", |bch| {
+        bch.iter(|| {
+            miss_parallel::with_threads(1, || {
+                black_box(att_in.matmul_nn_ep_prepacked(&w1, GemmEpilogue::AddBiasRelu(&b1)))
+            })
         })
     });
 

@@ -12,10 +12,9 @@ pub fn mean_pool(g: &mut Graph, seq_emb: Var, batch: &Batch) -> Var {
     let b = batch.size;
     let l = batch.seq_len;
     assert_eq!(bl, b * l, "sequence embedding shape mismatch");
-    // Row of ones per sample times the (already-masked) embeddings sums the
-    // real positions; divide by the true history length.
-    let ones = g.input(Tensor::full(b, l, 1.0));
-    let sums = g.tape.bmm_nn(ones, seq_emb, b); // B×K
+    // The per-sample sum of the (already-masked) embeddings over the real
+    // positions, divided by the true history length.
+    let sums = g.tape.segment_sum(seq_emb, l); // B×K
     let inv_len = Tensor::from_vec(
         b,
         1,
@@ -45,7 +44,7 @@ pub fn masked_softmax_rows(g: &mut Graph, scores: Var, mask: &[f32]) -> Var {
 /// `[e_beh, e_cand, e_beh − e_cand, e_beh ⊙ e_cand]` interaction input and
 /// masked-softmax normalisation. Returns the pooled `B×K` representation.
 ///
-/// `att_mlp` must map `4K → … → 1`.
+/// `att_mlp` must be a ReLU → linear tower mapping `4K → H → 1`.
 pub fn attention_pool(
     g: &mut Graph,
     store: &ParamStore,
@@ -58,7 +57,8 @@ pub fn attention_pool(
 }
 
 /// [`attention_pool`] over an explicit `(b, l, mask)` — used by SIM after
-/// its top-k retrieval produces a shorter, re-masked sequence.
+/// its top-k retrieval produces a shorter, re-masked sequence. The whole
+/// unit is one tape node, [`Graph::activation_unit`].
 #[expect(
     clippy::too_many_arguments,
     reason = "SIM passes its re-masked (b, l, mask) view explicitly instead of a Batch"
@@ -76,17 +76,10 @@ pub fn attention_pool_masked(
     let (bl, k) = g.tape.shape(seq_emb);
     assert_eq!(bl, b * l, "sequence rows");
     assert_eq!(g.tape.shape(cand_emb), (b, k), "candidate shape");
-    g.scope(|g| {
-        let cand_t = g.tape.repeat_rows_interleave(cand_emb, l); // (B·L)×K
-        let diff = g.tape.sub(seq_emb, cand_t);
-        let prod = g.tape.mul(seq_emb, cand_t);
-        let att_in = g.tape.concat_cols(&[seq_emb, cand_t, diff, prod]); // (B·L)×4K
-        let scores = att_mlp.forward(g, store, att_in); // (B·L)×1
-        let scores2d = g.tape.reshape(scores, b, l);
-        let weights = masked_softmax_rows(g, scores2d, mask); // B×L
-        // Weighted sum per sample: (B·1×L) @ (B·L×K) blocks.
-        g.tape.bmm_nn(weights, seq_emb, b)
-    })
+    let tower = att_mlp
+        .relu_linear_tower()
+        .expect("the activation unit's tower is ReLU → linear, two layers");
+    g.activation_unit(store, seq_emb, cand_emb, mask, tower)
 }
 
 /// The standard "field vector" view shared by the feature-interaction

@@ -2,7 +2,7 @@
 //! or for inference.
 
 use crate::store::{DenseId, ParamStore, TableId};
-use miss_autograd::{LinearAct, Tape, Var};
+use miss_autograd::{LinearAct, Tape, UnitTower, Var};
 use miss_tensor::{PackedB, Tensor};
 use miss_util::Rng;
 
@@ -137,6 +137,31 @@ impl Graph {
             .value(x)
             .matmul_nn_ep_prepacked(panels, act.epilogue(tape.value(bv).as_slice()));
         self.tape.constant(y)
+    }
+
+    /// DIN's activation unit ([`Tape::activation_unit`]) of `seq` against
+    /// `cand` over the tower `[w1, b1, w2, b2]` of dense parameters. An
+    /// inference graph multiplies against the weights' panels packed once
+    /// per graph, as [`Graph::linear`] does.
+    pub fn activation_unit(
+        &mut self,
+        store: &ParamStore,
+        seq: Var,
+        cand: Var,
+        mask: &[f32],
+        tower: [DenseId; 4],
+    ) -> Var {
+        let [w1, b1, w2, b2] = tower.map(|id| self.param(store, id));
+        let vars = UnitTower { w1, b1, w2, b2 };
+        let Some(packed) = &mut self.packed else {
+            return self.tape.activation_unit(seq, cand, mask, vars, None);
+        };
+        let tape = &self.tape;
+        for (id, w) in [(tower[0], w1), (tower[2], w2)] {
+            packed[id.0].get_or_insert_with(|| PackedB::pack(tape.value(w)));
+        }
+        let panels = packed[tower[0].0].as_ref().zip(packed[tower[2].0].as_ref());
+        self.tape.activation_unit(seq, cand, mask, vars, panels)
     }
 
     /// Embedding lookup: gathers `indices` rows of the table. A training

@@ -174,6 +174,17 @@ impl Mlp {
         h
     }
 
+    /// `[w1, b1, w2, b2]` when this is a two-layer ReLU → linear tower
+    /// (the shape [`Graph::activation_unit`] fuses), `None` otherwise.
+    pub fn relu_linear_tower(&self) -> Option<[DenseId; 4]> {
+        let plain = matches!(self.hidden_act, Activation::Relu)
+            && matches!(self.final_act, Activation::Linear);
+        match self.layers.as_slice() {
+            [first, second] if plain => Some([first.w, first.b, second.w, second.b]),
+            _ => None,
+        }
+    }
+
     /// Output width of the final layer (recorded at construction, so no
     /// panic path in code the trainer's forward passes touch).
     pub fn out_dim(&self) -> usize {

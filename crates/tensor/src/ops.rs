@@ -113,7 +113,46 @@ impl PackedB {
     pub fn n(&self) -> usize {
         self.n
     }
+
+    /// `ep(A @ B)` for an `m×k` A that is never stored whole:
+    /// `fill(first_row, a)` writes rows `first_row..` of A into `a`, a
+    /// scratch of whole rows. Row chunks follow
+    /// [`Tensor::matmul_nn_ep_prepacked`]'s rule, and each chunk fills and
+    /// multiplies a few dozen rows at a time, so A costs one small tile per
+    /// thread. Every output element is the same chain as in that call over
+    /// the stored A, so the bits are the same too.
+    pub fn matmul_generated(
+        &self,
+        m: usize,
+        ep: GemmEpilogue,
+        fill: impl Fn(usize, &mut [f32]) + Sync,
+    ) -> Tensor {
+        let (k, n) = (self.k, self.n);
+        if let Some(b) = ep.bias() {
+            assert_eq!(b.len(), n, "epilogue bias width");
+        }
+        row_chunks(m, n, k, |r0, rows, c| {
+            kernels::with_pack_scratch(|a| {
+                // Sized for a full tile whatever `rows` is, so a small call
+                // never leaves a scratch that a larger one must grow.
+                if a.len() < GEN_ROWS * k {
+                    a.resize(GEN_ROWS * k, 0.0);
+                }
+                for t0 in (0..rows).step_by(GEN_ROWS) {
+                    let t = GEN_ROWS.min(rows - t0);
+                    let a = &mut a[..t * k];
+                    fill(r0 + t0, a);
+                    let c = &mut c[t0 * n..(t0 + t) * n];
+                    kernels::gemm_packed::<false>(a, &self.data, c, 0, t, k, k, n, &ep);
+                }
+            })
+        })
+    }
 }
+
+/// Rows of A that [`PackedB::matmul_generated`] builds and multiplies at a
+/// time: a multiple of both panel bodies' row tiles.
+const GEN_ROWS: usize = 4 * kernels::TILE_M;
 
 impl Tensor {
     // ------------------------------------------------------------------
@@ -353,6 +392,25 @@ impl Tensor {
         out
     }
 
+    /// Sum of every run of `len` consecutive rows, `(rows/len)×cols`. Each
+    /// element is one chain from 0.0 in row order, so this is bitwise
+    /// `ones(rows/len × len).bmm_nn(self, rows/len)` on both panel bodies:
+    /// `fma(1, s, acc)` and `acc + 1·s` both round `acc + s` once.
+    pub fn segment_sum(&self, len: usize) -> Tensor {
+        assert!(
+            len > 0 && self.rows().is_multiple_of(len),
+            "{} rows are not runs of {len}",
+            self.rows()
+        );
+        let mut out = Tensor::zeros(self.rows() / len, self.cols());
+        for r in 0..self.rows() {
+            for (o, &v) in out.row_mut(r / len).iter_mut().zip(self.row(r)) {
+                *o += v;
+            }
+        }
+        out
+    }
+
     /// Row sums as a `rows×1` column vector.
     pub fn row_sum(&self) -> Tensor {
         let data = self
@@ -443,17 +501,13 @@ impl Tensor {
         let rows = parts[0].rows();
         assert!(parts.iter().all(|p| p.rows() == rows), "row count mismatch");
         let total: usize = parts.iter().map(|p| p.cols()).sum();
-        let mut out = Tensor::zeros(rows, total);
+        let mut data = Vec::with_capacity(rows * total);
         for r in 0..rows {
-            let orow = out.row_mut(r);
-            let mut off = 0;
             for p in parts {
-                let prow = p.row(r);
-                orow[off..off + prow.len()].copy_from_slice(prow);
-                off += prow.len();
+                data.extend_from_slice(p.row(r));
             }
         }
-        out
+        Tensor::from_vec(rows, total, data)
     }
 
     /// Vertical concatenation of matrices with equal column counts.
@@ -472,22 +526,25 @@ impl Tensor {
     /// Copy of the column range `[lo, hi)`.
     pub fn slice_cols(&self, lo: usize, hi: usize) -> Tensor {
         assert!(lo <= hi && hi <= self.cols(), "bad column slice {lo}..{hi}");
-        let w = hi - lo;
-        let mut out = Tensor::zeros(self.rows(), w);
+        let mut data = Vec::with_capacity(self.rows() * (hi - lo));
         for r in 0..self.rows() {
-            out.row_mut(r).copy_from_slice(&self.row(r)[lo..hi]);
+            data.extend_from_slice(&self.row(r)[lo..hi]);
         }
-        out
+        Tensor::from_vec(self.rows(), hi - lo, data)
     }
 
     /// Gather rows by index (rows may repeat).
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(idx.len(), self.cols());
-        for (o, &i) in idx.iter().enumerate() {
-            assert!(i < self.rows(), "gather index {i} out of {} rows", self.rows());
-            out.row_mut(o).copy_from_slice(self.row(i));
+        let mut data = Vec::with_capacity(idx.len() * self.cols());
+        for &i in idx {
+            assert!(
+                i < self.rows(),
+                "gather index {i} out of {} rows",
+                self.rows()
+            );
+            data.extend_from_slice(self.row(i));
         }
-        out
+        Tensor::from_vec(idx.len(), self.cols(), data)
     }
 
     /// `self[idx[r]] += src[r]` for every row of `src` (scatter-add; the
@@ -508,13 +565,13 @@ impl Tensor {
     /// Repeat each row `times` times consecutively:
     /// `[a; b] -> [a; a; b; b]` for `times == 2`.
     pub fn repeat_rows_interleave(&self, times: usize) -> Tensor {
-        let mut out = Tensor::zeros(self.rows() * times, self.cols());
+        let mut data = Vec::with_capacity(self.len() * times);
         for r in 0..self.rows() {
-            for t in 0..times {
-                out.row_mut(r * times + t).copy_from_slice(self.row(r));
+            for _ in 0..times {
+                data.extend_from_slice(self.row(r));
             }
         }
-        out
+        Tensor::from_vec(self.rows() * times, self.cols(), data)
     }
 
     /// Repeat the whole matrix `times` times vertically:
@@ -712,6 +769,9 @@ mod tests {
         assert_eq!(c.row(0), &[1., 2., 5.]);
         assert_eq!(c.slice_cols(0, 2).as_slice(), a.as_slice());
         assert_eq!(c.slice_cols(2, 3).as_slice(), b.as_slice());
+        assert_eq!(c.slice_cols(1, 1).shape(), (2, 0));
+        let c3 = Tensor::concat_cols(&[&b, &a, &b]);
+        assert_eq!(c3.row(1), &[6., 3., 4., 6.]);
     }
 
     #[test]
@@ -727,8 +787,7 @@ mod tests {
     fn gather_scatter_are_adjoint_shapes() {
         let x = t(3, 2, &[1., 2., 3., 4., 5., 6.]);
         let g = x.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.row(0), &[5., 6.]);
-        assert_eq!(g.row(2), &[5., 6.]);
+        assert_eq!(g.as_slice(), &[5., 6., 1., 2., 5., 6.]);
         let mut acc = Tensor::zeros(3, 2);
         acc.scatter_add_rows(&[2, 0, 2], &g);
         assert_eq!(acc.row(2), &[10., 12.], "duplicate indices accumulate");
@@ -740,6 +799,52 @@ mod tests {
         let x = t(2, 1, &[1., 2.]);
         assert_eq!(x.repeat_rows_interleave(2).as_slice(), &[1., 1., 2., 2.]);
         assert_eq!(x.tile_rows(2).as_slice(), &[1., 2., 1., 2.]);
+        let y = t(2, 2, &[1., 2., 3., 4.]);
+        assert_eq!(
+            y.repeat_rows_interleave(3).as_slice(),
+            &[1., 2., 1., 2., 1., 2., 3., 4., 3., 4., 3., 4.]
+        );
+    }
+
+    fn bits(x: &Tensor) -> Vec<u32> {
+        x.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn segment_sum_is_bitwise_the_ones_block_product() {
+        for (blocks, len, k) in [(1, 1, 1), (3, 7, 10), (4, 30, 13), (2, 5, 17)] {
+            let mut x = Tensor::from_fn(blocks * len, k, |i, j| {
+                ((i * 131 + j * 71) as f32 * 0.613).sin() * 10f32.powi((i % 5) as i32 - 2)
+            });
+            x.set(0, 0, -0.0);
+            let ones = Tensor::full(blocks, len, 1.0);
+            assert_eq!(
+                bits(&x.segment_sum(len)),
+                bits(&ones.bmm_nn(&x, blocks)),
+                "{blocks}x{len}x{k}"
+            );
+        }
+    }
+
+    #[test]
+    fn generated_gemm_is_bitwise_the_stored_one() {
+        // Row counts below, at and across the generated tile, and both
+        // chunked (parallel-sized) and whole calls.
+        for (m, k, n) in [(1, 40, 16), (47, 9, 3), (97, 40, 16), (7680, 40, 16)] {
+            let a = Tensor::from_fn(m, k, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.137 - 0.61);
+            let b = Tensor::from_fn(k, n, |i, j| ((i * 5 + j) % 13) as f32 * 0.0625 - 0.33);
+            let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01 - 0.05).collect();
+            let packed = PackedB::pack(&b);
+            let ep = GemmEpilogue::AddBiasRelu(&bias);
+            let generated = packed.matmul_generated(m, ep, |r0, rows| {
+                rows.copy_from_slice(&a.as_slice()[r0 * k..r0 * k + rows.len()]);
+            });
+            assert_eq!(
+                bits(&generated),
+                bits(&a.matmul_nn_ep(&b, ep)),
+                "{m}x{k}x{n}"
+            );
+        }
     }
 
     #[test]

@@ -170,13 +170,17 @@ impl BenchGroup {
     }
 
     /// Write `BENCH_<group>.json` and print where it landed.
+    ///
+    /// # Panics
+    ///
+    /// When the file cannot be written, so that the bench process fails
+    /// instead of exiting 0 with no output for the gates to read.
     pub fn finish(&mut self) {
         let dir = output_dir();
         let path = dir.join(format!("BENCH_{}.json", self.name));
         let json = self.to_json();
         if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-            return;
+            panic!("could not write {}: {e}", path.display());
         }
         println!("{}: wrote {}", self.name, path.display());
     }

@@ -168,15 +168,18 @@ failed_gates=()
 # --require-ratio clause keeps the n % 8 remainder columns on the vector
 # path: a 20-wide GEMM may cost at most 2.5x the 16-wide one (~1.7x with
 # the zero-padded tail panel, ~10x when the tail ran one column at a time).
-# The last two clauses keep exp and tanh on the vector path: each must take
+# The next two clauses keep exp and tanh on the vector path: each must take
 # at most 0.6x the time of a libm call per element on the same data, in the
-# same run.
+# same run. The last keeps DIN's activation unit one fused pass: at a
+# 256-candidate serving batch it may cost at most 3x its own first-layer
+# GEMM (~1.9x fused, ~5.7x as the 11-node chain it replaced).
 echo "==> bench gate: kernels medians vs bench_baseline.json"
 python3 scripts/check_bench.py BENCH_kernels.json bench_baseline.json 0.25 \
     --max-ratio matmul_512x256x256 0.75 \
     --require-ratio matmul_tn_128x128x20 matmul_tn_128x128x16 2.5 \
     --require-ratio exp_rows_128x128 exp_rows_128x128_libm 0.6 \
     --require-ratio tanh_64x640 tanh_64x640_libm 0.6 \
+    --require-ratio din_activation_unit_b256 linear_relu_7680x40x16 3.0 \
     || failed_gates+=(kernels)
 
 # The training sweep gate: the adaptive sharded path must beat the forced
