@@ -1,5 +1,5 @@
 //! The versioned checkpoint container: header, checksummed section table,
-//! and the params / moments / progress / best section payloads.
+//! and the arch / params / moments / progress / best section payloads.
 //!
 //! See DESIGN.md §8 for the wire diagram and the versioning policy. In
 //! short:
@@ -22,6 +22,8 @@
 //! bytes actually present. After the parameters are applied, the store's
 //! recomputed fingerprint must equal the header's: an end-to-end integrity
 //! check that survives even a hypothetical checksum-colliding corruption.
+//! [`load`] applies a file to a store built for it (the resume path);
+//! [`read`] hands back the file's own weights and the model it names.
 
 use crate::wire::{fnv1a, put_f32s, put_str, put_u32, put_u64, u32_le, u64_le, SectionReader};
 use miss_nn::{ParamStore, StoreSnapshot};
@@ -39,8 +41,9 @@ pub const MAGIC: [u8; 8] = *b"MISSCKPT";
 /// exactly the versions they know; any layout change bumps this constant and
 /// adds an explicit migration arm, never a silent reinterpretation. Version
 /// 2 added the phase and early-stopping fields to the progress section and
-/// the best section; a version-1 file is [`MissError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+/// the best section; version 3 the required arch section. An older file is
+/// [`MissError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Fixed header prefix: magic + version + section count + fingerprint.
 pub const HEADER_FIXED_LEN: usize = 24;
@@ -58,6 +61,8 @@ pub const SECTION_PROGRESS: u32 = 3;
 /// Section id: the best-validation weights, values only (present exactly
 /// when the progress section names a best epoch).
 pub const SECTION_BEST: u32 = 4;
+/// Section id: the model the weights belong to (required).
+pub const SECTION_ARCH: u32 = 5;
 
 /// Sections a reader accepts, small enough that a corrupt count can never
 /// drive a large table allocation.
@@ -69,8 +74,40 @@ fn section_name(id: u32) -> Option<&'static str> {
         SECTION_MOMENTS => Some("moments"),
         SECTION_PROGRESS => Some("progress"),
         SECTION_BEST => Some("best"),
+        SECTION_ARCH => Some("arch"),
         _ => None,
     }
+}
+
+/// Widest embedding or tower layer, and most tower layers, an arch section
+/// may name: a reader builds the model before copying any weight.
+pub const MAX_ARCH_WIDTH: usize = 1024;
+const MAX_ARCH_LAYERS: usize = 8;
+
+/// Which model a checkpoint holds: the base model's label (as in the
+/// paper's tables) and the widths that change its parameter registration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Arch {
+    pub model: String,
+    pub embed_dim: usize,
+    /// Deep-tower widths, ending in the 1-wide logit.
+    pub mlp_sizes: Vec<usize>,
+}
+
+/// A non-empty label, widths in `1..=MAX_ARCH_WIDTH`, 1 to 8 tower layers
+/// ending in 1. A save refuses what a load would, so no file is unreadable.
+fn check_arch(arch: &Arch) -> Result<(), MissError> {
+    let width = |w: &usize| (1..=MAX_ARCH_WIDTH).contains(w);
+    let tower = &arch.mlp_sizes;
+    if arch.model.is_empty()
+        || !width(&arch.embed_dim)
+        || !(1..=MAX_ARCH_LAYERS).contains(&tower.len())
+        || !tower.iter().all(width)
+        || tower.last() != Some(&1)
+    {
+        return Err(MissError::corrupt("arch", format!("impossible model {arch:?}")));
+    }
+    Ok(())
 }
 
 /// The best validated epoch so far, with the weights it ended on.
@@ -161,17 +198,32 @@ fn encode_progress(p: &TrainProgress) -> Vec<u8> {
     out
 }
 
-/// Serialise `store` (and, when given, training progress with its best
-/// weights) to `w`.
+fn encode_arch(arch: &Arch) -> Result<Vec<u8>, MissError> {
+    check_arch(arch)?;
+    let mut out = Vec::new();
+    put_str(&mut out, &arch.model);
+    put_u64(&mut out, arch.embed_dim as u64);
+    put_u32(&mut out, arch.mlp_sizes.len() as u32);
+    for &w in &arch.mlp_sizes {
+        put_u64(&mut out, w as u64);
+    }
+    Ok(out)
+}
+
+/// Serialise `store` as the weights of `arch` (and, when given, training
+/// progress with its best weights) to `w`. An arch no reader would accept
+/// is `Corrupt{arch}`, and nothing is written.
 ///
 /// The moments section is always written by this entry point; a future
 /// inference-artifact exporter may omit it, which [`load`] already accepts.
 pub fn save(
     w: &mut impl Write,
     store: &ParamStore,
+    arch: &Arch,
     progress: Option<&TrainProgress>,
 ) -> Result<(), MissError> {
     let mut sections: Vec<(u32, Vec<u8>)> = vec![
+        (SECTION_ARCH, encode_arch(arch)?),
         (SECTION_PARAMS, encode_params(store)),
         (SECTION_MOMENTS, encode_moments(store)),
     ];
@@ -209,10 +261,11 @@ pub fn save(
 /// [`save`] into a fresh byte buffer.
 pub fn save_to_vec(
     store: &ParamStore,
+    arch: &Arch,
     progress: Option<&TrainProgress>,
 ) -> Result<Vec<u8>, MissError> {
     let mut out = Vec::new();
-    save(&mut out, store, progress)?;
+    save(&mut out, store, arch, progress)?;
     Ok(out)
 }
 
@@ -228,13 +281,14 @@ pub fn tmp_sibling(path: &Path) -> std::path::PathBuf {
 fn write_and_sync(
     tmp: &Path,
     store: &ParamStore,
+    arch: &Arch,
     progress: Option<&TrainProgress>,
 ) -> Result<(), MissError> {
     let file = std::fs::File::create(tmp)?;
     let mut fw = crate::faultio::FaultWriter::new(file);
     {
         let mut bw = std::io::BufWriter::new(&mut fw);
-        save(&mut bw, store, progress)?;
+        save(&mut bw, store, arch, progress)?;
         bw.flush()?;
     }
     // The data must be durable *before* the rename publishes it; otherwise a
@@ -253,91 +307,56 @@ fn write_and_sync(
 pub fn save_to_path(
     path: &Path,
     store: &ParamStore,
+    arch: &Arch,
     progress: Option<&TrainProgress>,
 ) -> Result<(), MissError> {
     let tmp = tmp_sibling(path);
-    let staged = write_and_sync(&tmp, store, progress);
-    match staged {
-        Ok(()) => match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(MissError::Io(e))
-            }
-        },
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    let published = write_and_sync(&tmp, store, arch, progress)
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(MissError::Io));
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    published
 }
 
-/// Bounded, deterministic retry schedule for checkpoint I/O.
-///
-/// Backoff is a *fixed* table of sleeps (no clocks are read, so clippy's
-/// `disallowed_methods` gate on wall-clock reads holds), and retried runs
-/// behave identically everywhere.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts (the first try included). Clamped to at least 1.
-    pub attempts: u32,
-    /// Sleep before retry k (1-based) is `backoff_ms[k-1]`, saturating at
-    /// the last entry. Empty means retry immediately.
-    pub backoff_ms: Vec<u64>,
-}
+/// Attempts [`save_to_path_retrying`] makes, the first one included.
+pub const SAVE_ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    /// 3 attempts, sleeping 1ms then 5ms between them (DESIGN.md §9).
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            backoff_ms: vec![1, 5],
-        }
-    }
-}
+/// Sleep before each retry of [`save_to_path_retrying`]: a fixed table, so
+/// no clock is read (clippy's `disallowed_methods` gate on wall-clock reads
+/// holds) and retried runs behave identically everywhere.
+const SAVE_BACKOFF_MS: [u64; SAVE_ATTEMPTS as usize - 1] = [1, 5];
 
 /// [`save_to_path`] with bounded retry on **I/O errors only**.
 ///
-/// Transient-class failures (`MissError::Io`) are retried up to
-/// `policy.attempts` times with the fixed `policy.backoff_ms` schedule; each
-/// failed attempt logs one line to stderr. Any other error class is
+/// Transient-class failures (`MissError::Io`) are retried, up to
+/// [`SAVE_ATTEMPTS`] attempts in all, sleeping 1 ms then 5 ms between them;
+/// each failed attempt logs one line to stderr. Any other error class is
 /// permanent (a bug or corruption, not weather) and returns immediately.
 /// Atomicity is per attempt, so a retried save never exposes a torn file.
 pub fn save_to_path_retrying(
     path: &Path,
     store: &ParamStore,
+    arch: &Arch,
     progress: Option<&TrainProgress>,
-    policy: &RetryPolicy,
 ) -> Result<(), MissError> {
-    let attempts = policy.attempts.max(1);
-    let mut last: Option<MissError> = None;
-    for attempt in 1..=attempts {
-        if attempt > 1 {
-            let ms = policy
-                .backoff_ms
-                .get(attempt as usize - 2)
-                .or(policy.backoff_ms.last())
-                .copied()
-                .unwrap_or(0);
-            if ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-        }
-        match save_to_path(path, store, progress) {
+    let mut backoff = SAVE_BACKOFF_MS.iter();
+    let mut attempt = 1;
+    loop {
+        match save_to_path(path, store, arch, progress) {
             Ok(()) => return Ok(()),
             Err(MissError::Io(e)) => {
                 eprintln!(
-                    "miss-codec: checkpoint write to {} failed (attempt {attempt}/{attempts}): {e}",
+                    "miss-codec: checkpoint write to {} failed (attempt {attempt}/{SAVE_ATTEMPTS}): {e}",
                     path.display()
                 );
-                last = Some(MissError::Io(e));
+                let Some(&ms) = backoff.next() else { return Err(MissError::Io(e)) };
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+                attempt += 1;
             }
             Err(permanent) => return Err(permanent),
         }
     }
-    Err(last.unwrap_or_else(|| {
-        MissError::Io(std::io::Error::other("retry loop exited without an error"))
-    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -374,8 +393,6 @@ struct SectionEntry {
 struct Header {
     fingerprint: u64,
     entries: Vec<SectionEntry>,
-    /// Total encoded header length (through the header checksum).
-    len: usize,
 }
 
 fn decode_header(r: &mut impl Read) -> Result<Header, MissError> {
@@ -432,11 +449,7 @@ fn decode_header(r: &mut impl Read) -> Result<Header, MissError> {
             checksum: u64_le(&e[12..20]),
         });
     }
-    Ok(Header {
-        fingerprint,
-        entries,
-        len: header_bytes.len() + 8,
-    })
+    Ok(Header { fingerprint, entries })
 }
 
 /// One decoded `(name, shape, payload tensors)` record.
@@ -568,19 +581,36 @@ fn apply_values(section: TensorSection, store: &mut ParamStore) -> Result<(), Mi
     Ok(())
 }
 
-/// Load a checkpoint into `store`, which must already hold the matching
-/// architecture (construct the model first, then load — same contract as the
-/// old format). The store receives the *latest* weights and moments; the
-/// returned training progress, when the artifact carries one, holds the
-/// best-validation weights as a snapshot of that store.
-///
-/// Every malformed input returns a typed [`MissError`]; no input can panic.
-/// On `Err` the store may hold a mix of old and new values — callers should
-/// treat a failed load as fatal for that store (drop and rebuild), which is
-/// what the trainer's resume path and the CLI do.
-pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainProgress>, MissError> {
-    let header = decode_header(r)?;
+fn decode_arch(payload: &[u8]) -> Result<Arch, MissError> {
+    let mut r = SectionReader::new(payload, "arch");
+    let width = |w: u64| usize::try_from(w).unwrap_or(usize::MAX);
+    let model = r.str("model label")?.to_string();
+    let embed_dim = width(r.u64("embed dim")?);
+    // A hostile layer count runs out of payload bytes, not memory.
+    let mut mlp_sizes = Vec::new();
+    for _ in 0..r.u32("tower layer count")? {
+        mlp_sizes.push(width(r.u64("tower width")?));
+    }
+    r.finish()?;
+    let arch = Arch { model, embed_dim, mlp_sizes };
+    check_arch(&arch)?;
+    Ok(arch)
+}
 
+/// Every section of a file, length- and checksum-verified and parsed, with
+/// the best section paired to the progress that names it; nothing applied.
+struct Decoded {
+    fingerprint: u64,
+    arch: Arch,
+    params: TensorSection,
+    moments: Option<TensorSection>,
+    progress: Option<TrainProgress>,
+    best: Option<TensorSection>,
+}
+
+fn decode(r: &mut impl Read) -> Result<Decoded, MissError> {
+    let header = decode_header(r)?;
+    let mut arch: Option<Arch> = None;
     let mut params: Option<TensorSection> = None;
     let mut moments: Option<TensorSection> = None;
     let mut progress: Option<TrainProgress> = None;
@@ -591,6 +621,7 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
             return Err(MissError::corrupt(entry.name, "section checksum mismatch"));
         }
         match entry.id {
+            SECTION_ARCH => arch = Some(decode_arch(&payload)?),
             SECTION_PARAMS => params = Some(decode_tensor_section(&payload, "params", 1)?),
             SECTION_MOMENTS => moments = Some(decode_tensor_section(&payload, "moments", 2)?),
             SECTION_PROGRESS => progress = Some(decode_progress(&payload)?),
@@ -604,8 +635,53 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
     let Some(params) = params else {
         return Err(MissError::corrupt("header", "missing required params section"));
     };
-    apply_values(params, store)?;
+    let Some(arch) = arch else {
+        return Err(MissError::corrupt("arch", "missing required arch section"));
+    };
+    if progress.as_ref().is_some_and(|p| p.best.is_some()) != best.is_some() {
+        let reason = "a best section must come exactly with a best epoch in the progress";
+        return Err(MissError::corrupt("best", reason));
+    }
+    Ok(Decoded { fingerprint: header.fingerprint, arch, params, moments, progress, best })
+}
 
+/// The last steps of both read paths, once `store` holds the latest
+/// weights: the header's fingerprint must be the one `store` recomputes,
+/// then the best section fills the progress's best weights as a snapshot of
+/// `store`.
+fn finish(
+    store: &ParamStore,
+    fingerprint: u64,
+    mut progress: Option<TrainProgress>,
+    best: Option<TensorSection>,
+) -> Result<Option<TrainProgress>, MissError> {
+    let got = store.params_fingerprint();
+    if got != fingerprint {
+        let reason = format!("fingerprint mismatch: stored {fingerprint:#018x}, recomputed {got:#018x}");
+        return Err(MissError::corrupt("params", reason));
+    }
+    if let (Some(best), Some(section)) = (progress.as_mut().and_then(|p| p.best.as_mut()), best) {
+        let mut shadow = store.values_only();
+        apply_values(section, &mut shadow)?;
+        best.weights = shadow.snapshot();
+    }
+    Ok(progress)
+}
+
+/// Load a checkpoint into `store`, which must already hold the matching
+/// architecture (construct the model first, then load): the resume path.
+/// The store receives the *latest* weights and moments; the returned
+/// training progress, when the artifact carries one, holds the
+/// best-validation weights as a snapshot of that store. The arch section is
+/// checked like every other section and otherwise not read.
+///
+/// Every malformed input returns a typed [`MissError`]; no input can panic.
+/// On `Err` the store may hold a mix of old and new values — callers should
+/// treat a failed load as fatal for that store (drop and rebuild), which is
+/// what the trainer's resume path and the CLI do.
+pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainProgress>, MissError> {
+    let Decoded { fingerprint, params, moments, progress, best, .. } = decode(r)?;
+    apply_values(params, store)?;
     if let Some(moments) = moments {
         check_counts(&moments, store)?;
         for mut rec in moments.dense {
@@ -619,35 +695,7 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
             store.set_table_moments(&rec.name, m, v)?;
         }
     }
-
-    let got = store.params_fingerprint();
-    if got != header.fingerprint {
-        return Err(MissError::corrupt(
-            "params",
-            format!(
-                "fingerprint mismatch after load: stored {:#018x}, recomputed {got:#018x}",
-                header.fingerprint
-            ),
-        ));
-    }
-
-    match (progress.as_mut().and_then(|p| p.best.as_mut()), best) {
-        (Some(best), Some(section)) => {
-            let mut shadow = store.values_only();
-            apply_values(section, &mut shadow)?;
-            best.weights = shadow.snapshot();
-        }
-        (None, None) => {}
-        (Some(_), None) => {
-            let reason = "the progress names a best epoch but the best section is missing";
-            return Err(MissError::corrupt("best", reason));
-        }
-        (None, Some(_)) => {
-            let reason = "a best section without a best epoch in the progress";
-            return Err(MissError::corrupt("best", reason));
-        }
-    }
-    Ok(progress)
+    finish(store, fingerprint, progress, best)
 }
 
 /// [`load`] from an in-memory byte slice.
@@ -670,57 +718,23 @@ pub fn load_from_path(
     load(&mut f, store)
 }
 
-// ---------------------------------------------------------------------------
-// Layout inspection
-// ---------------------------------------------------------------------------
-
-/// One section's position inside an encoded checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SectionInfo {
-    /// Wire id ([`SECTION_PARAMS`] / [`SECTION_MOMENTS`] / [`SECTION_PROGRESS`]
-    /// / [`SECTION_BEST`]).
-    pub id: u32,
-    /// Human name ("params" / "moments" / "progress" / "best").
-    pub name: &'static str,
-    /// Byte offset of the payload within the file.
-    pub offset: usize,
-    /// Payload length in bytes.
-    pub len: usize,
+/// A checkpoint read without a model built for it.
+pub struct Checkpoint {
+    pub arch: Arch,
+    /// The latest values, no moments, registered in file order.
+    pub params: ParamStore,
+    /// Its best weights, if any, are a snapshot of `params`.
+    pub progress: Option<TrainProgress>,
 }
 
-/// The decoded header geometry of an encoded checkpoint: where the header
-/// ends and where each section payload lives. Used by tooling and by the
-/// corruption-battery tests to aim their damage precisely.
-#[derive(Clone, Debug)]
-pub struct Layout {
-    /// Bytes occupied by the header (magic through header checksum).
-    pub header_len: usize,
-    /// Fingerprint stored in the header.
-    pub fingerprint: u64,
-    /// Sections in file order.
-    pub sections: Vec<SectionInfo>,
-}
-
-/// Parse just the header of `bytes` and report the file's geometry.
-pub fn layout(bytes: &[u8]) -> Result<Layout, MissError> {
-    let mut r = bytes;
-    let header = decode_header(&mut r)?;
-    let mut offset = header.len;
-    let mut sections = Vec::with_capacity(header.entries.len());
-    for e in &header.entries {
-        let len = usize::try_from(e.len)
-            .map_err(|_| MissError::corrupt("header", format!("section length {} out of range", e.len)))?;
-        sections.push(SectionInfo {
-            id: e.id,
-            name: e.name,
-            offset,
-            len,
-        });
-        offset += len;
-    }
-    Ok(Layout {
-        header_len: header.len,
-        fingerprint: header.fingerprint,
-        sections,
-    })
+/// Read a checkpoint's weights without a pre-built store. Every check
+/// [`load`] makes runs; the moments are parsed, then dropped.
+pub fn read(r: &mut impl Read) -> Result<Checkpoint, MissError> {
+    let Decoded { fingerprint, arch, params, progress, best, .. } = decode(r)?;
+    let values = |records: Vec<NamedTensors>| {
+        records.into_iter().map(|mut rec| (rec.name, rec.tensors.swap_remove(0)))
+    };
+    let params = ParamStore::from_values(values(params.dense), values(params.tables));
+    let progress = finish(&params, fingerprint, progress, best)?;
+    Ok(Checkpoint { arch, params, progress })
 }

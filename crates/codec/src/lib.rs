@@ -1,9 +1,9 @@
 //! `miss-codec` — the versioned checkpoint container for MISS training runs.
 //!
-//! A checkpoint is a self-describing binary artifact holding up to four
-//! sections: parameter values, Adam moments, training progress (epoch, Adam
-//! step, RNG stream state, phase, early-stopping state) and the
-//! best-validation weights. The header carries a magic string, a format
+//! A checkpoint is a self-describing binary artifact holding up to five
+//! sections: the model it belongs to (base model and widths), parameter
+//! values, Adam moments, training progress (epoch, Adam step, RNG stream
+//! state, phase, early-stopping state) and the best-validation weights. The header carries a magic string, a format
 //! version, a checksummed section table, and the store's
 //! `params_fingerprint`, which is re-verified end-to-end after a load.
 //!
@@ -37,10 +37,10 @@ mod faultio;
 mod wire;
 
 pub use checkpoint::{
-    layout, load, load_from_path, load_from_slice, save, save_to_path, save_to_path_retrying,
-    save_to_vec, tmp_sibling, Best, Layout, RetryPolicy, SectionInfo, TrainProgress,
-    FORMAT_VERSION, HEADER_FIXED_LEN, MAGIC, SECTION_BEST, SECTION_ENTRY_LEN, SECTION_MOMENTS,
-    SECTION_PARAMS, SECTION_PROGRESS,
+    load, load_from_path, load_from_slice, read, save, save_to_path,
+    save_to_path_retrying, save_to_vec, tmp_sibling, Arch, Best, Checkpoint, TrainProgress,
+    FORMAT_VERSION, HEADER_FIXED_LEN, MAGIC, MAX_ARCH_WIDTH, SAVE_ATTEMPTS, SECTION_ARCH,
+    SECTION_BEST, SECTION_ENTRY_LEN, SECTION_MOMENTS, SECTION_PARAMS, SECTION_PROGRESS,
 };
 pub use faultio::{FaultReader, FaultWriter};
 pub use miss_util::{MissError, MissResult};

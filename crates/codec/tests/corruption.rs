@@ -2,23 +2,58 @@
 //! *matching* typed [`MissError`] variant — asserted per variant, never just
 //! `is_err()` — and must never panic or attempt a hostile allocation.
 //!
-//! Damage classes, aimed with [`miss_codec::layout`]:
+//! Damage classes, aimed with [`layout`]:
 //! - truncation at every section boundary and mid-section;
 //! - one flipped byte in the header and in every section payload;
-//! - a bumped format version;
+//! - a bumped format version, and files of older versions;
 //! - hostile inner length prefixes (with the section checksum recomputed so
 //!   only the inner validation can catch them);
+//! - impossible arch records;
 //! - artifacts for the wrong architecture.
 
 use miss_codec::{
-    fnv1a, layout, Best, TrainProgress, FORMAT_VERSION, HEADER_FIXED_LEN, MAGIC,
-    SECTION_ENTRY_LEN,
+    fnv1a, Arch, Best, TrainProgress, FORMAT_VERSION, HEADER_FIXED_LEN, MAGIC,
+    MAX_ARCH_WIDTH, SECTION_ENTRY_LEN,
 };
 use miss_data::{Dataset, WorldConfig};
 use miss_models::{Din, Ipnn, ModelConfig};
 use miss_nn::ParamStore;
 use miss_util::{MissError, Rng};
 use std::sync::OnceLock;
+
+/// One section's place in an encoded checkpoint.
+struct SectionInfo {
+    id: u32,
+    name: &'static str,
+    offset: usize,
+    len: usize,
+}
+
+/// Where a freshly saved checkpoint's header ends and each section payload
+/// lives, read straight off its section table, to aim damage precisely.
+struct Layout {
+    header_len: usize,
+    fingerprint: u64,
+    sections: Vec<SectionInfo>,
+}
+
+fn layout(bytes: &[u8]) -> Layout {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let n = u32_at(12) as usize;
+    let header_len = HEADER_FIXED_LEN + n * SECTION_ENTRY_LEN + 8;
+    let mut offset = header_len;
+    let sections = (0..n)
+        .map(|i| {
+            let entry = HEADER_FIXED_LEN + i * SECTION_ENTRY_LEN;
+            let (id, len) = (u32_at(entry), u64_at(entry + 4) as usize);
+            let name = ["", "params", "moments", "progress", "best", "arch"][id as usize];
+            offset += len;
+            SectionInfo { id, name, offset: offset - len, len }
+        })
+        .collect();
+    Layout { header_len, fingerprint: u64_at(16), sections }
+}
 
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
@@ -51,8 +86,17 @@ fn progress() -> TrainProgress {
     }
 }
 
+/// What a DIN checkpoint at the default widths records.
+fn din_arch() -> Arch {
+    Arch {
+        model: "DIN".to_string(),
+        embed_dim: 10,
+        mlp_sizes: vec![40, 40, 40, 1],
+    }
+}
+
 fn checkpoint_bytes() -> Vec<u8> {
-    miss_codec::save_to_vec(&din_store(1), Some(&progress())).expect("save")
+    miss_codec::save_to_vec(&din_store(1), &din_arch(), Some(&progress())).expect("save")
 }
 
 fn load_into_fresh(bytes: &[u8]) -> Result<Option<TrainProgress>, MissError> {
@@ -63,12 +107,12 @@ fn load_into_fresh(bytes: &[u8]) -> Result<Option<TrainProgress>, MissError> {
 #[test]
 fn layout_reports_every_section() {
     let bytes = checkpoint_bytes();
-    let lay = layout(&bytes).expect("layout");
+    let lay = layout(&bytes);
     let names: Vec<&str> = lay.sections.iter().map(|s| s.name).collect();
-    assert_eq!(names, ["params", "moments", "progress", "best"]);
+    assert_eq!(names, ["arch", "params", "moments", "progress", "best"]);
     assert_eq!(
         lay.header_len,
-        HEADER_FIXED_LEN + 4 * SECTION_ENTRY_LEN + 8
+        HEADER_FIXED_LEN + 5 * SECTION_ENTRY_LEN + 8
     );
     let total: usize = lay.header_len + lay.sections.iter().map(|s| s.len).sum::<usize>();
     assert_eq!(total, bytes.len(), "layout must account for every byte");
@@ -77,7 +121,7 @@ fn layout_reports_every_section() {
 #[test]
 fn truncation_at_every_boundary_is_typed_corruption() {
     let bytes = checkpoint_bytes();
-    let lay = layout(&bytes).expect("layout");
+    let lay = layout(&bytes);
     // Boundaries: inside the fixed header, at the header end, at each
     // section start/middle/end-minus-one, and the empty file.
     let mut cuts = vec![0, 1, HEADER_FIXED_LEN - 1, HEADER_FIXED_LEN, lay.header_len - 1, lay.header_len];
@@ -103,7 +147,7 @@ fn truncation_at_every_boundary_is_typed_corruption() {
 #[test]
 fn one_flipped_byte_per_region_is_detected_and_named() {
     let bytes = checkpoint_bytes();
-    let lay = layout(&bytes).expect("layout");
+    let lay = layout(&bytes);
     // (offset to flip, sections whose name may be blamed)
     let mut probes: Vec<(usize, Vec<&str>)> = vec![
         (0, vec!["header"]),                    // magic
@@ -145,18 +189,39 @@ fn flipped_version_byte_is_unsupported_version_not_corrupt() {
     }
 }
 
+/// The fixed header of a file of an older format `version`.
+fn old_version_header(version: u32) -> Vec<u8> {
+    let mut old = MAGIC.to_vec();
+    old.extend_from_slice(&version.to_le_bytes());
+    old.extend_from_slice(&1u32.to_le_bytes());
+    old.extend_from_slice(&din_store(1).params_fingerprint().to_le_bytes());
+    old
+}
+
 /// A version-1 file (no phase, no early-stopping state, no best section)
 /// is refused by version, never misparsed.
 #[test]
 fn version_1_file_is_unsupported_version() {
-    let store = din_store(1);
-    let mut v1 = MAGIC.to_vec();
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&store.params_fingerprint().to_le_bytes());
-    let err = load_into_fresh(&v1).expect_err("version 1 must fail");
+    let err = load_into_fresh(&old_version_header(1)).expect_err("version 1 must fail");
     assert!(
-        matches!(err, MissError::UnsupportedVersion { found: 1, supported: 2 }),
+        matches!(err, MissError::UnsupportedVersion { found: 1, supported: 3 }),
+        "{err}"
+    );
+}
+
+/// A version-2 file (no arch section) is refused by version on both read
+/// paths, never misparsed.
+#[test]
+fn version_2_file_is_unsupported_version() {
+    let v2 = old_version_header(2);
+    let err = load_into_fresh(&v2).expect_err("version 2 must fail");
+    assert!(
+        matches!(err, MissError::UnsupportedVersion { found: 2, supported: 3 }),
+        "{err}"
+    );
+    let err = miss_codec::read(&mut &v2[..]).err().expect("version 2 must fail");
+    assert!(
+        matches!(err, MissError::UnsupportedVersion { found: 2, supported: 3 }),
         "{err}"
     );
 }
@@ -164,7 +229,7 @@ fn version_1_file_is_unsupported_version() {
 /// Rewrite one section's payload, fixing up its table checksum and the
 /// header checksum, so only validation *inside* the section can object.
 fn with_rewritten_section(bytes: &[u8], name: &str, rewrite: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
-    let lay = layout(bytes).expect("layout");
+    let lay = layout(bytes);
     let s = lay.sections.iter().find(|s| s.name == name).expect("section");
     let mut payload = bytes[s.offset..s.offset + s.len].to_vec();
     rewrite(&mut payload);
@@ -229,6 +294,67 @@ fn even_rng_increment_is_rejected() {
     );
 }
 
+/// Arch payload: model label (u32 length + UTF-8), embed dim (u64), tower
+/// layer count (u32), one u64 width per layer.
+fn arch_payload(label: &[u8], embed_dim: u64, tower: &[u64]) -> Vec<u8> {
+    let mut p = (label.len() as u32).to_le_bytes().to_vec();
+    p.extend_from_slice(label);
+    p.extend_from_slice(&embed_dim.to_le_bytes());
+    p.extend_from_slice(&(tower.len() as u32).to_le_bytes());
+    for w in tower {
+        p.extend_from_slice(&w.to_le_bytes());
+    }
+    p
+}
+
+/// Every impossible arch record, written with consistent checksums, is
+/// typed corruption of the arch section, on the resume path and on the
+/// store-free read alike.
+#[test]
+fn impossible_arch_records_are_corrupt_arch() {
+    let bytes = checkpoint_bytes();
+    let width = MAX_ARCH_WIDTH as u64;
+    let cases: [(&str, Vec<u8>); 10] = [
+        ("truncated label", arch_payload(b"DIN", 10, &[40, 1])[..5].to_vec()),
+        ("truncated tower", {
+            let mut p = arch_payload(b"DIN", 10, &[40, 1]);
+            p.truncate(p.len() - 3);
+            p
+        }),
+        ("bad UTF-8 label", arch_payload(b"D\xffN", 10, &[40, 1])),
+        ("empty label", arch_payload(b"", 10, &[40, 1])),
+        ("zero embed dim", arch_payload(b"DIN", 0, &[40, 1])),
+        ("oversized embed dim", arch_payload(b"DIN", width + 1, &[40, 1])),
+        ("zero tower width", arch_payload(b"DIN", 10, &[0, 1])),
+        ("oversized tower width", arch_payload(b"DIN", 10, &[u64::MAX, 1])),
+        ("no tower", arch_payload(b"DIN", 10, &[])),
+        ("tower without a 1-wide logit", arch_payload(b"DIN", 10, &[40, 2])),
+    ];
+    for (what, payload) in cases {
+        let bad = with_rewritten_section(&bytes, "arch", |p| *p = payload.clone());
+        let err = load_into_fresh(&bad).expect_err(what);
+        assert!(matches!(err, MissError::Corrupt { section: "arch", .. }), "{what}: {err}");
+        let err = miss_codec::read(&mut &bad[..]).err().expect(what);
+        assert!(matches!(err, MissError::Corrupt { section: "arch", .. }), "{what}: {err}");
+    }
+    // A hostile layer count runs out of payload, it allocates nothing.
+    let hostile = with_rewritten_section(&bytes, "arch", |p| {
+        let at = 4 + 3 + 8;
+        p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
+    let err = load_into_fresh(&hostile).expect_err("hostile layer count");
+    assert!(matches!(err, MissError::Corrupt { section: "arch", .. }), "{err}");
+    // Trailing bytes after the last width.
+    let trailing = with_rewritten_section(&bytes, "arch", |p| p.push(0));
+    let err = load_into_fresh(&trailing).expect_err("trailing arch bytes");
+    assert!(matches!(err, MissError::Corrupt { section: "arch", .. }), "{err}");
+    // And a save refuses what a load would refuse.
+    let mut wide = din_arch();
+    wide.mlp_sizes = vec![MAX_ARCH_WIDTH + 1, 1];
+    let err = miss_codec::save_to_vec(&din_store(1), &wide, None).expect_err("unreadable arch");
+    assert!(matches!(err, MissError::Corrupt { section: "arch", .. }), "{err}");
+}
+
 /// Each impossible value of the phase and early-stopping fields, written
 /// with consistent checksums, is typed corruption of the progress section.
 /// Progress layout: epoch, step, rng state, rng increment, two-stage flag,
@@ -259,7 +385,7 @@ fn impossible_phase_and_early_stopping_values_are_rejected() {
 /// A copy of `bytes` holding only the sections `keep` accepts, with a
 /// consistent header.
 fn without_sections(bytes: &[u8], keep: impl Fn(&str) -> bool) -> Vec<u8> {
-    let lay = layout(bytes).expect("layout");
+    let lay = layout(bytes);
     let kept: Vec<_> = lay.sections.iter().filter(|s| keep(s.name)).collect();
     let mut out = bytes[..16].to_vec();
     out[12..16].copy_from_slice(&(kept.len() as u32).to_le_bytes());
@@ -275,6 +401,15 @@ fn without_sections(bytes: &[u8], keep: impl Fn(&str) -> bool) -> Vec<u8> {
         out.extend_from_slice(&bytes[s.offset..s.offset + s.len]);
     }
     out
+}
+
+#[test]
+fn missing_arch_section_is_corrupt_arch() {
+    let missing = without_sections(&checkpoint_bytes(), |name| name != "arch");
+    let err = load_into_fresh(&missing).expect_err("missing arch section");
+    assert!(matches!(err, MissError::Corrupt { section: "arch", .. }), "{err}");
+    let err = miss_codec::read(&mut &missing[..]).err().expect("missing arch section");
+    assert!(matches!(err, MissError::Corrupt { section: "arch", .. }), "{err}");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! Short writes and `Interrupted` must be survived outright, and the bounded
 //! retry wrapper must turn a one-shot I/O fault into a success.
 
-use miss_codec::{tmp_sibling, RetryPolicy, TrainProgress};
+use miss_codec::{tmp_sibling, Arch, TrainProgress, SAVE_ATTEMPTS};
 use miss_data::{Dataset, WorldConfig};
 use miss_fault::{with_plan, FaultPlan};
 use miss_models::{Din, ModelConfig};
@@ -28,6 +28,15 @@ fn din_store(seed: u64) -> ParamStore {
     let mut rng = Rng::new(seed);
     let _ = Din::new(&mut store, &dataset().schema, &ModelConfig::default(), &mut rng);
     store
+}
+
+/// What a DIN checkpoint at the default widths records.
+fn din_arch() -> Arch {
+    Arch {
+        model: "DIN".to_string(),
+        embed_dim: 10,
+        mlp_sizes: vec![40, 40, 40, 1],
+    }
 }
 
 fn progress(epoch: u64) -> TrainProgress {
@@ -76,18 +85,19 @@ fn crash_at_every_byte_offset_leaves_the_old_file_intact() {
     let path = scratch.path("model.ckpt");
 
     let old_store = din_store(1);
-    miss_codec::save_to_path(&path, &old_store, Some(&progress(1))).expect("baseline save");
+    miss_codec::save_to_path(&path, &old_store, &din_arch(), Some(&progress(1)))
+        .expect("baseline save");
     let old_bytes = std::fs::read(&path).expect("baseline bytes");
 
     let new_store = din_store(2);
-    let total = miss_codec::save_to_vec(&new_store, Some(&progress(2)))
+    let total = miss_codec::save_to_vec(&new_store, &din_arch(), Some(&progress(2)))
         .expect("size probe")
         .len() as u64;
     assert!(total > 0);
 
     for off in 0..total {
         with_plan(FaultPlan::empty().arm("codec.write.err", off), || {
-            let err = miss_codec::save_to_path(&path, &new_store, Some(&progress(2)))
+            let err = miss_codec::save_to_path(&path, &new_store, &din_arch(), Some(&progress(2)))
                 .expect_err("injected crash must surface");
             assert!(
                 matches!(err, MissError::Io(_)),
@@ -105,7 +115,8 @@ fn crash_at_every_byte_offset_leaves_the_old_file_intact() {
     // Crashing at `total` (i.e. after the last byte) never triggers: the
     // write completes, the rename publishes the new checkpoint.
     with_plan(FaultPlan::empty().arm("codec.write.err", total), || {
-        miss_codec::save_to_path(&path, &new_store, Some(&progress(2))).expect("past-end save");
+        miss_codec::save_to_path(&path, &new_store, &din_arch(), Some(&progress(2)))
+            .expect("past-end save");
     });
     let mut check = din_store(3);
     let p = miss_codec::load_from_path(&path, &mut check).expect("published checkpoint loads");
@@ -119,7 +130,7 @@ fn crash_during_first_save_leaves_no_file() {
     let store = din_store(4);
     for off in [0u64, 17, 4096] {
         with_plan(FaultPlan::empty().arm("codec.write.err", off), || {
-            miss_codec::save_to_path(&path, &store, None).expect_err("injected crash");
+            miss_codec::save_to_path(&path, &store, &din_arch(), None).expect_err("injected crash");
         });
         assert!(!path.exists(), "offset {off}: no checkpoint may appear");
         assert_no_tmp(&path);
@@ -137,7 +148,7 @@ fn short_writes_and_interrupts_are_survived() {
             .arm("codec.write.interrupt", 1)
             .arm("codec.read.interrupt", 1),
         || {
-            miss_codec::save_to_path(&path, &store, Some(&progress(9)))
+            miss_codec::save_to_path(&path, &store, &din_arch(), Some(&progress(9)))
                 .expect("short write and Interrupted must be retried internally");
             let mut check = din_store(6);
             let p = miss_codec::load_from_path(&path, &mut check)
@@ -153,7 +164,7 @@ fn read_crash_surfaces_as_io_error() {
     let scratch = Scratch::new("read-err");
     let path = scratch.path("model.ckpt");
     let store = din_store(7);
-    miss_codec::save_to_path(&path, &store, None).expect("save");
+    miss_codec::save_to_path(&path, &store, &din_arch(), None).expect("save");
     with_plan(FaultPlan::empty().arm("codec.read.err", 40), || {
         let mut check = din_store(8);
         let err = miss_codec::load_from_path(&path, &mut check).expect_err("injected read crash");
@@ -167,7 +178,7 @@ fn retry_recovers_from_a_one_shot_write_fault() {
     let path = scratch.path("model.ckpt");
     let store = din_store(9);
     with_plan(FaultPlan::empty().arm("codec.write.err", 5), || {
-        miss_codec::save_to_path_retrying(&path, &store, Some(&progress(4)), &RetryPolicy::default())
+        miss_codec::save_to_path_retrying(&path, &store, &din_arch(), Some(&progress(4)))
             .expect("attempt 1 crashes, attempt 2 succeeds");
         assert_eq!(miss_fault::fired_count("codec.write.err"), 1);
     });
@@ -182,7 +193,8 @@ fn retry_exhausts_against_a_sticky_fault_and_stays_atomic() {
     let scratch = Scratch::new("retry-exhaust");
     let path = scratch.path("model.ckpt");
     let old_store = din_store(11);
-    miss_codec::save_to_path(&path, &old_store, Some(&progress(1))).expect("baseline save");
+    miss_codec::save_to_path(&path, &old_store, &din_arch(), Some(&progress(1)))
+        .expect("baseline save");
     let old_bytes = std::fs::read(&path).expect("baseline bytes");
 
     let new_store = din_store(12);
@@ -190,14 +202,14 @@ fn retry_exhausts_against_a_sticky_fault_and_stays_atomic() {
         let err = miss_codec::save_to_path_retrying(
             &path,
             &new_store,
+            &din_arch(),
             Some(&progress(2)),
-            &RetryPolicy::default(),
         )
         .expect_err("sticky fault defeats every attempt");
         assert!(matches!(err, MissError::Io(_)), "expected Io, got {err}");
         assert_eq!(
             miss_fault::fired_count("codec.write.err"),
-            u64::from(RetryPolicy::default().attempts),
+            u64::from(SAVE_ATTEMPTS),
             "every attempt must have been made"
         );
     });

@@ -1,11 +1,12 @@
 //! Round-trip property tests: over arbitrary model configurations
 //! (DIN/DIEN/IPNN, ±MISS, varying embedding widths), a save → load cycle
 //! must restore parameters, Adam moments, and training progress — phase,
-//! early-stopping state and best weights included — **bitwise**.
+//! early-stopping state and best weights included — **bitwise**, and a
+//! store-free read must hand back the arch and the same weights.
 //!
 //! Replay a failure with `TESTKIT_SEED=<seed printed on failure>`.
 
-use miss_codec::{Best, TrainProgress};
+use miss_codec::{Arch, Best, TrainProgress};
 use miss_core::{Miss, MissConfig, SslMethod};
 use miss_data::{Batch, Dataset, Sample, WorldConfig};
 use miss_models::{CtrModel, Dien, Din, ForwardOpts, Ipnn, ModelConfig};
@@ -44,6 +45,15 @@ fn build(
     let ssl = use_miss
         .then(|| Miss::new(store, model.embedding(), MissConfig::default(), &mut rng));
     (model, ssl)
+}
+
+/// What a checkpoint of [`build`]'s model records.
+fn arch(model_idx: usize, embed_dim: usize) -> Arch {
+    Arch {
+        model: ["DIN", "DIEN", "IPNN"][model_idx.min(2)].to_string(),
+        embed_dim,
+        mlp_sizes: ModelConfig::default().mlp_sizes,
+    }
 }
 
 /// A couple of real optimiser steps so the Adam moments are non-trivial —
@@ -126,7 +136,8 @@ properties! {
                 weights: best_weights.clone(),
             }),
         };
-        let bytes = miss_codec::save_to_vec(&store, Some(&progress)).expect("save failed");
+        let arch = arch(model_idx, embed_dim);
+        let bytes = miss_codec::save_to_vec(&store, &arch, Some(&progress)).expect("save failed");
 
         // Destination store: same architecture, deliberately different init
         // seed so a load that silently does nothing cannot pass.
@@ -141,6 +152,17 @@ properties! {
         prop_assert_eq!(loaded.as_ref(), Some(&progress));
         prop_assert_eq!(store.params_fingerprint(), store2.params_fingerprint());
         assert_stores_bitwise_equal(&store, &store2);
+        // The store-free read: the same arch, the latest weights by name in
+        // registration order, and the same best weights.
+        let read = miss_codec::read(&mut &bytes[..]).expect("read failed");
+        prop_assert_eq!(&read.arch, &arch);
+        prop_assert_eq!(read.params.params_fingerprint(), store.params_fingerprint());
+        let names = |s: &ParamStore| {
+            let dense = s.dense_views().map(|v| v.name.to_string());
+            dense.chain(s.table_views().map(|v| v.name.to_string())).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(names(&read.params), names(&store));
+        prop_assert_eq!(read.progress.as_ref(), loaded.as_ref());
         if let Some(best) = loaded.and_then(|p| p.best) {
             store.restore(&best_weights);
             store2.restore(&best.weights);
@@ -155,7 +177,8 @@ properties! {
     ) {
         let mut store = ParamStore::new();
         let _m = build(&mut store, model_idx, false, embed_dim, seed);
-        let bytes = miss_codec::save_to_vec(&store, None).expect("save failed");
+        let bytes =
+            miss_codec::save_to_vec(&store, &arch(model_idx, embed_dim), None).expect("save failed");
         let mut store2 = ParamStore::new();
         let _m2 = build(&mut store2, model_idx, false, embed_dim, seed ^ 0xAAAA);
         let loaded = miss_codec::load_from_slice(&bytes, &mut store2).expect("load failed");

@@ -242,28 +242,35 @@ impl ParamStore {
     /// through the same ids: a snapshot to run inference on, not a store to
     /// train.
     pub fn values_only(&self) -> ParamStore {
+        let values = |v: ParamView<'_>| (v.name.to_string(), v.value.clone());
+        ParamStore::from_values(self.dense_views().map(values), self.table_views().map(values))
+    }
+
+    /// A values-only store registering `dense` then `tables` in the order
+    /// given; by-name lookups see the first of a repeated name. It takes
+    /// iterators so [`ParamStore::values_only`] clones each value straight
+    /// into its slot, with no intermediate list.
+    pub fn from_values(
+        dense: impl IntoIterator<Item = (String, Tensor)>,
+        tables: impl IntoIterator<Item = (String, Tensor)>,
+    ) -> ParamStore {
+        let none = || Tensor::zeros(0, 0);
+        let dense = dense.into_iter().map(|(name, value)| DenseParam {
+            name,
+            value,
+            m: none(),
+            v: none(),
+        });
+        let tables = tables.into_iter().map(|(name, value)| EmbeddingTable {
+            name,
+            dim: value.cols(),
+            value,
+            m: none(),
+            v: none(),
+        });
         ParamStore {
-            dense: self
-                .dense
-                .iter()
-                .map(|p| DenseParam {
-                    name: p.name.clone(),
-                    value: p.value.clone(),
-                    m: Tensor::zeros(0, 0),
-                    v: Tensor::zeros(0, 0),
-                })
-                .collect(),
-            tables: self
-                .tables
-                .iter()
-                .map(|t| EmbeddingTable {
-                    name: t.name.clone(),
-                    value: t.value.clone(),
-                    m: Tensor::zeros(0, 0),
-                    v: Tensor::zeros(0, 0),
-                    dim: t.dim,
-                })
-                .collect(),
+            dense: dense.collect(),
+            tables: tables.collect(),
         }
     }
 

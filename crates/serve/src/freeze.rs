@@ -35,43 +35,26 @@ pub struct FrozenModel {
 }
 
 impl FrozenModel {
-    fn new(store: ParamStore, model: Box<dyn CtrModel>, schema: Schema) -> FrozenModel {
-        FrozenModel {
-            store,
-            model,
-            schema,
-            graphs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Freeze `store`'s parameters as `arch` over `schema`. The model is
-    /// built over a store of its own, with the embedding width and
-    /// deep-tower widths read off `store`, and every parameter it registers
-    /// then takes `store`'s value of that name. A parameter `store` lacks is
-    /// [`MissError::UnknownParam`], one of another shape (a table sized for
-    /// another dataset, a tower for other field counts)
-    /// [`MissError::ShapeMismatch`]. Parameters the model does not register
-    /// (MISS SSL heads) are not copied, and neither are Adam moments.
+    /// Freeze `store`'s parameters as `arch` over `schema`, at the default
+    /// [`ModelConfig`] widths. The model is built over a store of its own,
+    /// and every parameter it registers then takes `store`'s value of that
+    /// name. A parameter `store` lacks is [`MissError::UnknownParam`], one
+    /// of another shape (a table sized for another dataset, a tower for
+    /// other field counts or widths) [`MissError::ShapeMismatch`]; a model
+    /// of other widths freezes from its checkpoint, which records them
+    /// ([`load_frozen`]). Parameters the model does not register (MISS SSL
+    /// heads) are not copied, and neither are Adam moments.
     pub fn freeze(
         store: &ParamStore,
         schema: &Schema,
         arch: FrozenArch,
     ) -> MissResult<FrozenModel> {
-        let cfg = model_config(store)?;
-        let mut own = ParamStore::new();
-        let model = arch.build(&mut own, schema, &cfg, &mut Rng::new(0));
-        let dense: Vec<String> = own.dense_views().map(|v| v.name.to_string()).collect();
-        for name in dense {
-            let value = value_of(store.dense_views(), "dense param", &name)?;
-            own.set_dense_param(&name, value)?;
-        }
-        let tables: Vec<String> = own.table_views().map(|v| v.name.to_string()).collect();
-        for name in tables {
-            let value = value_of(store.table_views(), "embedding table", &name)?;
-            own.set_table_param(&name, value)?;
-        }
-        // Serving never reads the Adam moments the build allocated.
-        Ok(FrozenModel::new(own.values_only(), model, schema.clone()))
+        build_from(store, schema, arch, &ModelConfig::default())
+    }
+
+    /// The base model's label, as in the paper's tables.
+    pub fn name(&self) -> &'static str {
+        self.model.name()
     }
 
     /// The schema the model scores against.
@@ -109,6 +92,35 @@ impl FrozenModel {
     }
 }
 
+/// The one freeze routine, [`FrozenModel::freeze`] at the widths `cfg`
+/// gives.
+fn build_from(
+    source: &ParamStore,
+    schema: &Schema,
+    arch: FrozenArch,
+    cfg: &ModelConfig,
+) -> MissResult<FrozenModel> {
+    let mut own = ParamStore::new();
+    let model = arch.build(&mut own, schema, cfg, &mut Rng::new(0));
+    let dense: Vec<String> = own.dense_views().map(|v| v.name.to_string()).collect();
+    for name in dense {
+        let value = value_of(source.dense_views(), "dense param", &name)?;
+        own.set_dense_param(&name, value)?;
+    }
+    let tables: Vec<String> = own.table_views().map(|v| v.name.to_string()).collect();
+    for name in tables {
+        let value = value_of(source.table_views(), "embedding table", &name)?;
+        own.set_table_param(&name, value)?;
+    }
+    Ok(FrozenModel {
+        // Serving never reads the Adam moments the build allocated.
+        store: own.values_only(),
+        model,
+        schema: schema.clone(),
+        graphs: Mutex::new(Vec::new()),
+    })
+}
+
 /// A copy of the value of parameter `name` among `views`.
 fn value_of<'a>(
     mut views: impl Iterator<Item = ParamView<'a>>,
@@ -122,43 +134,6 @@ fn value_of<'a>(
             kind,
             name: name.to_string(),
         })
-}
-
-/// The model hyper-parameters a store was built with: `embed_dim` is the
-/// width of the `emb.*` tables, `mlp_sizes` the widths of a `*.deep.l{i}`
-/// tower, plus the trailing 1 of its separate `*.head` when it has one.
-fn model_config(store: &ParamStore) -> MissResult<ModelConfig> {
-    let embed_dim = store
-        .table_views()
-        .find(|t| t.name.starts_with("emb."))
-        .map(|t| t.value.cols())
-        .ok_or_else(|| MissError::UnknownParam {
-            kind: "embedding table",
-            name: "emb.*".to_string(),
-        })?;
-    let width = |name: &str| {
-        store
-            .dense_views()
-            .find(|v| v.name == name)
-            .map(|v| v.value.cols())
-    };
-    let mut cfg = ModelConfig {
-        embed_dim,
-        ..ModelConfig::default()
-    };
-    let tower = store
-        .dense_views()
-        .find_map(|v| v.name.strip_suffix(".deep.l0.w"));
-    if let Some(tower) = tower {
-        cfg.mlp_sizes.clear();
-        while let Some(w) = width(&format!("{tower}.deep.l{}.w", cfg.mlp_sizes.len())) {
-            cfg.mlp_sizes.push(w);
-        }
-        if width(&format!("{tower}.head.w")).is_some() {
-            cfg.mlp_sizes.push(1);
-        }
-    }
-    Ok(cfg)
 }
 
 /// Validate a batch against the schema: field arity, sequence length, the
@@ -206,23 +181,28 @@ fn check_batch(batch: &Batch, schema: &Schema) -> MissResult<()> {
     Ok(())
 }
 
-/// Load a checkpoint into a freshly rebuilt architecture and freeze it.
-///
-/// `exp` must describe the experiment that *wrote* the checkpoint (base
-/// model, SSL kind, model config), so the rebuilt store registers the exact
-/// parameter set the artifact carries — including SSL parameters, which the
-/// forward never reads; the load overwrites every value, so no seed is
-/// needed. A training checkpoint freezes its best-validation weights.
+/// Freeze a checkpoint as the model it records: its arch section names the
+/// base model and widths, and the weights are its best-validation ones (its
+/// latest when it has no best epoch). Only the base model's parameters are
+/// copied, so a checkpoint of a run with MISS attached serves like one
+/// without. A base model this build does not know is `Corrupt{arch}`.
 /// Returns the frozen model and the checkpoint's training progress.
 pub fn load_frozen(
     path: &std::path::Path,
-    exp: &miss_trainer::Experiment,
     schema: &Schema,
 ) -> MissResult<(FrozenModel, Option<miss_codec::TrainProgress>)> {
-    let (mut store, model) = exp.build_model(schema, 0);
-    let progress = miss_codec::load_from_path(path, &mut store)?;
+    let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
+    let miss_codec::Checkpoint { arch, mut params, progress } = miss_codec::read(&mut file)?;
+    let base = FrozenArch::from_label(&arch.model).ok_or_else(|| {
+        MissError::corrupt("arch", format!("unknown base model {:?}", arch.model))
+    })?;
     if let Some(best) = progress.as_ref().and_then(|p| p.best.as_ref()) {
-        store.restore(&best.weights);
+        params.restore(&best.weights);
     }
-    Ok((FrozenModel::new(store, model, schema.clone()), progress))
+    let cfg = ModelConfig {
+        embed_dim: arch.embed_dim,
+        mlp_sizes: arch.mlp_sizes,
+        ..ModelConfig::default()
+    };
+    Ok((build_from(&params, schema, base, &cfg)?, progress))
 }

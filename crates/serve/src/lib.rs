@@ -4,9 +4,10 @@
 //! Three pieces (DESIGN.md §10):
 //!
 //! - **Freeze** ([`FrozenModel::freeze`], [`load_frozen`]): snapshot a
-//!   trained `ParamStore` — live or loaded from a miss-codec checkpoint —
-//!   next to the model that reads it. Scoring runs that model's own
-//!   `CtrModel::forward` on an inference-mode `Graph`: no backward state,
+//!   trained `ParamStore` — live, or read from a miss-codec checkpoint that
+//!   records which model it holds — next to the model that reads it.
+//!   Scoring runs that model's own `CtrModel::forward` on an
+//!   inference-mode `Graph`: no backward state,
 //!   weight panels packed once per graph, intermediates freed per scope.
 //!   Any of the 13 base models serves, with or without MISS.
 //! - **Score** ([`ScoreEngine`]): micro-batch concurrent `(user,

@@ -13,7 +13,7 @@ use miss_models::{CtrModel, ForwardOpts};
 use miss_nn::{Graph, ParamStore};
 use miss_serve::{evaluate_frozen, load_frozen, FrozenModel, ScoreEngine};
 use miss_trainer::{evaluate, Experiment, SslKind, ALL_BASELINES};
-use miss_util::Rng;
+use miss_util::{MissError, Rng};
 
 const SEED: u64 = 42;
 
@@ -74,31 +74,34 @@ fn frozen_forward_bitwise_matches_graph() {
     }
 }
 
-/// Non-default widths: freeze reads every dimension off the store, so odd
-/// embed dims and ragged towers (including the hidden-only towers that
-/// feed a separate head) must freeze and match bit-for-bit too.
+/// Non-default widths: a checkpoint records its embedding and tower
+/// widths, so odd embed dims and ragged towers (including the hidden-only
+/// towers that feed a separate head) freeze from the file and match the
+/// training graph bit-for-bit. The live store freezes only at the default
+/// widths; at others it is a typed shape mismatch.
 #[test]
 fn frozen_forward_matches_graph_at_odd_widths() {
     let (_world, dataset) = world_and_dataset();
     let n = dataset.test.len().min(24);
+    let path = std::env::temp_dir().join(format!("miss_serve_odd_{}.ckpt", std::process::id()));
     for base in ALL_BASELINES {
         for (embed_dim, mlp_sizes) in [(6usize, vec![17, 5, 1]), (13, vec![33, 1])] {
             let mut exp = Experiment::new(base, SslKind::None);
             exp.model_cfg.embed_dim = embed_dim;
             exp.model_cfg.mlp_sizes = mlp_sizes.clone();
             let (store, model) = exp.build_model(&dataset.schema, SEED);
-            let frozen = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
+            miss_codec::save_to_path(&path, &store, &exp.arch(), None).unwrap();
+            let (frozen, _) = load_frozen(&path, &dataset.schema).unwrap();
             let batch = batch_of(&dataset.test[..n], &dataset.schema);
             let want = graph_logits(model.as_ref(), &store, &batch);
             let got = frozen.forward(&batch).expect("frozen forward");
-            assert_eq!(
-                got.as_slice(),
-                &want[..],
-                "{} embed_dim={embed_dim} mlp={mlp_sizes:?}",
-                base.label()
-            );
+            let label = format!("{} embed_dim={embed_dim} mlp={mlp_sizes:?}", base.label());
+            assert_eq!(got.as_slice(), &want[..], "{label}");
+            let live = FrozenModel::freeze(&store, &dataset.schema, base);
+            assert!(matches!(live, Err(MissError::ShapeMismatch { .. })), "{label}");
         }
     }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -177,8 +180,9 @@ fn frozen_eval_matches_graph_eval() {
     }
 }
 
-/// The store is built with `SEED`; `load_frozen` rebuilds with no seed at
-/// all, and the load overwrites every value, so the forward bits agree.
+/// The store is built with `SEED`; `load_frozen` builds the model the file
+/// records with no seed at all and copies every value it registers, so the
+/// forward bits agree, with or without MISS's heads in the file.
 #[test]
 fn codec_round_trip_freezes_identically() {
     let (_world, dataset) = world_and_dataset();
@@ -188,8 +192,8 @@ fn codec_round_trip_freezes_identically() {
             let exp = Experiment::new(base, ssl);
             let (store, _model) = exp.build_model(&dataset.schema, SEED);
             let direct = FrozenModel::freeze(&store, &dataset.schema, base).unwrap();
-            miss_codec::save_to_path(&path, &store, None).unwrap();
-            let (loaded, progress) = load_frozen(&path, &exp, &dataset.schema).unwrap();
+            miss_codec::save_to_path(&path, &store, &exp.arch(), None).unwrap();
+            let (loaded, progress) = load_frozen(&path, &dataset.schema).unwrap();
             assert!(progress.is_none());
             let batch = batch_of(&dataset.test[..dataset.test.len().min(32)], &dataset.schema);
             assert_eq!(

@@ -3,11 +3,11 @@
 //! categorical id, an out-of-vocabulary history id, sequential fields of
 //! different history lengths, or the wrong number of fields comes back from
 //! `score_queue` as `MissError::BadRequest`, checked under `catch_unwind`.
-//! A store that cannot serve as the requested model fails to freeze with a
-//! typed error too.
+//! A store or checkpoint that cannot serve as the requested model fails to
+//! freeze with a typed error too.
 
 use miss_data::{request_stream, Dataset, Sample, Schema, Split, World, WorldConfig};
-use miss_serve::{FrozenModel, ScoreEngine};
+use miss_serve::{load_frozen, FrozenModel, ScoreEngine};
 use miss_trainer::{BaseModel, Experiment, SslKind, ALL_BASELINES};
 use miss_util::MissError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,6 +73,17 @@ fn freeze_rejects_a_store_it_cannot_serve() {
     other.vocabs[1].size += 1;
     let resized = FrozenModel::freeze(&din, &other, BaseModel::Din);
     assert!(matches!(resized, Err(MissError::ShapeMismatch { .. })));
+    // A checkpoint frozen for another schema fails the same way, naming the
+    // table.
+    let path = std::env::temp_dir().join(format!("miss_malformed_{}.ckpt", std::process::id()));
+    let arch = Experiment::new(BaseModel::Din, SslKind::None).arch();
+    miss_codec::save_to_path(&path, &din, &arch, None).expect("save");
+    let loaded = load_frozen(&path, &other).map(|_| ());
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        matches!(&loaded, Err(MissError::ShapeMismatch { context, .. }) if context.contains("emb.")),
+        "{loaded:?}"
+    );
     // One more categorical field: the deep tower's input is wider.
     let mut wider = dataset.schema.clone();
     wider.cat_fields.push(("extra".to_string(), wider.cat_fields[0].1));

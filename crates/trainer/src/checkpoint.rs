@@ -244,7 +244,8 @@ mod tests {
         let mut rng = Rng::new(3);
         let _m = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
         // A params-only artifact (no trainer progress).
-        let bytes = miss_codec::save_to_vec(&store, None).unwrap();
+        let arch = crate::Experiment::new(crate::BaseModel::Din, crate::SslKind::None).arch();
+        let bytes = miss_codec::save_to_vec(&store, &arch, None).unwrap();
         let progress = miss_codec::load_from_slice(&bytes, &mut store).unwrap();
         match Trainer::resume(quick_cfg(3), progress) {
             Ok(_) => panic!("resume from a params-only artifact must fail"),

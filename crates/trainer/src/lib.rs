@@ -24,7 +24,7 @@ mod ring;
 
 pub use checkpoint::Trainer;
 pub use evaluate::{evaluate, EvalResult};
-pub use miss_codec::{Best, RetryPolicy, TrainProgress};
+pub use miss_codec::{Arch, Best, TrainProgress};
 pub use miss_util::{MissError, MissResult};
 pub use fit::{
     fit, micro_batch_len, train_epoch, EpochOutcome, FitOutcome, TrainConfig,

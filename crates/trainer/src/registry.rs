@@ -5,7 +5,7 @@ use crate::checkpoint::Trainer;
 use crate::evaluate::EvalResult;
 use crate::fit::{FitOutcome, TrainConfig};
 use crate::ring::CheckpointRing;
-use miss_codec::RetryPolicy;
+use miss_codec::Arch;
 use miss_core::{Cl4SRec, Irssl, Miss, MissConfig, RuleSsl, S3Rec, SslMethod};
 use miss_data::{Dataset, Schema};
 use miss_models::{
@@ -223,13 +223,21 @@ impl Experiment {
         format!("{}{}", self.base.label(), self.ssl.suffix())
     }
 
+    /// What this experiment's checkpoints record about its model: the base
+    /// model's label and the widths its registration depends on. The SSL
+    /// plug-in is not recorded; serving never reads it.
+    pub fn arch(&self) -> Arch {
+        Arch {
+            model: self.base.label().to_string(),
+            embed_dim: self.model_cfg.embed_dim,
+            mlp_sizes: self.model_cfg.mlp_sizes.clone(),
+        }
+    }
+
     /// Register this experiment's parameters exactly as a training run with
     /// `seed` would — same base-then-SSL order, same init RNG stream — and
     /// return the populated store with the built model. A checkpoint written
-    /// by that training run loads into the returned store bit-for-bit; the
-    /// serving freeze step and `miss-train eval` use this to reconstruct the
-    /// architecture a checkpoint expects (including the SSL parameters a
-    /// `--miss` run registers, which a base-only rebuild would miscount).
+    /// by that training run loads into the returned store bit-for-bit.
     pub fn build_model(&self, schema: &Schema, seed: u64) -> (ParamStore, Box<dyn CtrModel>) {
         let (store, (model, _ssl)) = self.build_with_ssl(schema, seed);
         (store, model)
@@ -259,7 +267,7 @@ impl Experiment {
         let ring = self
             .ring_dir
             .as_ref()
-            .map(|dir| CheckpointRing::new(dir, "ckpt", self.ring_keep));
+            .map(|dir| CheckpointRing::new(dir, self.ring_keep));
         let (mut store, (mut model, mut ssl)) = build();
         let resumed = match (&self.resume_from, &ring) {
             (Some(path), _) => {
@@ -277,13 +285,13 @@ impl Experiment {
             (Some(_), Some(epochs)) => Trainer::pretraining(cfg, epochs),
             _ => Trainer::new(cfg),
         });
-        let retry = RetryPolicy::default();
+        let arch = self.arch();
         trainer.run(model.as_ref(), ssl.as_deref(), &mut store, dataset, |t, store| {
             if let Some(path) = &self.checkpoint_out {
-                miss_codec::save_to_path_retrying(path, store, Some(t.progress()), &retry)?;
+                miss_codec::save_to_path_retrying(path, store, &arch, Some(t.progress()))?;
             }
             if let Some(ring) = &ring {
-                ring.save(store, t.progress(), &retry)?;
+                ring.save(store, &arch, t.progress())?;
             }
             Ok(())
         })

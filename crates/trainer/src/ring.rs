@@ -1,6 +1,6 @@
 //! A retained ring of the last K checkpoints with resume-from-latest-valid.
 //!
-//! Every epoch gets its own slot file (`<stem>.e<epoch:08>.ckpt`), written
+//! Every epoch gets its own slot file (`ckpt.e<epoch:08>.ckpt`), written
 //! atomically with bounded retry; after each save the ring prunes itself
 //! back to the newest `keep` slots. Resume walks the slots newest-first and
 //! falls back past corrupt or unreadable ones (each logged with its typed
@@ -9,7 +9,7 @@
 
 use crate::checkpoint::Trainer;
 use crate::fit::TrainConfig;
-use miss_codec::{RetryPolicy, TrainProgress};
+use miss_codec::{Arch, TrainProgress};
 use miss_nn::ParamStore;
 use miss_util::MissError;
 use std::path::PathBuf;
@@ -20,7 +20,6 @@ use std::path::PathBuf;
 #[derive(Clone, Debug)]
 pub struct CheckpointRing {
     dir: PathBuf,
-    stem: String,
     keep: usize,
 }
 
@@ -39,18 +38,17 @@ pub struct RingResume<T> {
 
 impl CheckpointRing {
     /// A ring in `dir` keeping the newest `keep` slots (clamped to ≥ 1)
-    /// named `<stem>.e<epoch:08>.ckpt`.
-    pub fn new(dir: impl Into<PathBuf>, stem: impl Into<String>, keep: usize) -> CheckpointRing {
+    /// named `ckpt.e<epoch:08>.ckpt`.
+    pub fn new(dir: impl Into<PathBuf>, keep: usize) -> CheckpointRing {
         CheckpointRing {
             dir: dir.into(),
-            stem: stem.into(),
             keep: keep.max(1),
         }
     }
 
     /// The slot path for `epoch`.
     pub fn slot_path(&self, epoch: u64) -> PathBuf {
-        self.dir.join(format!("{}.e{epoch:08}.ckpt", self.stem))
+        self.dir.join(format!("ckpt.e{epoch:08}.ckpt"))
     }
 
     /// Slots present on disk, newest (highest epoch) first. A missing ring
@@ -63,13 +61,12 @@ impl CheckpointRing {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(MissError::Io(e)),
         };
-        let prefix = format!("{}.e", self.stem);
         let mut out = Vec::new();
         for entry in rd {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some(rest) = name.strip_prefix(prefix.as_str()) else { continue };
+            let Some(rest) = name.strip_prefix("ckpt.e") else { continue };
             let Some(digits) = rest.strip_suffix(".ckpt") else { continue };
             if digits.len() < 8 || !digits.bytes().all(|b| b.is_ascii_digit()) {
                 continue;
@@ -81,18 +78,18 @@ impl CheckpointRing {
         Ok(out)
     }
 
-    /// Write `store` + `progress` into the slot for `progress.epoch`
-    /// (atomic, with `policy`'s bounded retry), then prune the ring back to
-    /// `keep` slots. Returns the slot path.
+    /// Write `store` as `arch`'s weights, with `progress`, into the slot for
+    /// `progress.epoch` (atomic, with bounded retry), then prune the ring
+    /// back to `keep` slots. Returns the slot path.
     pub fn save(
         &self,
         store: &ParamStore,
+        arch: &Arch,
         progress: &TrainProgress,
-        policy: &RetryPolicy,
     ) -> Result<PathBuf, MissError> {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.slot_path(progress.epoch);
-        miss_codec::save_to_path_retrying(&path, store, Some(progress), policy)?;
+        miss_codec::save_to_path_retrying(&path, store, arch, Some(progress))?;
         self.prune()?;
         Ok(path)
     }
@@ -154,25 +151,25 @@ mod tests {
 
     #[test]
     fn slot_names_embed_the_epoch_zero_padded() {
-        let ring = CheckpointRing::new("/tmp/x", "run", 3);
+        let ring = CheckpointRing::new("/tmp/x", 3);
         assert_eq!(
             ring.slot_path(7).file_name().and_then(|s| s.to_str()),
-            Some("run.e00000007.ckpt")
+            Some("ckpt.e00000007.ckpt")
         );
     }
 
     #[test]
     fn entries_parse_sort_and_ignore_strangers() {
         let scratch = Scratch::new("entries");
-        let ring = CheckpointRing::new(&scratch.0, "run", 3);
+        let ring = CheckpointRing::new(&scratch.0, 3);
         for name in [
-            "run.e00000002.ckpt",
-            "run.e00000010.ckpt",
-            "run.e00000001.ckpt",
-            "run.e0001.ckpt",   // too few digits
-            "run.e0000000x.ckpt", // non-digit
+            "ckpt.e00000002.ckpt",
+            "ckpt.e00000010.ckpt",
+            "ckpt.e00000001.ckpt",
+            "ckpt.e0001.ckpt",   // too few digits
+            "ckpt.e0000000x.ckpt", // non-digit
             "other.e00000005.ckpt", // different stem
-            "run.e00000003.ckpt.tmp", // staged temp, not a slot
+            "ckpt.e00000003.ckpt.tmp", // staged temp, not a slot
             "notes.txt",
         ] {
             std::fs::write(scratch.0.join(name), b"x").expect("touch");
@@ -183,14 +180,14 @@ mod tests {
 
     #[test]
     fn missing_directory_is_an_empty_ring() {
-        let ring = CheckpointRing::new("/tmp/definitely-not-a-real-miss-ring-dir", "run", 3);
+        let ring = CheckpointRing::new("/tmp/definitely-not-a-real-miss-ring-dir", 3);
         assert!(ring.entries().expect("empty").is_empty());
     }
 
     #[test]
     fn prune_keeps_the_newest_k() {
         let scratch = Scratch::new("prune");
-        let ring = CheckpointRing::new(&scratch.0, "run", 2);
+        let ring = CheckpointRing::new(&scratch.0, 2);
         for e in 1..=5u64 {
             std::fs::write(ring.slot_path(e), b"x").expect("touch");
         }

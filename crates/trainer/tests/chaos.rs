@@ -19,8 +19,8 @@ use miss_models::{CtrModel, Din, ModelConfig};
 use miss_nn::{Adam, ParamStore};
 use miss_parallel::{with_threads, SITE_WORKER_PANIC};
 use miss_trainer::{
-    train_epoch, CheckpointRing, EpochOutcome, FitOutcome, MissError, RetryPolicy, TrainConfig,
-    Trainer, SITE_BATCH_CORRUPT, SITE_NAN_GRAD, SITE_NAN_LOSS,
+    train_epoch, Arch, BaseModel, CheckpointRing, EpochOutcome, Experiment, FitOutcome, MissError,
+    SslKind, TrainConfig, Trainer, SITE_BATCH_CORRUPT, SITE_NAN_GRAD, SITE_NAN_LOSS,
 };
 use miss_util::Rng;
 use std::path::PathBuf;
@@ -40,6 +40,11 @@ fn chaos_cfg() -> TrainConfig {
         parallel_min_rows: 0,
         ..TrainConfig::default()
     }
+}
+
+/// What a checkpoint of [`build`]'s model records.
+fn din_arch() -> Arch {
+    Experiment::new(BaseModel::Din, SslKind::None).arch()
 }
 
 fn build(seed: u64) -> (ParamStore, Din) {
@@ -165,12 +170,12 @@ fn fully_poisoned_checkpointed_run_aborts_with_non_finite() {
 #[test]
 fn ring_save_survives_a_write_crash_via_retry() {
     let scratch = Scratch::new("retry");
-    let ring = CheckpointRing::new(&scratch.0, "run", 3);
+    let ring = CheckpointRing::new(&scratch.0, 3);
     let (mut store, model) = build(5);
     let mut trainer = Trainer::new(chaos_cfg());
     trainer.train_epoch(&model, None, &mut store, world()).expect("epoch");
     let path = with_plan(FaultPlan::empty().arm("codec.write.err", 100), || {
-        ring.save(&store, trainer.progress(), &RetryPolicy::default())
+        ring.save(&store, &din_arch(), trainer.progress())
             .expect("attempt 1 crashes at byte 100, attempt 2 lands")
     });
     assert_eq!(path, ring.slot_path(1));
@@ -207,7 +212,7 @@ fn kill_at_every_epoch_times_corruption_resumes_bitwise_identical() {
                 }
                 let scratch =
                     Scratch::new(&format!("kill-{threads}t-{kill_after}-{corrupt_newest}"));
-                let ring = CheckpointRing::new(&scratch.0, "run", 3);
+                let ring = CheckpointRing::new(&scratch.0, 3);
                 with_threads(threads, || {
                     // Phase 1: train to the kill point, checkpointing every
                     // epoch; then the process "dies" (state is dropped).
@@ -215,8 +220,7 @@ fn kill_at_every_epoch_times_corruption_resumes_bitwise_identical() {
                     let mut trainer = Trainer::new(chaos_cfg());
                     while trainer.epoch() < kill_after {
                         trainer.train_epoch(&model, None, &mut store, world()).expect("epoch");
-                        ring.save(&store, trainer.progress(), &RetryPolicy::default())
-                            .expect("ring save");
+                        ring.save(&store, &din_arch(), trainer.progress()).expect("ring save");
                     }
                 });
                 if corrupt_newest {
@@ -297,7 +301,7 @@ fn run_killed(
         if Some(t.epoch()) != kill_after {
             return Ok(());
         }
-        ckpt = miss_codec::save_to_vec(store, Some(t.progress()))?;
+        ckpt = miss_codec::save_to_vec(store, &din_arch(), Some(t.progress()))?;
         Err(MissError::Io(std::io::Error::other("killed")))
     });
     if kill_after.is_none() {

@@ -47,7 +47,7 @@ pub enum MissError {
     UnsupportedVersion {
         /// Version field found in the artifact.
         found: u32,
-        /// Highest version this build supports.
+        /// The one version this build reads.
         supported: u32,
     },
     /// A named parameter in the artifact does not exist in the receiving
@@ -155,7 +155,7 @@ impl fmt::Display for MissError {
             }
             MissError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported checkpoint format version {found} (this build reads up to {supported})"
+                "unsupported checkpoint format version {found} (this build reads only version {supported})"
             ),
             MissError::UnknownParam { kind, name } => {
                 write!(f, "checkpoint names a {kind} {name:?} the store does not have")

@@ -5,8 +5,7 @@
 //! miss-train train  --dataset cds --model DIN [--miss] [--scale F]
 //!                   [--seed N] [--epochs N] [--out model.ckpt]
 //!                   [--resume model.ckpt] [--ring DIR] [--keep K]
-//! miss-train eval   --dataset cds --model DIN --ckpt model.ckpt [--miss]
-//!                   [--scale F]
+//! miss-train eval   --dataset cds --ckpt model.ckpt [--scale F]
 //! ```
 //!
 //! Each subcommand accepts only its own flags: any other argument (a typo
@@ -22,10 +21,11 @@
 //! these changes the run: the printed metrics are the same with or without
 //! them.
 //!
-//! `eval` rebuilds the parameter registration of the training run — pass
-//! the same `--model`/`--miss` — and scores the checkpoint's best-validation
-//! weights through the serving engine's inference forward (identical bits,
-//! pre-packed GEMM panels), so it prints the test metrics `train` printed.
+//! `eval` builds the model the checkpoint records (base model and widths;
+//! an SSL plug-in adds nothing at inference) and scores the checkpoint's
+//! best-validation weights through the serving engine's inference forward
+//! (identical bits, pre-packed GEMM panels), so it prints the test metrics
+//! `train` printed.
 //!
 //! Exit codes tell scripts *why* a run died (see `MissError::exit_code`):
 //! `0` success, `2` usage error, `3` bad artifact (corrupt bytes,
@@ -96,7 +96,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  miss-train stats --dataset <cds|books|alipay|tiny> [--scale F]\n  \
          miss-train train --dataset <ds> --model <name> [--miss] [--scale F] [--seed N] [--epochs N] [--out FILE] [--resume FILE] [--ring DIR] [--keep K]\n  \
-         miss-train eval  --dataset <ds> --model <name> --ckpt FILE [--miss] [--scale F]\n\nmodels: {}\n\n\
+         miss-train eval  --dataset <ds> --ckpt FILE [--scale F]\n\nmodels: {}\n\n\
          --ring DIR keeps the newest K (--keep, default {}) per-epoch checkpoints in DIR\n\
          and resumes a restarted run from the newest slot that loads.\n\n\
          exit codes: 0 ok, 2 usage, 3 bad checkpoint (corrupt/version/architecture),\n\
@@ -125,22 +125,6 @@ fn world(args: &Args) -> WorldConfig {
     }
 }
 
-/// The `--model` / `--miss` experiment, as `train` runs it and `eval`
-/// rebuilds it.
-fn experiment(args: &Args) -> Experiment {
-    let name = args.get("--model").unwrap_or("DIN");
-    let base = BaseModel::from_label(name).unwrap_or_else(|| {
-        eprintln!("unknown model {name}");
-        usage()
-    });
-    let ssl = if args.has("--miss") {
-        SslKind::Miss(MissConfig::default())
-    } else {
-        SslKind::None
-    };
-    Experiment::new(base, ssl)
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else { usage() };
@@ -165,7 +149,17 @@ fn main() {
             );
             let dataset = Dataset::generate(world(&args), 0xDA7A);
             let seed: u64 = args.parsed("--seed", 0);
-            let mut e = experiment(&args);
+            let name = args.get("--model").unwrap_or("DIN");
+            let base = BaseModel::from_label(name).unwrap_or_else(|| {
+                eprintln!("unknown model {name}");
+                usage()
+            });
+            let ssl = if args.has("--miss") {
+                SslKind::Miss(MissConfig::default())
+            } else {
+                SslKind::None
+            };
+            let mut e = Experiment::new(base, ssl);
             e.train_cfg.max_epochs = args.parsed("--epochs", e.train_cfg.max_epochs);
             e.checkpoint_out = args.get("--out").map(PathBuf::from);
             e.resume_from = args.get("--resume").map(PathBuf::from);
@@ -192,17 +186,17 @@ fn main() {
             }
         }
         "eval" => {
-            let args = args(&["--dataset", "--scale", "--model", "--ckpt"], &["--miss"]);
+            let args = args(&["--dataset", "--scale", "--ckpt"], &[]);
             let dataset = Dataset::generate(world(&args), 0xDA7A);
-            let exp = experiment(&args);
             let ckpt = PathBuf::from(args.get("--ckpt").unwrap_or_else(|| usage()));
             // Every base model evaluates through the serving engine's
             // inference forward: the training-graph eval's bits without its
             // per-batch panel packing and backward state.
-            let scored = miss::serve::load_frozen(&ckpt, &exp, &dataset.schema).and_then(
+            let scored = miss::serve::load_frozen(&ckpt, &dataset.schema).and_then(
                 |(frozen, progress)| {
                     if let Some(p) = progress {
-                        println!("checkpoint at epoch {} (adam step {})", p.epoch, p.step);
+                        let (name, epoch, step) = (frozen.name(), p.epoch, p.step);
+                        println!("{name} checkpoint at epoch {epoch} (adam step {step})");
                     }
                     miss::serve::evaluate_frozen(&frozen, &dataset.test, &dataset.schema, 256)
                 },

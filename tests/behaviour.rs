@@ -6,7 +6,7 @@ use miss::data::{Batch, BatchIter, Dataset, Sample, WorldConfig};
 use miss::models::{CtrModel, Din, ModelConfig};
 use miss::nn::{Adam, Graph, ParamStore};
 use miss::tensor::Tensor;
-use miss::trainer::{evaluate, fit, TrainConfig};
+use miss::trainer::{evaluate, fit, BaseModel, Experiment, SslKind, TrainConfig};
 use miss::util::Rng;
 
 fn tiny_dataset(seed: u64) -> Dataset {
@@ -28,7 +28,8 @@ fn checkpoint_roundtrip_preserves_metrics() {
     };
     let out = fit(&model, None, &mut store, &dataset, &cfg).expect("fit");
 
-    let buf = miss::codec::save_to_vec(&store, None).unwrap();
+    let din_arch = Experiment::new(BaseModel::Din, SslKind::None).arch();
+    let buf = miss::codec::save_to_vec(&store, &din_arch, None).unwrap();
 
     // Fresh store + same architecture, load weights, metrics must match.
     let mut store2 = ParamStore::new();

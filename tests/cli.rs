@@ -27,22 +27,23 @@ fn malformed_numeric_flags_exit_with_usage_code() {
 
 /// Each subcommand accepts only its own flags: a typo for one of them, or a
 /// flag another subcommand (or an older version) takes, exits 2 naming it
-/// instead of being ignored.
+/// instead of being ignored. `eval` reads the model from the checkpoint, so
+/// `--model` and `--miss` are unknown to it.
 #[test]
 fn unknown_flags_exit_with_usage_code() {
-    for args in [
-        &["train", "--dataset", "tiny", "--model", "DIN", "--epoch", "1", "--seed", "3"][..],
-        &["eval", "--dataset", "tiny", "--model", "DIN", "--ckpt", "none.ckpt", "--seed", "5"],
-        &["stats", "--dataset", "tiny", "--miss"],
-        &["train", "--dataset", "tiny", "stray"],
+    for (args, flag) in [
+        (&["train", "--dataset", "tiny", "--model", "DIN", "--epoch", "1", "--seed", "3"][..], "--epoch"),
+        (&["eval", "--dataset", "tiny", "--ckpt", "none.ckpt", "--seed", "5"], "--seed"),
+        (&["eval", "--dataset", "tiny", "--model", "DIN", "--ckpt", "none.ckpt"], "--model"),
+        (&["eval", "--dataset", "tiny", "--ckpt", "none.ckpt", "--miss"], "--miss"),
+        (&["stats", "--dataset", "tiny", "--miss"], "--miss"),
+        (&["train", "--dataset", "tiny", "stray"], "stray"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_miss-train"))
             .args(args)
             .output()
             .expect("miss-train starts");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let flag = args.iter().find(|a| ["--epoch", "--seed", "--miss", "stray"].contains(a));
-        let flag = flag.expect("each case has one unknown argument");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(&format!("unknown argument for {}: {flag}", args[0])), "{stderr}");
     }
@@ -113,7 +114,7 @@ fn checkpointed_training_reports_and_saves_the_selected_model() {
     assert_eq!(metrics_line(&train(&["--out", ckpt])), line, "--out changed the run");
     assert_eq!(metrics_line(&train(&["--ring", ring])), line, "--ring changed the run");
 
-    let scored = miss_train(&["eval", "--dataset", "tiny", "--model", "DIN", "--ckpt", ckpt]);
+    let scored = miss_train(&["eval", "--dataset", "tiny", "--ckpt", ckpt]);
     let (metrics, _epochs) = line.split_once("  (").expect("epochs suffix");
     assert_eq!(metrics_line(&scored), metrics, "eval scored other weights than train selected");
 
@@ -124,5 +125,26 @@ fn checkpointed_training_reports_and_saves_the_selected_model() {
         std::fs::read(ckpt).expect("checkpoint") == before,
         "resuming a finished run trained another epoch"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint says which model it holds: `eval` needs no model flags, for
+/// a run with MISS attached too (its SSL heads are never read at
+/// inference), and names the model it scored.
+#[test]
+fn eval_reads_the_model_from_the_checkpoint() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-arch");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (name, extra) in [("din", &[][..]), ("din-miss", &["--miss"][..])] {
+        let ckpt = dir.join(format!("{name}.ckpt"));
+        let ckpt = ckpt.to_str().expect("utf-8 path");
+        let train = ["train", "--dataset", "tiny", "--model", "DIN", "--seed", "3", "--out", ckpt];
+        let trained = miss_train(&[&train[..], extra].concat());
+        let scored = miss_train(&["eval", "--dataset", "tiny", "--ckpt", ckpt]);
+        let (metrics, _epochs) = metrics_line(&trained).split_once("  (").expect("epochs suffix");
+        assert_eq!(metrics_line(&scored), metrics, "{name}: eval scored other weights");
+        assert!(scored.lines().any(|l| l.starts_with("DIN checkpoint at epoch ")), "{scored}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -190,7 +190,9 @@ fn resume_is_bitwise_identical_to_uninterrupted_training() {
             let m1 = Din::new(&mut s1, &dataset.schema, &ModelConfig::default(), &mut r1);
             let mut t1 = Trainer::new(cfg.clone());
             t1.train_epoch(&m1, None, &mut s1, &dataset).expect("epoch");
-            let ckpt = miss::codec::save_to_vec(&s1, Some(t1.progress())).expect("save checkpoint");
+            let din_arch = Experiment::new(BaseModel::Din, SslKind::None).arch();
+            let ckpt = miss::codec::save_to_vec(&s1, &din_arch, Some(t1.progress()))
+                .expect("save checkpoint");
 
             let mut s2 = ParamStore::new();
             let mut r2 = Rng::new(1234); // different init, overwritten by resume
