@@ -16,7 +16,10 @@ fn main() {
     // but B panels pack once per graph instead of on every batch (small eval
     // batches make the per-batch repacking cost visible). ci.sh bounds the
     // pair's ratio.
-    group.meta("eval_packing", "eval_graph_din re-packs per batch; eval_frozen_din packs once per graph");
+    group.meta(
+        "eval_packing",
+        "eval_graph_din re-packs per batch; eval_frozen_din packs once per graph",
+    );
 
     group.bench_function("generate_tiny_world_dataset", |b| {
         b.iter(|| black_box(Dataset::generate(WorldConfig::tiny(), 3)))
@@ -39,9 +42,7 @@ fn main() {
     let labels: Vec<f32> = (0..10_000)
         .map(|_| if rng.bool(0.5) { 1.0 } else { 0.0 })
         .collect();
-    group.bench_function("auc_10k", |b| {
-        b.iter(|| black_box(auc(&scores, &labels)))
-    });
+    group.bench_function("auc_10k", |b| b.iter(|| black_box(auc(&scores, &labels))));
     group.bench_function("logloss_10k", |b| {
         b.iter(|| black_box(logloss(&scores, &labels)))
     });

@@ -25,7 +25,12 @@ fn main() {
     group.bench_function("din_forward_backward_step", |bch| {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(0);
-        let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
+        let model = Din::new(
+            &mut store,
+            &dataset.schema,
+            &ModelConfig::default(),
+            &mut rng,
+        );
         let mut adam = Adam::new(1e-2, 1e-4);
         bch.iter(|| {
             let mut g = Graph::new(&store);
@@ -44,7 +49,12 @@ fn main() {
     group.bench_function("ipnn_forward_backward_step", |bch| {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(0);
-        let model = Ipnn::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
+        let model = Ipnn::new(
+            &mut store,
+            &dataset.schema,
+            &ModelConfig::default(),
+            &mut rng,
+        );
         let mut adam = Adam::new(1e-2, 1e-4);
         bch.iter(|| {
             let mut g = Graph::new(&store);
@@ -63,8 +73,18 @@ fn main() {
     group.bench_function("din_miss_joint_step", |bch| {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(0);
-        let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-        let miss = Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng);
+        let model = Din::new(
+            &mut store,
+            &dataset.schema,
+            &ModelConfig::default(),
+            &mut rng,
+        );
+        let miss = Miss::new(
+            &mut store,
+            model.embedding(),
+            MissConfig::default(),
+            &mut rng,
+        );
         let mut adam = Adam::new(1e-2, 1e-4);
         bch.iter(|| {
             let mut g = Graph::new(&store);
@@ -75,9 +95,7 @@ fn main() {
             let logits = model.forward(&mut g, &store, &batch, &mut opts);
             let labels = Tensor::from_vec(batch.size, 1, batch.labels.clone());
             let mut loss = g.tape.bce_with_logits_mean(logits, labels);
-            if let Some(aux) =
-                miss.ssl_loss(&mut g, &store, model.embedding(), &batch, &mut rng)
-            {
+            if let Some(aux) = miss.ssl_loss(&mut g, &store, model.embedding(), &batch, &mut rng) {
                 loss = g.tape.add(loss, aux);
             }
             let grads = g.tape.backward(loss);
@@ -89,11 +107,19 @@ fn main() {
     // every GEMM's B panels on each batch; the serving-side fix is measured
     // head-to-head in BENCH_data_pipeline.json (eval_graph_din vs
     // eval_frozen_din, pre-packed at freeze time).
-    group.meta("eval_packing", "per-batch (frozen comparison in BENCH_data_pipeline.json)");
+    group.meta(
+        "eval_packing",
+        "per-batch (frozen comparison in BENCH_data_pipeline.json)",
+    );
     group.bench_function("evaluate_valid_split", |bch| {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(0);
-        let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
+        let model = Din::new(
+            &mut store,
+            &dataset.schema,
+            &ModelConfig::default(),
+            &mut rng,
+        );
         bch.iter(|| {
             black_box(evaluate(
                 &model,
@@ -108,8 +134,18 @@ fn main() {
     group.bench_function("miss_ssl_loss_only", |bch| {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(0);
-        let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
-        let miss = Miss::new(&mut store, model.embedding(), MissConfig::default(), &mut rng);
+        let model = Din::new(
+            &mut store,
+            &dataset.schema,
+            &ModelConfig::default(),
+            &mut rng,
+        );
+        let miss = Miss::new(
+            &mut store,
+            model.embedding(),
+            MissConfig::default(),
+            &mut rng,
+        );
         bch.iter(|| {
             let mut g = Graph::new(&store);
             miss.ssl_loss(&mut g, &store, model.embedding(), &batch, &mut rng)
@@ -175,8 +211,18 @@ fn main() {
         });
     };
     for batch in [256usize, 1024, 4096] {
-        epoch_case(&format!("train_epoch_serial_b{batch}"), batch, true, &mut training);
-        epoch_case(&format!("train_epoch_parallel_b{batch}"), batch, false, &mut training);
+        epoch_case(
+            &format!("train_epoch_serial_b{batch}"),
+            batch,
+            true,
+            &mut training,
+        );
+        epoch_case(
+            &format!("train_epoch_parallel_b{batch}"),
+            batch,
+            false,
+            &mut training,
+        );
     }
     training.finish();
 }

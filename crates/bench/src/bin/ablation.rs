@@ -7,59 +7,29 @@
 //! Not a paper table — it answers "were the paper's defaults the right
 //! call?" on the simulated worlds.
 
-#![expect(
-    clippy::field_reassign_with_default,
-    reason = "each run reads as the paper's default config plus the knobs it varies"
-)]
-
-use miss_bench::{dataset_for, CellResult, ExpOpts, print_table};
+use miss_bench::{din_miss, run_grid, ExpOpts};
 use miss_core::{DistanceLaw, EncoderKind, MissConfig};
 use miss_trainer::{BaseModel, Experiment, SslKind};
 
 fn main() {
     let opts = ExpOpts::from_args();
-    let variants: Vec<(String, MissConfig)> = vec![
-        ("uniform+mlp (paper)".into(), MissConfig::default()),
-        ("gaussian+mlp".into(), {
-            let mut c = MissConfig::default();
-            c.distance_law = DistanceLaw::Gaussian { sigma: 1.5 };
-            c
-        }),
-        ("geometric+mlp".into(), {
-            let mut c = MissConfig::default();
-            c.distance_law = DistanceLaw::Geometric { p: 0.5 };
-            c
-        }),
-        ("uniform+transformer".into(), {
-            let mut c = MissConfig::default();
-            c.encoder = EncoderKind::Transformer;
-            c
-        }),
+    let law = |distance_law| {
+        din_miss(MissConfig {
+            distance_law,
+            ..MissConfig::default()
+        })
+    };
+    let transformer = MissConfig {
+        encoder: EncoderKind::Transformer,
+        ..MissConfig::default()
+    };
+    let cells = [
+        ("DIN", Experiment::new(BaseModel::Din, SslKind::None)),
+        ("uniform+mlp (paper)", din_miss(MissConfig::default())),
+        ("gaussian+mlp", law(DistanceLaw::Gaussian { sigma: 1.5 })),
+        ("geometric+mlp", law(DistanceLaw::Geometric { p: 0.5 })),
+        ("uniform+transformer", din_miss(transformer)),
     ];
-    let mut dataset_names = Vec::new();
-    let mut cells: Vec<Vec<CellResult>> = Vec::new();
-    for world in opts.worlds() {
-        let dataset = dataset_for(world);
-        dataset_names.push(dataset.name.clone());
-        let mut rows = Vec::new();
-        let mut base = Experiment::new(BaseModel::Din, SslKind::None);
-        opts.tune(&mut base);
-        rows.push(CellResult::from_runs(
-            "DIN",
-            &opts.runs(&base, &dataset),
-        ));
-        for (label, cfg) in &variants {
-            let mut e = Experiment::new(BaseModel::Din, SslKind::Miss(cfg.clone()));
-            opts.tune(&mut e);
-            let runs = opts.runs(&e, &dataset);
-            eprintln!("[ablation] {} {label} done", dataset.name);
-            rows.push(CellResult::from_runs(label.clone(), &runs));
-        }
-        cells.push(rows);
-    }
-    print_table(
-        "Design-choice ablation: distance law × encoder",
-        &dataset_names,
-        &cells,
-    );
+    let title = "Design-choice ablation: distance law × encoder";
+    run_grid(&opts, title, &cells);
 }

@@ -33,7 +33,12 @@ fn main() {
     ] {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(7);
-        let model = Din::new(&mut store, &dataset.schema, &ModelConfig::default(), &mut rng);
+        let model = Din::new(
+            &mut store,
+            &dataset.schema,
+            &ModelConfig::default(),
+            &mut rng,
+        );
         let miss = Miss::new(
             &mut store,
             model.embedding(),
@@ -52,13 +57,8 @@ fn main() {
             ) {
                 if step.is_multiple_of(probe_every) {
                     let mut g = Graph::new(&store);
-                    let sim = miss.probe_similarity(
-                        &mut g,
-                        &store,
-                        model.embedding(),
-                        &batch,
-                        &mut rng,
-                    );
+                    let sim =
+                        miss.probe_similarity(&mut g, &store, model.embedding(), &batch, &mut rng);
                     println!("{label:<10} {step:>6} {sim:>12.4}");
                 }
                 // one joint training step

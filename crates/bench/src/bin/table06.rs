@@ -1,39 +1,26 @@
 //! Table VI: superiority analysis — the SSL comparison methods (Rule,
 //! IRSSL, S3Rec, CL4SRec, MISS) plugged into IPNN and DIN.
 
-use miss_bench::{dataset_for, CellResult, ExpOpts, print_table};
+use miss_bench::{run_grid, ExpOpts};
 use miss_core::MissConfig;
 use miss_trainer::{BaseModel, Experiment, SslKind};
 
 fn main() {
     let opts = ExpOpts::from_args();
-    let bases = [BaseModel::Ipnn, BaseModel::Din];
-    let ssls = || {
-        [
-            SslKind::None,
-            SslKind::Rule,
-            SslKind::Irssl,
-            SslKind::S3Rec,
-            SslKind::Cl4SRec,
-            SslKind::Miss(MissConfig::default()),
-        ]
-    };
-    let mut dataset_names = Vec::new();
-    let mut cells: Vec<Vec<CellResult>> = Vec::new();
-    for world in opts.worlds() {
-        let dataset = dataset_for(world);
-        dataset_names.push(dataset.name.clone());
-        let mut rows = Vec::new();
-        for base in bases {
-            for ssl in ssls() {
-                let mut e = Experiment::new(base, ssl);
-                opts.tune(&mut e);
-                let runs = opts.runs(&e, &dataset);
-                eprintln!("[table06] {} {} done", dataset.name, e.label());
-                rows.push(CellResult::from_runs(e.label(), &runs));
-            }
-        }
-        cells.push(rows);
-    }
-    print_table("Table VI: superiority analysis", &dataset_names, &cells);
+    let cells: Vec<_> = [BaseModel::Ipnn, BaseModel::Din]
+        .into_iter()
+        .flat_map(|base| {
+            [
+                SslKind::None,
+                SslKind::Rule,
+                SslKind::Irssl,
+                SslKind::S3Rec,
+                SslKind::Cl4SRec,
+                SslKind::Miss(MissConfig::default()),
+            ]
+            .map(|ssl| Experiment::new(base, ssl))
+        })
+        .map(|e| (e.label(), e))
+        .collect();
+    run_grid(&opts, "Table VI: superiority analysis", &cells);
 }

@@ -1,7 +1,7 @@
 //! Table VII: effectiveness analysis — the MISS ablation variants
 //! (MISS, /F, /F/U, /F/L, /F/U/L, /M/F/U/L) on IPNN and DIN.
 
-use miss_bench::{dataset_for, CellResult, ExpOpts, print_table};
+use miss_bench::{run_grid, ExpOpts};
 use miss_core::{MissConfig, MissVariant};
 use miss_trainer::{BaseModel, Experiment, SslKind};
 
@@ -16,30 +16,17 @@ const VARIANTS: [MissVariant; 6] = [
 
 fn main() {
     let opts = ExpOpts::from_args();
-    let bases = [BaseModel::Ipnn, BaseModel::Din];
-    let mut dataset_names = Vec::new();
-    let mut cells: Vec<Vec<CellResult>> = Vec::new();
-    for world in opts.worlds() {
-        let dataset = dataset_for(world);
-        dataset_names.push(dataset.name.clone());
-        let mut rows = Vec::new();
-        for base in bases {
-            for v in VARIANTS {
-                let mut e =
-                    Experiment::new(base, SslKind::Miss(MissConfig::variant(v)));
-                opts.tune(&mut e);
-                let label = format!("{}-{}", base.label(), v.label());
-                let runs = opts.runs(&e, &dataset);
-                eprintln!("[table07] {} {} done", dataset.name, label);
-                rows.push(CellResult::from_runs(label, &runs));
-            }
+    let cells: Vec<_> = [BaseModel::Ipnn, BaseModel::Din]
+        .into_iter()
+        .flat_map(|base| {
+            let variants = VARIANTS.map(|v| {
+                let e = Experiment::new(base, SslKind::Miss(MissConfig::variant(v)));
+                (format!("{}-{}", base.label(), v.label()), e)
+            });
             // The plain base model closes each block, as in the paper.
-            let mut e = Experiment::new(base, SslKind::None);
-            opts.tune(&mut e);
-            let runs = opts.runs(&e, &dataset);
-            rows.push(CellResult::from_runs(base.label(), &runs));
-        }
-        cells.push(rows);
-    }
-    print_table("Table VII: MISS variants", &dataset_names, &cells);
+            let plain = Experiment::new(base, SslKind::None);
+            variants.into_iter().chain([(plain.label(), plain)])
+        })
+        .collect();
+    run_grid(&opts, "Table VII: MISS variants", &cells);
 }

@@ -1,10 +1,13 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper (see DESIGN.md §3 for the index).
+//! and figure of the paper (see DESIGN.md §3 for the index). A grid-shaped
+//! binary is a list of its cells: [`run_grid`] owns the world × cell × seed
+//! loop, and [`run_ri_table`] the DIN vs DIN-MISS one of Tables X/XI.
 
+use miss_core::MissConfig;
 use miss_data::{Dataset, WorldConfig};
 use miss_metrics::relative_improvement;
-use miss_trainer::{EvalResult, Experiment};
-use miss_util::{mean_std, paired_t_significant};
+use miss_trainer::{BaseModel, Experiment, SslKind};
+use miss_util::{mean, mean_std, paired_t_significant};
 
 /// Command-line options shared by every experiment binary.
 #[derive(Clone, Debug)]
@@ -54,20 +57,24 @@ impl ExpOpts {
         }
     }
 
-    /// Test metrics of `e` over this many seeds; a run that aborts ends the
-    /// binary with the error's exit code.
-    pub fn runs(&self, e: &Experiment, dataset: &Dataset) -> Vec<EvalResult> {
-        e.run_reps(dataset, self.reps).unwrap_or_else(|err| {
-            eprintln!("{}: {err}", e.label());
-            std::process::exit(err.exit_code())
-        })
-    }
-
-    /// Apply smoke-mode shortcuts to an experiment.
-    pub fn tune(&self, e: &mut Experiment) {
+    /// Cell `label`: the test metrics of `e` over this many seeds, with the
+    /// smoke shortcuts applied. A run that aborts ends the binary with the
+    /// error's exit code.
+    fn cell(&self, label: &str, e: &Experiment, dataset: &Dataset) -> CellResult {
+        let mut e = e.clone();
         if self.smoke {
             e.train_cfg.max_epochs = 2;
             e.train_cfg.patience = 0;
+        }
+        let runs = e.run_reps(dataset, self.reps).unwrap_or_else(|err| {
+            eprintln!("{label}: {err}");
+            std::process::exit(err.exit_code())
+        });
+        eprintln!("[{}] {label} done", dataset.name);
+        CellResult {
+            label: label.to_string(),
+            aucs: runs.iter().map(|r| r.auc).collect(),
+            loglosses: runs.iter().map(|r| r.logloss).collect(),
         }
     }
 }
@@ -102,15 +109,6 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// Build from per-seed evaluation results.
-    pub fn from_runs(label: impl Into<String>, runs: &[EvalResult]) -> Self {
-        CellResult {
-            label: label.into(),
-            aucs: runs.iter().map(|r| r.auc).collect(),
-            loglosses: runs.iter().map(|r| r.logloss).collect(),
-        }
-    }
-
     /// Mean AUC.
     pub fn auc(&self) -> f64 {
         mean_std(&self.aucs).0
@@ -132,7 +130,7 @@ impl CellResult {
 
 /// Print a paper-style table: one row per cell, AUC/Logloss per dataset.
 /// `cells[d]` holds the rows of dataset `d` (same order in every dataset).
-pub fn print_table(title: &str, dataset_names: &[String], cells: &[Vec<CellResult>]) {
+fn print_table(title: &str, dataset_names: &[String], cells: &[Vec<CellResult>]) {
     println!("\n=== {title} ===");
     print!("{:<18}", "Model");
     for name in dataset_names {
@@ -154,7 +152,72 @@ pub fn print_table(title: &str, dataset_names: &[String], cells: &[Vec<CellResul
     }
 }
 
-/// Format a relative-improvement column (Tables X/XI).
-pub fn ri(base: f64, new: f64) -> String {
-    format!("{:+.2}%", relative_improvement(base, new))
+/// DIN with the MISS plug-in configured as `cfg`.
+pub fn din_miss(cfg: MissConfig) -> Experiment {
+    Experiment::new(BaseModel::Din, SslKind::Miss(cfg))
+}
+
+/// Run every cell on every world of `opts`, print the table under `title`,
+/// and return the dataset names with the cells of each dataset (in the
+/// order of `cells`).
+pub fn run_grid(
+    opts: &ExpOpts,
+    title: &str,
+    cells: &[(impl AsRef<str>, Experiment)],
+) -> (Vec<String>, Vec<Vec<CellResult>>) {
+    let mut dataset_names = Vec::new();
+    let mut results = Vec::new();
+    for world in opts.worlds() {
+        let dataset = dataset_for(world);
+        let rows = cells
+            .iter()
+            .map(|(label, e)| opts.cell(label.as_ref(), e, &dataset))
+            .collect();
+        dataset_names.push(dataset.name);
+        results.push(rows);
+    }
+    print_table(title, &dataset_names, &results);
+    (dataset_names, results)
+}
+
+/// Tables X/XI: mean test AUC of DIN and DIN-MISS on the Amazon worlds
+/// with the training split changed by `transform` at each of `levels`
+/// (printed as a percentage in column `column`), plus the relative
+/// improvement.
+pub fn run_ri_table(
+    opts: &ExpOpts,
+    title: &str,
+    column: &str,
+    levels: &[f64],
+    transform: impl Fn(&mut Dataset, f64),
+) {
+    println!("=== {title} ===");
+    println!(
+        "{:<20} {:>5} {:>10} {:>10} {:>9}",
+        "Dataset", column, "DIN", "DIN-MISS", "RI"
+    );
+    // The paper studies the Amazon worlds only (smoke mode has just tiny).
+    let amazon = |w: &WorldConfig| opts.smoke || w.name.starts_with("amazon-");
+    for world in opts.worlds().into_iter().filter(amazon) {
+        for &level in levels {
+            let mut dataset = dataset_for(world.clone());
+            transform(&mut dataset, level);
+            let cells = [
+                Experiment::new(BaseModel::Din, SslKind::None),
+                din_miss(MissConfig::default()),
+            ];
+            let [din, miss] = cells.map(|e| {
+                let label = format!("{} {column}={level}", e.label());
+                mean(&opts.cell(&label, &e, &dataset).aucs)
+            });
+            println!(
+                "{:<20} {:>4.0}% {:>10.4} {:>10.4} {:>9}",
+                dataset.name,
+                level * 100.0,
+                din,
+                miss,
+                format!("{:+.2}%", relative_improvement(din, miss))
+            );
+        }
+    }
 }

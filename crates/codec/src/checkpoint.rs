@@ -22,7 +22,8 @@
 //! bytes actually present. After the parameters are applied, the store's
 //! recomputed fingerprint must equal the header's: an end-to-end integrity
 //! check that survives even a hypothetical checksum-colliding corruption.
-//! [`load`] applies a file to a store built for it (the resume path);
+//! [`load`] applies a file of the expected arch to a store built for it
+//! (the resume path);
 //! [`read`] hands back the file's own weights and the model it names.
 
 use crate::wire::{fnv1a, put_f32s, put_str, put_u32, put_u64, u32_le, u64_le, SectionReader};
@@ -92,6 +93,13 @@ pub struct Arch {
     pub embed_dim: usize,
     /// Deep-tower widths, ending in the 1-wide logit.
     pub mlp_sizes: Vec<usize>,
+}
+
+impl std::fmt::Display for Arch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Arch { model, embed_dim, mlp_sizes } = self;
+        write!(f, "{model} (embed {embed_dim}, tower {mlp_sizes:?})")
+    }
 }
 
 /// A non-empty label, widths in `1..=MAX_ARCH_WIDTH`, 1 to 8 tower layers
@@ -668,19 +676,28 @@ fn finish(
     Ok(progress)
 }
 
-/// Load a checkpoint into `store`, which must already hold the matching
+/// Load a checkpoint of `arch` into `store`, which must already hold that
 /// architecture (construct the model first, then load): the resume path.
-/// The store receives the *latest* weights and moments; the returned
-/// training progress, when the artifact carries one, holds the
-/// best-validation weights as a snapshot of that store. The arch section is
-/// checked like every other section and otherwise not read.
+/// A file whose arch section names another model or other widths is
+/// [`MissError::ArchMismatch`] before any value reaches `store`. The store
+/// receives the *latest* weights and moments; the returned training
+/// progress, when the artifact carries one, holds the best-validation
+/// weights as a snapshot of that store.
 ///
 /// Every malformed input returns a typed [`MissError`]; no input can panic.
 /// On `Err` the store may hold a mix of old and new values — callers should
 /// treat a failed load as fatal for that store (drop and rebuild), which is
 /// what the trainer's resume path and the CLI do.
-pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainProgress>, MissError> {
-    let Decoded { fingerprint, params, moments, progress, best, .. } = decode(r)?;
+pub fn load(
+    r: &mut impl Read,
+    arch: &Arch,
+    store: &mut ParamStore,
+) -> Result<Option<TrainProgress>, MissError> {
+    let Decoded { fingerprint, arch: found, params, moments, progress, best } = decode(r)?;
+    if found != *arch {
+        let (expected, found) = (arch.to_string(), found.to_string());
+        return Err(MissError::ArchMismatch { expected, found });
+    }
     apply_values(params, store)?;
     if let Some(moments) = moments {
         check_counts(&moments, store)?;
@@ -701,21 +718,23 @@ pub fn load(r: &mut impl Read, store: &mut ParamStore) -> Result<Option<TrainPro
 /// [`load`] from an in-memory byte slice.
 pub fn load_from_slice(
     bytes: &[u8],
+    arch: &Arch,
     store: &mut ParamStore,
 ) -> Result<Option<TrainProgress>, MissError> {
     let mut r = bytes;
-    load(&mut r, store)
+    load(&mut r, arch, store)
 }
 
 /// [`load`] from a file path (buffered, read faults injectable via the
 /// `codec.read.*` fail-point sites).
 pub fn load_from_path(
     path: &Path,
+    arch: &Arch,
     store: &mut ParamStore,
 ) -> Result<Option<TrainProgress>, MissError> {
     let file = crate::faultio::FaultReader::new(std::fs::File::open(path)?);
     let mut f = std::io::BufReader::new(file);
-    load(&mut f, store)
+    load(&mut f, arch, store)
 }
 
 /// A checkpoint read without a model built for it.
@@ -728,7 +747,8 @@ pub struct Checkpoint {
 }
 
 /// Read a checkpoint's weights without a pre-built store. Every check
-/// [`load`] makes runs; the moments are parsed, then dropped.
+/// [`load`] makes runs but the arch comparison (the arch is returned
+/// instead); the moments are parsed, then dropped.
 pub fn read(r: &mut impl Read) -> Result<Checkpoint, MissError> {
     let Decoded { fingerprint, arch, params, progress, best, .. } = decode(r)?;
     let values = |records: Vec<NamedTensors>| {

@@ -101,7 +101,7 @@ fn checkpoint_bytes() -> Vec<u8> {
 
 fn load_into_fresh(bytes: &[u8]) -> Result<Option<TrainProgress>, MissError> {
     let mut store = din_store(2);
-    miss_codec::load_from_slice(bytes, &mut store)
+    miss_codec::load_from_slice(bytes, &din_arch(), &mut store)
 }
 
 #[test]
@@ -466,7 +466,7 @@ fn wrong_architecture_is_a_count_or_name_mismatch() {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
     let _ = Ipnn::new(&mut store, &dataset().schema, &ModelConfig::default(), &mut rng);
-    let err = miss_codec::load_from_slice(&bytes, &mut store).expect_err("arch mismatch");
+    let err = miss_codec::load_from_slice(&bytes, &din_arch(), &mut store).expect_err("arch mismatch");
     assert!(
         matches!(
             err,
@@ -476,6 +476,29 @@ fn wrong_architecture_is_a_count_or_name_mismatch() {
         ),
         "expected a typed architecture mismatch, got {err}"
     );
+}
+
+/// Resuming from a file checks its arch section first: a checkpoint of
+/// another model, even one registering the same names, is `ArchMismatch`
+/// naming both, and no value reaches the store.
+#[test]
+fn resuming_another_model_is_an_arch_mismatch() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("corruption-arch.ckpt");
+    std::fs::write(&path, checkpoint_bytes()).expect("write");
+    let mut store = din_store(3);
+    let before = store.params_fingerprint();
+    let fm = Arch { model: "FM".to_string(), ..din_arch() };
+    let err = miss_codec::load_from_path(&path, &fm, &mut store).expect_err("other model");
+    match &err {
+        MissError::ArchMismatch { expected, found } => {
+            assert!(expected.starts_with("FM ") && found.starts_with("DIN "), "{err}");
+        }
+        other => panic!("expected ArchMismatch, got {other}"),
+    }
+    assert_eq!(err.exit_code(), 3);
+    assert_eq!(store.params_fingerprint(), before, "a refused file wrote the store");
+    miss_codec::load_from_path(&path, &din_arch(), &mut store).expect("same model loads");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -488,7 +511,7 @@ fn wrong_embedding_width_is_a_shape_mismatch() {
         ..ModelConfig::default()
     };
     let _ = Din::new(&mut store, &dataset().schema, &cfg, &mut rng);
-    let err = miss_codec::load_from_slice(&bytes, &mut store).expect_err("width mismatch");
+    let err = miss_codec::load_from_slice(&bytes, &din_arch(), &mut store).expect_err("width mismatch");
     assert!(
         matches!(err, MissError::ShapeMismatch { .. } | MissError::UnknownParam { .. }),
         "expected ShapeMismatch, got {err}"
@@ -500,6 +523,7 @@ fn missing_file_is_io_not_corrupt() {
     let mut store = din_store(3);
     let err = miss_codec::load_from_path(
         std::path::Path::new("/root/repo/target/definitely-not-there.ckpt"),
+        &din_arch(),
         &mut store,
     )
     .expect_err("missing file");

@@ -119,7 +119,8 @@ fn crash_at_every_byte_offset_leaves_the_old_file_intact() {
             .expect("past-end save");
     });
     let mut check = din_store(3);
-    let p = miss_codec::load_from_path(&path, &mut check).expect("published checkpoint loads");
+    let p = miss_codec::load_from_path(&path, &din_arch(), &mut check)
+        .expect("published checkpoint loads");
     assert_eq!(p, Some(progress(2)));
 }
 
@@ -151,7 +152,7 @@ fn short_writes_and_interrupts_are_survived() {
             miss_codec::save_to_path(&path, &store, &din_arch(), Some(&progress(9)))
                 .expect("short write and Interrupted must be retried internally");
             let mut check = din_store(6);
-            let p = miss_codec::load_from_path(&path, &mut check)
+            let p = miss_codec::load_from_path(&path, &din_arch(), &mut check)
                 .expect("read Interrupted must be retried internally");
             assert_eq!(p, Some(progress(9)));
         },
@@ -167,7 +168,8 @@ fn read_crash_surfaces_as_io_error() {
     miss_codec::save_to_path(&path, &store, &din_arch(), None).expect("save");
     with_plan(FaultPlan::empty().arm("codec.read.err", 40), || {
         let mut check = din_store(8);
-        let err = miss_codec::load_from_path(&path, &mut check).expect_err("injected read crash");
+        let err = miss_codec::load_from_path(&path, &din_arch(), &mut check)
+            .expect_err("injected read crash");
         assert!(matches!(err, MissError::Io(_)), "expected Io, got {err}");
     });
 }
@@ -183,7 +185,7 @@ fn retry_recovers_from_a_one_shot_write_fault() {
         assert_eq!(miss_fault::fired_count("codec.write.err"), 1);
     });
     let mut check = din_store(10);
-    let p = miss_codec::load_from_path(&path, &mut check).expect("retried save is valid");
+    let p = miss_codec::load_from_path(&path, &din_arch(), &mut check).expect("retried save is valid");
     assert_eq!(p, Some(progress(4)));
     assert_no_tmp(&path);
 }

@@ -148,7 +148,7 @@ properties! {
             "differently seeded inits should not collide"
         );
 
-        let loaded = miss_codec::load_from_slice(&bytes, &mut store2).expect("load failed");
+        let loaded = miss_codec::load_from_slice(&bytes, &arch, &mut store2).expect("load failed");
         prop_assert_eq!(loaded.as_ref(), Some(&progress));
         prop_assert_eq!(store.params_fingerprint(), store2.params_fingerprint());
         assert_stores_bitwise_equal(&store, &store2);
@@ -177,11 +177,11 @@ properties! {
     ) {
         let mut store = ParamStore::new();
         let _m = build(&mut store, model_idx, false, embed_dim, seed);
-        let bytes =
-            miss_codec::save_to_vec(&store, &arch(model_idx, embed_dim), None).expect("save failed");
+        let arch = arch(model_idx, embed_dim);
+        let bytes = miss_codec::save_to_vec(&store, &arch, None).expect("save failed");
         let mut store2 = ParamStore::new();
         let _m2 = build(&mut store2, model_idx, false, embed_dim, seed ^ 0xAAAA);
-        let loaded = miss_codec::load_from_slice(&bytes, &mut store2).expect("load failed");
+        let loaded = miss_codec::load_from_slice(&bytes, &arch, &mut store2).expect("load failed");
         prop_assert_eq!(loaded, None);
         prop_assert_eq!(store.params_fingerprint(), store2.params_fingerprint());
     }

@@ -253,10 +253,6 @@ impl Miss {
 }
 
 impl SslMethod for Miss {
-    fn name(&self) -> &'static str {
-        "MISS"
-    }
-
     fn ssl_loss(
         &self,
         g: &mut Graph,

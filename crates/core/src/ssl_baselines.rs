@@ -22,9 +22,6 @@ use miss_util::Rng;
 /// trainer's micro-batch workers call `ssl_loss` concurrently on shared
 /// references, so implementations must not cache per-call state in `&self`.
 pub trait SslMethod: Send + Sync {
-    /// Display name used in experiment tables.
-    fn name(&self) -> &'static str;
-
     /// Build the auxiliary loss on the current graph.
     fn ssl_loss(
         &self,
@@ -85,10 +82,6 @@ impl RuleSsl {
 }
 
 impl SslMethod for RuleSsl {
-    fn name(&self) -> &'static str {
-        "Rule"
-    }
-
     fn ssl_loss(
         &self,
         g: &mut Graph,
@@ -163,10 +156,6 @@ impl Irssl {
 }
 
 impl SslMethod for Irssl {
-    fn name(&self) -> &'static str {
-        "IRSSL"
-    }
-
     fn ssl_loss(
         &self,
         g: &mut Graph,
@@ -213,10 +202,6 @@ impl S3Rec {
 }
 
 impl SslMethod for S3Rec {
-    fn name(&self) -> &'static str {
-        "S3Rec"
-    }
-
     fn ssl_loss(
         &self,
         g: &mut Graph,
@@ -366,10 +351,6 @@ impl Cl4SRec {
 }
 
 impl SslMethod for Cl4SRec {
-    fn name(&self) -> &'static str {
-        "CL4SRec"
-    }
-
     fn ssl_loss(
         &self,
         g: &mut Graph,
@@ -408,19 +389,19 @@ mod tests {
     #[test]
     fn all_baselines_produce_finite_positive_losses() {
         let (batch, mut store, emb, mut rng) = setup();
-        let methods: Vec<Box<dyn SslMethod>> = vec![
-            Box::new(RuleSsl::new(&mut store, &emb, 0.5, &mut rng)),
-            Box::new(Irssl::new(&mut store, &emb, 0.5, &mut rng)),
-            Box::new(S3Rec::new(&mut store, &emb, 0.5, &mut rng)),
-            Box::new(Cl4SRec::new(&mut store, &emb, 0.5, &mut rng)),
+        let methods: Vec<(&str, Box<dyn SslMethod>)> = vec![
+            ("Rule", Box::new(RuleSsl::new(&mut store, &emb, 0.5, &mut rng))),
+            ("IRSSL", Box::new(Irssl::new(&mut store, &emb, 0.5, &mut rng))),
+            ("S3Rec", Box::new(S3Rec::new(&mut store, &emb, 0.5, &mut rng))),
+            ("CL4SRec", Box::new(Cl4SRec::new(&mut store, &emb, 0.5, &mut rng))),
         ];
-        for m in &methods {
+        for (name, m) in &methods {
             let mut g = Graph::new(&store);
             let loss = m
                 .ssl_loss(&mut g, &store, &emb, &batch, &mut rng)
-                .unwrap_or_else(|| panic!("{} produced no loss", m.name()));
+                .unwrap_or_else(|| panic!("{name} produced no loss"));
             let v = g.tape.value(loss).item();
-            assert!(v.is_finite() && v >= 0.0, "{}: {v}", m.name());
+            assert!(v.is_finite() && v >= 0.0, "{name}: {v}");
         }
     }
 

@@ -55,10 +55,6 @@ impl AutoIntPlus {
 }
 
 impl CtrModel for AutoIntPlus {
-    fn name(&self) -> &'static str {
-        "AutoInt+"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -28,7 +28,6 @@ pub struct Dcn {
     cross: Vec<CrossLayer>,
     deep: Mlp,
     head: Linear,
-    kind: DcnKind,
     dropout: f32,
 }
 
@@ -66,20 +65,12 @@ impl Dcn {
             cross,
             deep,
             head,
-            kind,
             dropout: cfg.dropout,
         }
     }
 }
 
 impl CtrModel for Dcn {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            DcnKind::Vector => "DCN",
-            DcnKind::Matrix => "DCN-M",
-        }
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

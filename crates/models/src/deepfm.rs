@@ -29,10 +29,6 @@ impl DeepFm {
 }
 
 impl CtrModel for DeepFm {
-    fn name(&self) -> &'static str {
-        "DeepFM"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -59,10 +59,6 @@ impl Dien {
 }
 
 impl CtrModel for Dien {
-    fn name(&self) -> &'static str {
-        "DIEN"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -87,10 +87,6 @@ impl Din {
 }
 
 impl CtrModel for Din {
-    fn name(&self) -> &'static str {
-        "DIN"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -49,10 +49,6 @@ impl Dmr {
 }
 
 impl CtrModel for Dmr {
-    fn name(&self) -> &'static str {
-        "DMR"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -42,10 +42,6 @@ impl FiGnn {
 }
 
 impl CtrModel for FiGnn {
-    fn name(&self) -> &'static str {
-        "FiGNN"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -60,10 +60,6 @@ impl Fm {
 }
 
 impl CtrModel for Fm {
-    fn name(&self) -> &'static str {
-        "FM"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -28,10 +28,6 @@ impl Ipnn {
 }
 
 impl CtrModel for Ipnn {
-    fn name(&self) -> &'static str {
-        "IPNN"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -80,9 +80,6 @@ pub struct ForwardOpts<'a> {
 /// `Send + Sync` is part of the contract: `forward` takes `&self`, and the
 /// trainer's parallel evaluation shares one model across worker threads.
 pub trait CtrModel: Send + Sync {
-    /// Display name used in experiment tables.
-    fn name(&self) -> &'static str;
-
     /// Forward pass producing logits (the sigmoid lives in the loss/metric).
     fn forward(
         &self,

@@ -30,10 +30,6 @@ impl Lr {
 }
 
 impl CtrModel for Lr {
-    fn name(&self) -> &'static str {
-        "LR"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -43,10 +43,6 @@ impl SimSoft {
 }
 
 impl CtrModel for SimSoft {
-    fn name(&self) -> &'static str {
-        "SIM(soft)"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -86,10 +86,6 @@ impl XDeepFm {
 }
 
 impl CtrModel for XDeepFm {
-    fn name(&self) -> &'static str {
-        "xDeepFM"
-    }
-
     fn forward(
         &self,
         g: &mut Graph,

@@ -23,13 +23,15 @@ use std::sync::{Mutex, PoisonError};
 pub use miss_trainer::BaseModel as FrozenArch;
 
 /// A model ready for inference: an owned parameter snapshot, the model that
-/// reads it, its schema, and a pool of inference graphs (one per concurrent
-/// caller, each keeping its parameter constants and packed panels across
-/// batches). Construct with [`FrozenModel::freeze`] (from a live store) or
-/// [`load_frozen`] (from a checkpoint file).
+/// reads it and the arch it was built as, its schema, and a pool of
+/// inference graphs (one per concurrent caller, each keeping its parameter
+/// constants and packed panels across batches). Construct with
+/// [`FrozenModel::freeze`] (from a live store) or [`load_frozen`] (from a
+/// checkpoint file).
 pub struct FrozenModel {
     store: ParamStore,
     model: Box<dyn CtrModel>,
+    arch: FrozenArch,
     schema: Schema,
     graphs: Mutex<Vec<Graph>>,
 }
@@ -54,7 +56,7 @@ impl FrozenModel {
 
     /// The base model's label, as in the paper's tables.
     pub fn name(&self) -> &'static str {
-        self.model.name()
+        self.arch.label()
     }
 
     /// The schema the model scores against.
@@ -116,6 +118,7 @@ fn build_from(
         // Serving never reads the Adam moments the build allocated.
         store: own.values_only(),
         model,
+        arch,
         schema: schema.clone(),
         graphs: Mutex::new(Vec::new()),
     })

@@ -246,7 +246,7 @@ mod tests {
         // A params-only artifact (no trainer progress).
         let arch = crate::Experiment::new(crate::BaseModel::Din, crate::SslKind::None).arch();
         let bytes = miss_codec::save_to_vec(&store, &arch, None).unwrap();
-        let progress = miss_codec::load_from_slice(&bytes, &mut store).unwrap();
+        let progress = miss_codec::load_from_slice(&bytes, &arch, &mut store).unwrap();
         match Trainer::resume(quick_cfg(3), progress) {
             Ok(_) => panic!("resume from a params-only artifact must fail"),
             Err(err) => assert!(

@@ -268,13 +268,15 @@ impl Experiment {
             .ring_dir
             .as_ref()
             .map(|dir| CheckpointRing::new(dir, self.ring_keep));
+        let arch = self.arch();
         let (mut store, (mut model, mut ssl)) = build();
         let resumed = match (&self.resume_from, &ring) {
             (Some(path), _) => {
-                Some(Trainer::resume(cfg.clone(), miss_codec::load_from_path(path, &mut store)?)?)
+                let progress = miss_codec::load_from_path(path, &arch, &mut store)?;
+                Some(Trainer::resume(cfg.clone(), progress)?)
             }
             (None, Some(ring)) => ring
-                .resume_newest_valid(&cfg, build)?
+                .resume_newest_valid(&cfg, &arch, build)?
                 .map(|r| {
                     (store, (model, ssl)) = (r.store, r.extra);
                     r.trainer
@@ -285,7 +287,6 @@ impl Experiment {
             (Some(_), Some(epochs)) => Trainer::pretraining(cfg, epochs),
             _ => Trainer::new(cfg),
         });
-        let arch = self.arch();
         trainer.run(model.as_ref(), ssl.as_deref(), &mut store, dataset, |t, store| {
             if let Some(path) = &self.checkpoint_out {
                 miss_codec::save_to_path_retrying(path, store, &arch, Some(t.progress()))?;

@@ -102,22 +102,26 @@ impl CheckpointRing {
         Ok(())
     }
 
-    /// Resume from the newest slot that actually loads. For each candidate
-    /// (newest first) a *fresh* world is built with `fresh` — a failed load
-    /// may leave its store half-written, so candidates never share one — and
-    /// the first success is returned. Corrupt/unreadable slots are logged
-    /// and skipped. `Ok(None)` means the ring holds no usable slot: start
-    /// from scratch.
+    /// Resume from the newest slot that actually loads as `arch`. For each
+    /// candidate (newest first) a *fresh* world is built with `fresh` — a
+    /// failed load may leave its store half-written, so candidates never
+    /// share one — and the first success is returned. Corrupt and
+    /// unreadable slots are logged and skipped. A slot of another model is
+    /// [`MissError::ArchMismatch`]: the directory is that model's ring, and
+    /// starting over would overwrite its slots. `Ok(None)` means the ring
+    /// holds no usable slot: start from scratch.
     pub fn resume_newest_valid<T>(
         &self,
         cfg: &TrainConfig,
+        arch: &Arch,
         mut fresh: impl FnMut() -> (ParamStore, T),
     ) -> Result<Option<RingResume<T>>, MissError> {
         for (_, path) in self.entries()? {
             let (mut store, extra) = fresh();
-            let progress = miss_codec::load_from_path(&path, &mut store);
+            let progress = miss_codec::load_from_path(&path, arch, &mut store);
             match progress.and_then(|p| Trainer::resume(cfg.clone(), p)) {
                 Ok(trainer) => return Ok(Some(RingResume { trainer, store, extra })),
+                Err(e @ MissError::ArchMismatch { .. }) => return Err(e),
                 Err(e) => eprintln!(
                     "miss-trainer: ring checkpoint {} is unusable ({e}); \
                      falling back to the previous slot",

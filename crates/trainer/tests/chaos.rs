@@ -180,7 +180,7 @@ fn ring_save_survives_a_write_crash_via_retry() {
     });
     assert_eq!(path, ring.slot_path(1));
     let resumed = ring
-        .resume_newest_valid(&chaos_cfg(), || build(5))
+        .resume_newest_valid(&chaos_cfg(), &din_arch(), || build(5))
         .expect("ring scan")
         .expect("slot 1 must be valid");
     assert_eq!(resumed.trainer.epoch(), 1);
@@ -233,7 +233,7 @@ fn kill_at_every_epoch_times_corruption_resumes_bitwise_identical() {
                 let final_fp = with_threads(threads, || {
                     // Phase 2: resurrect from the newest valid slot.
                     let resumed = ring
-                        .resume_newest_valid(&chaos_cfg(), || build(5))
+                        .resume_newest_valid(&chaos_cfg(), &din_arch(), || build(5))
                         .expect("ring scan")
                         .expect("ring must hold a valid slot");
                     let expect_epoch = if corrupt_newest { kill_after - 1 } else { kill_after };
@@ -311,7 +311,7 @@ fn run_killed(
     assert!(outcome.is_err(), "the run must die at the kill point");
     let (mut store, model, ssl) = build_with(miss);
     let ssl = ssl.as_ref().map(|m| m as &dyn SslMethod);
-    let progress = miss_codec::load_from_slice(&ckpt, &mut store).expect("load");
+    let progress = miss_codec::load_from_slice(&ckpt, &din_arch(), &mut store).expect("load");
     let mut trainer = Trainer::resume(cfg.clone(), progress).expect("resume");
     let out = trainer.run(&model, ssl, &mut store, world(), |_, _| Ok(())).expect("resumed run");
     run_bits(&out, &store, &trainer)

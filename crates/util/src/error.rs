@@ -58,6 +58,14 @@ pub enum MissError {
         /// The offending name.
         name: String,
     },
+    /// A checkpoint holds another model than the one resuming from it: its
+    /// arch section (base model and widths) differs from the run's.
+    ArchMismatch {
+        /// The model the run builds.
+        expected: String,
+        /// The model the checkpoint holds.
+        found: String,
+    },
     /// The artifact and the receiving store disagree on how many parameters
     /// exist (architecture mismatch at the coarsest level).
     CountMismatch {
@@ -116,8 +124,8 @@ impl MissError {
     ///
     /// * `3` — bad artifact: corrupt bytes, unsupported version, or an
     ///   architecture mismatch (`Corrupt`, `UnsupportedVersion`,
-    ///   `UnknownParam`, `CountMismatch`, `ShapeMismatch`). Retrying will not
-    ///   help; point the run at a different checkpoint.
+    ///   `ArchMismatch`, `UnknownParam`, `CountMismatch`, `ShapeMismatch`).
+    ///   Retrying will not help; point the run at a different checkpoint.
     /// * `4` — environment: underlying I/O failure (`Io`). Often transient.
     /// * `5` — numerics: the NaN/Inf guard aborted the run (`NonFinite`).
     /// * `6` — bad score request: a serving input failed validation
@@ -128,6 +136,7 @@ impl MissError {
         match self {
             MissError::Corrupt { .. }
             | MissError::UnsupportedVersion { .. }
+            | MissError::ArchMismatch { .. }
             | MissError::UnknownParam { .. }
             | MissError::CountMismatch { .. }
             | MissError::ShapeMismatch { .. } => 3,
@@ -157,6 +166,9 @@ impl fmt::Display for MissError {
                 f,
                 "unsupported checkpoint format version {found} (this build reads only version {supported})"
             ),
+            MissError::ArchMismatch { expected, found } => {
+                write!(f, "checkpoint holds {found}, this run builds {expected}")
+            }
             MissError::UnknownParam { kind, name } => {
                 write!(f, "checkpoint names a {kind} {name:?} the store does not have")
             }
@@ -225,6 +237,9 @@ mod tests {
             MissError::UnsupportedVersion { found: 9, supported: 1 }.exit_code(),
             3
         );
+        let arch = MissError::ArchMismatch { expected: "FM".into(), found: "LR".into() };
+        assert_eq!(arch.exit_code(), 3);
+        assert_eq!(arch.to_string(), "checkpoint holds LR, this run builds FM");
         assert_eq!(
             MissError::UnknownParam { kind: "dense param", name: "w".into() }.exit_code(),
             3

@@ -29,6 +29,12 @@ export CARGO_NET_OFFLINE=true
 echo "==> gate 0: cargo clippy (workspace lints, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# rustfmt gate, one crate at a time: a crate joins once it is formatted.
+# The experiment harness (miss-bench) is the first; the rest of the
+# workspace still drifts from rustfmt's output.
+echo "==> gate 0: cargo fmt --check (miss-bench)"
+cargo fmt --check -p miss-bench
+
 # The bench gate's own self-test (pytest-free): exit codes and named
 # errors for malformed bounds, missing baseline groups, and ratio gates.
 # A silent bug in check_bench.py would let every bench gate below pass

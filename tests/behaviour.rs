@@ -35,7 +35,7 @@ fn checkpoint_roundtrip_preserves_metrics() {
     let mut store2 = ParamStore::new();
     let mut rng2 = Rng::new(99); // different init — must be overwritten
     let model2 = Din::new(&mut store2, &dataset.schema, &ModelConfig::default(), &mut rng2);
-    let progress = miss::codec::load_from_slice(&buf, &mut store2).unwrap();
+    let progress = miss::codec::load_from_slice(&buf, &din_arch, &mut store2).unwrap();
     assert!(progress.is_none(), "no trainer progress was saved");
     let r = evaluate(&model2, &store2, &dataset.test, &dataset.schema, 128);
     assert!((r.auc - out.test.auc).abs() < 1e-12, "{} vs {}", r.auc, out.test.auc);

@@ -73,15 +73,21 @@ fn miss_faults_in_the_environment_changes_nothing() {
     assert_eq!(with_var, clean);
 }
 
-/// `miss-train` run to completion with `args`; its stdout.
-fn miss_train(args: &[&str]) -> String {
+/// `miss-train` run with `args`; its exit code, stdout and stderr.
+fn miss_train_output(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_miss-train"))
         .args(args)
         .output()
         .expect("miss-train starts");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
-    String::from_utf8(out.stdout).expect("utf-8 stdout")
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// `miss-train` run to completion with `args`; its stdout.
+fn miss_train(args: &[&str]) -> String {
+    let (code, stdout, stderr) = miss_train_output(args);
+    assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    stdout
 }
 
 fn metrics_line(stdout: &str) -> &str {
@@ -146,5 +152,59 @@ fn eval_reads_the_model_from_the_checkpoint() {
         assert_eq!(metrics_line(&scored), metrics, "{name}: eval scored other weights");
         assert!(scored.lines().any(|l| l.starts_with("DIN checkpoint at epoch ")), "{scored}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--resume` refuses a checkpoint of another model before loading any of
+/// it (exit 3, naming both), also when the two models register the same
+/// parameter names (LR and FM); so does `--ring` over another model's slots,
+/// which it leaves as they were.
+/// DIN with `--miss` is the same model with SSL heads added, so it stays a
+/// parameter-count mismatch.
+#[test]
+fn resume_refuses_a_checkpoint_of_another_model() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-resume-arch");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let (din, lr, ring) = (path("din.ckpt"), path("lr.ckpt"), path("ring"));
+    let train = |extra: &[&str]| {
+        miss_train_output(&[&["train", "--dataset", "tiny", "--epochs", "2"], extra].concat())
+    };
+    for extra in [["--model", "DIN", "--out", &din], ["--model", "LR", "--ring", &ring]] {
+        assert_eq!(train(&extra).0, Some(0), "{extra:?}");
+    }
+    std::fs::copy(dir.join("ring").join("ckpt.e00000002.ckpt"), &lr).expect("LR checkpoint");
+
+    for (model, ckpt, held) in [("IPNN", &din, "DIN"), ("FM", &lr, "LR")] {
+        let (code, _, stderr) = train(&["--model", model, "--resume", ckpt]);
+        assert_eq!(code, Some(3), "{model} resuming {held}: {stderr}");
+        assert!(
+            stderr.contains(&format!("checkpoint holds {held} "))
+                && stderr.contains(&format!("this run builds {model} ")),
+            "{stderr}"
+        );
+    }
+
+    let (code, _, stderr) = train(&["--model", "DIN", "--miss", "--resume", &din]);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("dense params, the store has"), "{stderr}");
+
+    let slots = || {
+        let mut slots: Vec<_> = std::fs::read_dir(&ring)
+            .expect("ring dir")
+            .map(|e| {
+                let path = e.expect("ring entry").path();
+                (path.clone(), std::fs::read(path).expect("ring slot"))
+            })
+            .collect();
+        slots.sort();
+        slots
+    };
+    let before = slots();
+    let (code, _, stderr) = train(&["--model", "FM", "--ring", &ring]);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("checkpoint holds LR "), "{stderr}");
+    assert!(slots() == before, "an FM run over LR's ring changed its slots");
     let _ = std::fs::remove_dir_all(&dir);
 }

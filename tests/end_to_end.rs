@@ -197,7 +197,7 @@ fn resume_is_bitwise_identical_to_uninterrupted_training() {
             let mut s2 = ParamStore::new();
             let mut r2 = Rng::new(1234); // different init, overwritten by resume
             let m2 = Din::new(&mut s2, &dataset.schema, &ModelConfig::default(), &mut r2);
-            let progress = miss::codec::load_from_slice(&ckpt, &mut s2).expect("load checkpoint");
+            let progress = miss::codec::load_from_slice(&ckpt, &din_arch, &mut s2).expect("load checkpoint");
             let mut t2 = Trainer::resume(cfg.clone(), progress).expect("resume");
             assert_eq!(t2.epoch(), 1);
             t2.train_epoch(&m2, None, &mut s2, &dataset).expect("epoch");
